@@ -1,11 +1,14 @@
-"""Throughput comparison of the transcript digest kernels.
+"""Throughput of the two digest paths, and what payload hashing costs a run.
 
-A full training run hashes every exchanged payload (gigabytes of little-endian
-floats), so the digest is the one byte-serial hot loop in the pipeline. This
-prints MB/s for the compiled kernel and the pure-Python fallback, plus the
-projected hashing time for a full-scale training run.
+An exported training run (`fairvfl train`) hashes every exchanged payload
+with `digest.digest_array` (BLAKE2b-64 from hashlib). `digest.digest_text`
+(pure-Python FNV-1a) hashes only short names and configs: it seeds the RNG
+streams. This prints MB/s of both paths on the same buffer sizes, then
+measures the payload bytes of one training round of a preset and projects
+the hashing time of that preset's full training run under each path.
 
-Usage: python3 benchmarks/bench_digest.py [--sizes 1024,65536,1048576]
+Usage: PYTHONPATH=src python3 benchmarks/bench_digest.py
+           [--sizes 1024,65536,1048576] [--preset synthetic-smoke]
 """
 
 import argparse
@@ -14,57 +17,64 @@ import time
 import numpy as np
 
 from fairvfl import digest
-from fairvfl._fnv_py import fnv1a64 as pure_fnv1a64
-
-try:
-    from fairvfl._fnv import fnv1a64 as compiled_fnv1a64
-except ImportError:
-    compiled_fnv1a64 = None
-
-# one round of the default setup: ~115k floats of reps and gradients
-FULL_RUN_BYTES = 115_000 * 8 * 5630  # floats/round * bytes * rounds (10 epochs)
+from fairvfl.config import PRESET_NAMES, preset
+from fairvfl.data import iterate_batches
+from fairvfl.runner import build_run_federation, make_dataset
 
 
-def throughput(fn, buf: bytes, min_time: float = 0.3) -> float:
+def throughput(fn, arg, nbytes: int, min_time: float = 0.3) -> float:
     """MB/s over repeated calls until min_time elapses."""
-    fn(buf)  # warm up
+    fn(arg)  # warm up
     n, t0 = 0, time.perf_counter()
     while time.perf_counter() - t0 < min_time:
-        fn(buf)
+        fn(arg)
         n += 1
     elapsed = time.perf_counter() - t0
-    return len(buf) * n / elapsed / 1e6
+    return nbytes * n / elapsed / 1e6
+
+
+def run_payload_bytes(name: str) -> tuple[float, int]:
+    """(payload bytes per training sample, samples hashed per full run) of a
+    preset, from one full training round; every payload carries one row per
+    sample of 8-byte elements (float64 values, int64 sample ids)."""
+    cfg = preset(name)
+    ds, pa = make_dataset(cfg)
+    fed = build_run_federation(cfg, ds, pa, payload_digests=True)
+    ids = iterate_batches(ds, "train", cfg.batch_size, cfg.seed)[0]
+    records = fed.run_training_round(ids).records
+    per_sample = sum(8 * r.float_count for r in records) / len(ids)
+    return per_sample, len(ds.split_ids("train")) * cfg.epochs
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sizes", default="1024,65536,1048576",
                         help="comma-separated buffer sizes in bytes")
+    parser.add_argument("--preset", default="synthetic-smoke", choices=PRESET_NAMES,
+                        help="preset whose full training run is projected")
     args = parser.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]
 
     rng = np.random.default_rng(0)
-    print(f"selected kernel at import: {'compiled' if digest.HAVE_COMPILED_FNV else 'pure'}")
-    print(f"{'size':>10}  {'pure MB/s':>12}  {'compiled MB/s':>14}  {'speedup':>8}")
+    letters = np.frombuffer(b"abcdefghijklmnopqrstuvwxyz", dtype=np.uint8)
+    print(f"{'size':>10}  {'FNV-1a text MB/s':>17}  {'BLAKE2b array MB/s':>19}  {'ratio':>8}")
     rates = {}
     for size in sizes:
-        buf = rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
-        pure = throughput(pure_fnv1a64, buf)
-        if compiled_fnv1a64 is not None:
-            comp = throughput(compiled_fnv1a64, buf)
-            assert compiled_fnv1a64(buf) == pure_fnv1a64(buf)
-            print(f"{size:>10}  {pure:>12.2f}  {comp:>14.2f}  {comp / pure:>7.1f}x")
-        else:
-            comp = None
-            print(f"{size:>10}  {pure:>12.2f}  {'(not built)':>14}  {'':>8}")
-        rates[size] = (pure, comp)
+        text = rng.choice(letters, size=size).tobytes().decode("ascii")
+        arr = np.frombuffer(text.encode("ascii"), dtype=np.uint8)  # the same bytes
+        fnv = throughput(digest.digest_text, text, size)
+        blake = throughput(digest.digest_array, arr, size)
+        print(f"{size:>10}  {fnv:>17.2f}  {blake:>19.2f}  {blake / fnv:>7.1f}x")
+        rates[size] = (fnv, blake)
 
-    pure, comp = rates[max(sizes)]
-    print(f"\nprojected payload-hashing time for a full-scale run "
-          f"({FULL_RUN_BYTES / 1e9:.1f} GB):")
-    print(f"  pure Python: {FULL_RUN_BYTES / (pure * 1e6):8.0f} s")
-    if comp:
-        print(f"  compiled:    {FULL_RUN_BYTES / (comp * 1e6):8.1f} s")
+    per_sample, samples = run_payload_bytes(args.preset)
+    total = per_sample * samples
+    fnv, blake = rates[max(sizes)]
+    print(f"\n{args.preset}: {per_sample:.0f} payload bytes per training sample, "
+          f"{samples} samples per run, {total / 1e6:.1f} MB hashed per run")
+    print(f"projected payload-hashing time per run at the {max(sizes)}-byte rates:")
+    print(f"  BLAKE2b-64 (digest_array): {total / (blake * 1e6):8.3f} s")
+    print(f"  FNV-1a pure Python:        {total / (fnv * 1e6):8.1f} s")
 
 
 if __name__ == "__main__":

@@ -6,13 +6,14 @@ Round-trips are bitwise exact.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CheckpointError
-from .models import ModelBundle, RepWidths
+from .models import ModelBundle
 
 MAGIC = b"FVFLCKPT"
 VERSION = 1
@@ -48,17 +49,35 @@ def save_checkpoint(bundle: ModelBundle, path: str | Path) -> None:
                 fh.write(_le_bytes(blk.b))
 
 
+def _take(raw: bytes, off: int, shape: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    """The float64 array of ``shape`` at ``off`` and the offset after it."""
+    n = math.prod(shape)
+    if min(shape, default=0) < 0 or off + 8 * n > len(raw):
+        raise ValueError("truncated body")
+    arr = np.frombuffer(raw, dtype="<f8", count=n, offset=off).reshape(shape)
+    return arr.astype(np.float64), off + 8 * n
+
+
 def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, tuple[np.ndarray, np.ndarray | None]]]:
     """Returns (header, {block name: (weights, bias-or-None)})."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint: {exc}") from exc
+    return parse_checkpoint(raw, path)
+
+
+def parse_checkpoint(raw: bytes, path: str | Path = "checkpoint") -> tuple[dict, dict]:
+    """``read_checkpoint`` on the file's bytes; any malformed or truncated
+    input raises ``CheckpointError`` naming ``path``."""
     if raw[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    off = len(MAGIC)
-    (head_len,) = struct.unpack_from("<I", raw, off)
-    off += 4
+    off = len(MAGIC) + 4
+    if len(raw) < off:
+        raise CheckpointError(f"{path}: truncated header")
+    (head_len,) = struct.unpack_from("<I", raw, len(MAGIC))
+    if off + head_len > len(raw):
+        raise CheckpointError(f"{path}: truncated header")
     try:
         header = json.loads(raw[off:off + head_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -66,17 +85,18 @@ def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, tuple[np.ndarray,
     off += head_len
 
     params: dict[str, tuple[np.ndarray, np.ndarray | None]] = {}
-    for entry in header["blocks"]:
-        w_shape = tuple(entry["w_shape"])
-        n = int(np.prod(w_shape)) if w_shape else 1
-        w = np.frombuffer(raw, dtype="<f8", count=n, offset=off).reshape(w_shape)
-        off += 8 * n
-        b = None
-        if entry["b_shape"]:
-            m = int(entry["b_shape"][0])
-            b = np.frombuffer(raw, dtype="<f8", count=m, offset=off)
-            off += 8 * m
-        params[entry["name"]] = (w.astype(np.float64), None if b is None else b.astype(np.float64))
+    try:
+        if not isinstance(header, dict) or not isinstance(header["protected_widths"], dict):
+            raise TypeError("header is not a checkpoint manifest")
+        int(header["rep_width"])
+        for entry in header["blocks"]:
+            w, off = _take(raw, off, tuple(int(d) for d in entry["w_shape"]))
+            b = None
+            if entry["b_shape"]:
+                b, off = _take(raw, off, tuple(int(d) for d in entry["b_shape"]))
+            params[str(entry["name"])] = (w, b)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise CheckpointError(f"{path}: malformed checkpoint: {exc!r}") from exc
     if off != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - off} trailing bytes")
     return header, params
@@ -104,7 +124,3 @@ def load_checkpoint(bundle: ModelBundle, path: str | Path) -> None:
         if b is not None:
             blk.b[...] = b
 
-
-def checkpoint_widths(path: str | Path) -> RepWidths:
-    header, _ = read_checkpoint(path)
-    return RepWidths(rep=header["rep_width"], protected=dict(header["protected_widths"]))

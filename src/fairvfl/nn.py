@@ -26,13 +26,6 @@ def rng_for(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, digest_text(name)]))
 
 
-def assert_finite(arr: Array, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        from .errors import NumericError
-
-        raise NumericError(f"non-finite values in {what}")
-
-
 # ---------------------------------------------------------------------------
 # Parameters and optimizer
 # ---------------------------------------------------------------------------
@@ -54,9 +47,6 @@ class ParamBlock:
         self.gw[...] = 0.0
         if self.gb is not None:
             self.gb[...] = 0.0
-
-    def grad_copy(self) -> tuple[Array, Array | None]:
-        return self.gw.copy(), None if self.gb is None else self.gb.copy()
 
     @property
     def size(self) -> int:

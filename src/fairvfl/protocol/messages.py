@@ -1,8 +1,9 @@
 """Typed protocol messages, edge legality, and the append-only transcript.
 
-Transcript records keep message metadata plus a 64-bit FNV-1a digest of the
-little-endian payload bytes; payloads themselves are not retained, so two
-runs can be compared bitwise without storing gigabytes.
+Transcript records keep message metadata plus a BLAKE2b-64 digest of the
+little-endian payload bytes (``digest.digest_array``); payloads themselves
+are not retained, so two runs can be compared bitwise without storing
+gigabytes.
 
 Only federations built with ``FederationConfig(payload_digests=True)`` (the
 default, and what ``cmd_train`` uses for its exported ``transcript.ndjson``)
@@ -150,9 +151,6 @@ class Transcript:
 
     def __iter__(self):
         return iter(self.records)
-
-    def for_round(self, round_id: int) -> list[TranscriptRecord]:
-        return [r for r in self.records if r.round_id == round_id]
 
     def kind_counts(self) -> dict[str, int]:
         out: dict[str, int] = {}

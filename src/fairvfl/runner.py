@@ -61,9 +61,8 @@ def make_dataset(cfg: ExperimentConfig):
 
 def build_run_federation(cfg: ExperimentConfig, ds: VerticalDataset, pa,
                          payload_digests: bool = False):
-    """The federation of a run. Payload digests are off by default: only a
-    transcript that is exported (``cmd_train``) needs them, and hashing costs
-    most of a round without the compiled kernel."""
+    """The federation of a run. Payload digests are off by default: only an
+    exported transcript (``cmd_train``) reads them."""
     fed_cfg = FederationConfig(
         weights=cfg.loss_weights(),
         ldp=cfg.ldp_config(),

@@ -1,11 +1,22 @@
 """Model components: encoder/aggregator/head/mapper/discriminator contracts,
 gradient checks against the oracle, purity, and checkpoint round-trips."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import relative_error, small_widths
-from fairvfl.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
+from fairvfl.checkpoint import (
+    MAGIC,
+    load_checkpoint,
+    parse_checkpoint,
+    read_checkpoint,
+    save_checkpoint,
+)
 from fairvfl.errors import CheckpointError, ConfigError
 from fairvfl.models import (
     Aggregator,
@@ -335,6 +346,14 @@ class TestCounterfactualInvariant:
         assert np.array_equal(p1, p2)
 
 
+# arbitrary JSON values to put in place of checkpoint header fields
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=8)
+
+
 class TestCheckpoint:
     def _bundle(self, seed=0):
         schema = PlatformSchema([("f", 4)], ["x"])
@@ -381,3 +400,96 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint at all")
         with pytest.raises(CheckpointError):
             read_checkpoint(path)
+
+    def test_magic_only_file_rejected(self, tmp_path):
+        path = tmp_path / "bad.fvfl"
+        path.write_bytes(MAGIC)
+        with pytest.raises(CheckpointError, match="truncated header"):
+            read_checkpoint(path)
+
+    def test_header_only_file_rejected(self, saved_checkpoint):
+        header, _ = _split_checkpoint(saved_checkpoint[1])
+        with pytest.raises(CheckpointError, match="truncated body"):
+            parse_checkpoint(_join_checkpoint(header, b""))
+
+    @pytest.mark.parametrize("key", ["blocks", "w_shape", "b_shape", "name",
+                                     "rep_width", "protected_widths"])
+    def test_header_missing_key_rejected(self, tmp_path, saved_checkpoint, key):
+        bundle, raw = saved_checkpoint
+        header, body = _split_checkpoint(raw)
+        header.pop(key, None)
+        for entry in header.get("blocks", []):
+            entry.pop(key, None)
+        path = tmp_path / "bad.fvfl"
+        path.write_bytes(_join_checkpoint(header, body))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(bundle, path)
+
+    def test_every_truncation_rejected(self, saved_checkpoint):
+        _, raw = saved_checkpoint
+        for cut in range(len(raw)):
+            with pytest.raises(CheckpointError):
+                parse_checkpoint(raw[:cut])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_corrupted_file_raises_only_checkpoint_error(self, tmp_path_factory,
+                                                         saved_checkpoint, data):
+        bundle, raw = saved_checkpoint
+        header_end = len(raw) - len(_split_checkpoint(raw)[1])
+        # most flips land in the header, where they change the parse
+        offsets = st.one_of(st.integers(0, header_end - 1), st.integers(0, len(raw) - 1))
+        flips = data.draw(st.lists(st.tuples(offsets, st.integers(1, 255)),
+                                   min_size=1, max_size=4))
+        buf = bytearray(raw)
+        for off, mask in flips:
+            buf[off] ^= mask
+        cut = data.draw(st.integers(0, len(buf)))
+        path = tmp_path_factory.getbasetemp() / "fuzzed.fvfl"
+        path.write_bytes(bytes(buf[:cut]))
+        try:
+            load_checkpoint(bundle, path)  # a flip inside a float can still load
+        except CheckpointError:
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), value=_JSON_VALUES)
+    def test_header_field_replaced_raises_only_checkpoint_error(
+            self, tmp_path_factory, saved_checkpoint, data, value):
+        bundle, raw = saved_checkpoint
+        header, body = _split_checkpoint(raw)
+        if data.draw(st.booleans()):
+            target = header
+            key = data.draw(st.sampled_from(sorted(header)))
+        else:
+            target = data.draw(st.sampled_from(header["blocks"]))
+            key = data.draw(st.sampled_from(["name", "w_shape", "b_shape"]))
+        target[key] = value
+        path = tmp_path_factory.getbasetemp() / "edited.fvfl"
+        path.write_bytes(_join_checkpoint(header, body))
+        try:
+            load_checkpoint(bundle, path)
+        except CheckpointError:
+            pass
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    """A bundle and the bytes of its saved checkpoint (loads may overwrite the
+    bundle's parameters)."""
+    bundle = TestCheckpoint()._bundle()
+    path = tmp_path_factory.mktemp("ckpt") / "model.fvfl"
+    save_checkpoint(bundle, path)
+    return bundle, path.read_bytes()
+
+
+def _split_checkpoint(raw: bytes) -> tuple[dict, bytes]:
+    """(header, body) of a checkpoint file's bytes."""
+    (head_len,) = struct.unpack_from("<I", raw, len(MAGIC))
+    start = len(MAGIC) + 4
+    return json.loads(raw[start:start + head_len]), raw[start + head_len:]
+
+
+def _join_checkpoint(header: dict, body: bytes) -> bytes:
+    head = json.dumps(header).encode("utf-8")
+    return MAGIC + struct.pack("<I", len(head)) + head + body

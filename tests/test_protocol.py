@@ -2,6 +2,8 @@
 properties, determinism, transcript mechanics, auditing, and traffic
 accounting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -390,3 +392,19 @@ class TestTranscriptFiles:
         d1 = [r.digest for r in r1.records if r.kind == Kind.LOCAL_REP_UPLOAD.value]
         d2 = [r.digest for r in r2.records if r.kind == Kind.LOCAL_REP_UPLOAD.value]
         assert d1 != d2  # different params, different payload bytes
+
+    def test_digest_flag_changes_only_digests(self, tiny_dataset):
+        ds, pa = tiny_dataset
+        ldp = LdpConfig(enabled=True)
+        on = make_federation(ds, pa, ldp=ldp, payload_digests=True)
+        off = make_federation(ds, pa, ldp=ldp, payload_digests=False)
+        for ids in train_batches(ds)[:2]:
+            r_on, r_off = on.run_training_round(ids), off.run_training_round(ids)
+            assert len(r_on.records) == len(r_off.records) > 0
+            for a, b in zip(r_on.records, r_off.records):
+                assert a.digest is not None and b.digest is None
+                assert dataclasses.replace(a, digest=None) == b
+            l_on, l_off = r_on.losses.flat(), r_off.losses.flat()
+            assert list(l_on) == list(l_off)
+            assert np.array(list(l_on.values())).tobytes() == \
+                np.array(list(l_off.values())).tobytes()
