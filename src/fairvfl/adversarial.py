@@ -87,16 +87,17 @@ def rank_and_select_negative(ctx: ContrastiveContext, query: int) -> int:
 
 
 def select_negatives(ctx: ContrastiveContext) -> Array:
-    """Negative index per batch row, drawn in row order from the context RNG."""
+    """Negative index per batch row, drawn in row order from the context RNG.
+
+    Row j picks what ``rank_and_select_negative(ctx, j)`` picks: one stable
+    sort of the self-masked relevance matrix ranks every row at once, and the
+    scalar draws keep the RNG stream of one draw per row."""
     relevance = ctx.protected @ ctx.protected.T
-    return np.array(
-        [
-            int(pool[ctx.rng.integers(pool.shape[0])])
-            for j in range(relevance.shape[0])
-            for pool in (_top_pool_indices(relevance[j], j, ctx.top_pool),)
-        ],
-        dtype=np.int64,
-    )
+    n = relevance.shape[0]
+    relevance[np.diag_indices(n)] = -np.inf
+    pools = np.argsort(-relevance, axis=1, kind="stable")[:, : min(ctx.top_pool, n - 1)]
+    return np.array([pools[j, ctx.rng.integers(pools.shape[1])] for j in range(n)],
+                    dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -138,12 +139,12 @@ def contrastive_discriminator_step(disc: ContrastiveDiscriminator, opt: Adam,
     pos, neg, cache = _contrastive_forward(disc, protected, unified, neg_idx)
     _check_pairwise_finite(pos, neg)
     loss, gpos, gneg = pairwise_contrastive_loss(pos, neg)
-    disc.zero_grad()
+    opt.zero_grad()
     disc.backward(cache, np.concatenate([gpos, gneg]))  # input grads discarded
     if grad_observer is not None:
         grad_observer(disc.blocks())
     opt.step()
-    disc.zero_grad()
+    opt.zero_grad()
     return loss
 
 
@@ -182,12 +183,12 @@ def bias_discriminator_step(disc: BiasDiscriminator, opt: Adam, protected: Array
     at the pre-update parameters)."""
     logits, cache = disc.forward(protected)
     loss, glogits = softmax_cross_entropy(logits, labels)
-    disc.zero_grad()
+    opt.zero_grad()
     grad_protected = disc.backward(cache, glogits)
     if grad_observer is not None:
         grad_observer(disc.blocks())
     opt.step()
-    disc.zero_grad()
+    opt.zero_grad()
     return loss, grad_protected
 
 

@@ -24,9 +24,8 @@ def _le_bytes(arr: np.ndarray) -> bytes:
 
 
 def save_checkpoint(bundle: ModelBundle, path: str | Path) -> None:
-    blocks = bundle.named_blocks()
     manifest = []
-    for blk in blocks:
+    for blk in bundle.named_blocks():
         manifest.append({
             "name": blk.name,
             "w_shape": list(blk.w.shape),
@@ -43,10 +42,9 @@ def save_checkpoint(bundle: ModelBundle, path: str | Path) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(head)))
         fh.write(head)
-        for blk in blocks:
-            fh.write(_le_bytes(blk.w))
-            if blk.b is not None:
-                fh.write(_le_bytes(blk.b))
+        # each group's store is its blocks' w then b, in manifest order
+        for opt in bundle.optim.values():
+            fh.write(_le_bytes(opt.params))
 
 
 def _take(raw: bytes, off: int, shape: tuple[int, ...]) -> tuple[np.ndarray, int]:

@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EvaluationError
-from .nn import Adam, Array, Linear, relu, relu_backward, rng_for, softmax_cross_entropy
+from .models import TwoLayerMlp
+from .nn import Adam, Array, rng_for, softmax_cross_entropy
 
 
 def accuracy(pred: Array, labels: Array) -> float:
@@ -69,49 +70,29 @@ class AttackerNet:
 
     def __init__(self, tag: str, in_width: int, n_classes: int, hidden: int,
                  lr: float, seed: int):
-        self.fc1 = Linear(f"{tag}/fc1", in_width, hidden, seed)
-        self.fc2 = Linear(f"{tag}/fc2", hidden, n_classes, seed)
-        self.opt = Adam(self.fc1.blocks() + self.fc2.blocks(), lr=lr)
-
-    def forward(self, x: Array) -> tuple[Array, tuple]:
-        h1, c1 = self.fc1.forward(x)
-        a1 = relu(h1)
-        logits, c2 = self.fc2.forward(a1)
-        return logits, (c1, h1, c2)
+        self.net = TwoLayerMlp(tag, in_width, hidden, n_classes, seed)
+        self.opt = Adam(self.net.blocks(), lr=lr)
 
     def train_step(self, x: Array, y: Array) -> float:
-        logits, (c1, h1, c2) = self.forward(x)
+        logits, cache = self.net.forward(x)
         loss, glogits = softmax_cross_entropy(logits, y)
-        for b in self.opt.blocks:
-            b.zero_grad()
-        gh1 = relu_backward(h1, self.fc2.backward(c2, glogits))
-        self.fc1.backward(c1, gh1)
+        self.opt.zero_grad()
+        self.net.backward(cache, glogits)
         self.opt.step()
         return loss
 
     def predict(self, x: Array, batch: int = 4096) -> Array:
         out = []
         for i in range(0, x.shape[0], batch):
-            logits, _ = self.forward(x[i:i + batch])
+            logits, _ = self.net.forward(x[i:i + batch])
             out.append(np.argmax(logits, axis=1))
         return np.concatenate(out)
 
-    def snapshot(self) -> list[Array]:
-        out = []
-        for b in self.opt.blocks:
-            out.append(b.w.copy())
-            if b.b is not None:
-                out.append(b.b.copy())
-        return out
+    def snapshot(self) -> Array:
+        return self.opt.params.copy()
 
-    def restore(self, snap: list[Array]) -> None:
-        i = 0
-        for b in self.opt.blocks:
-            b.w[...] = snap[i]
-            i += 1
-            if b.b is not None:
-                b.b[...] = snap[i]
-                i += 1
+    def restore(self, snap: Array) -> None:
+        self.opt.params[...] = snap
 
 
 @dataclass

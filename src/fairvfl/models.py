@@ -19,6 +19,7 @@ from .nn import (
     Array,
     Embedding,
     Linear,
+    Module,
     ParamBlock,
     dropout_apply,
     dropout_backward,
@@ -62,7 +63,7 @@ class PlatformSchema:
     numeric_fields: list[str]
 
 
-class LocalEncoder:
+class LocalEncoder(Module):
     """Embeds categorical fields, concatenates standardized numerics, and maps
     the result through a two-layer network to the shared rep width."""
 
@@ -112,10 +113,6 @@ class LocalEncoder:
         out = [e.block for _, e in sorted(self.embeddings.items())]
         out += self.fc1.blocks() + self.fc2.blocks()
         return out
-
-    def zero_grad(self) -> None:
-        for b in self.blocks():
-            b.zero_grad()
 
 
 class MultiHeadSelfAttention:
@@ -202,7 +199,7 @@ class AttentionPool:
         return self.proj.blocks() + [self.query]
 
 
-class Aggregator:
+class Aggregator(Module):
     """Self-attention over local reps followed by attention pooling."""
 
     def __init__(self, widths: RepWidths, seed: int, name: str = "aggregator"):
@@ -226,12 +223,8 @@ class Aggregator:
     def blocks(self) -> list[ParamBlock]:
         return self.attn.blocks() + self.pool.blocks()
 
-    def zero_grad(self) -> None:
-        for b in self.blocks():
-            b.zero_grad()
 
-
-class TaskHead:
+class TaskHead(Module):
     """Two-layer classifier on the unified representation."""
 
     def __init__(self, widths: RepWidths, n_classes: int, seed: int,
@@ -262,12 +255,8 @@ class TaskHead:
     def blocks(self) -> list[ParamBlock]:
         return self.fc1.blocks() + self.fc2.blocks()
 
-    def zero_grad(self) -> None:
-        for b in self.blocks():
-            b.zero_grad()
 
-
-class TwoLayerMlp:
+class TwoLayerMlp(Module):
     """Deterministic two-layer ReLU network (no dropout); shared by mappers
     and discriminators, whose exact-value contracts forbid stochastic layers."""
 
@@ -290,10 +279,6 @@ class TwoLayerMlp:
     def blocks(self) -> list[ParamBlock]:
         return self.fc1.blocks() + self.fc2.blocks()
 
-    def zero_grad(self) -> None:
-        for b in self.blocks():
-            b.zero_grad()
-
 
 class Mapper(TwoLayerMlp):
     """Maps the unified rep to one feature's protected rep."""
@@ -304,7 +289,7 @@ class Mapper(TwoLayerMlp):
         self.feature = feature
 
 
-class ContrastiveDiscriminator:
+class ContrastiveDiscriminator(Module):
     """Scores whether a candidate unified rep is the preimage of a protected rep."""
 
     def __init__(self, feature: str, widths: RepWidths, seed: int):
@@ -329,9 +314,6 @@ class ContrastiveDiscriminator:
     def blocks(self) -> list[ParamBlock]:
         return self.net.blocks()
 
-    def zero_grad(self) -> None:
-        self.net.zero_grad()
-
 
 class BiasDiscriminator(TwoLayerMlp):
     """Predicts a sensitive feature's class from its protected rep."""
@@ -352,7 +334,8 @@ class OptimParams:
 
 
 class ModelBundle:
-    """All trainable components plus one Adam optimizer per component group."""
+    """All trainable components plus one Adam optimizer per component group;
+    each ``Adam`` holds its group's parameters in one flat store."""
 
     def __init__(self, schemas: list[PlatformSchema], widths: RepWidths,
                  task_classes: int, sensitive_classes: dict[str, int],
@@ -399,22 +382,13 @@ class ModelBundle:
         return self.mappers[feature]
 
     def named_blocks(self) -> list[ParamBlock]:
-        out: list[ParamBlock] = []
-        for enc in self.encoders:
-            out += enc.blocks()
-        out += self.aggregator.blocks() + self.task_head.blocks()
-        for f in self.features:
-            out += self.mappers[f].blocks()
-            out += self.cdiscs[f].blocks()
-            out += self.bdiscs[f].blocks()
-        return out
+        """Every block, in checkpoint order: the ``optim`` table's groups."""
+        return [b for opt in self.optim.values() for b in opt.blocks]
 
     def main_blocks(self) -> list[ParamBlock]:
         """Blocks of the plain-VFL model (encoders, aggregator, task head)."""
-        out: list[ParamBlock] = []
-        for enc in self.encoders:
-            out += enc.blocks()
-        return out + self.aggregator.blocks() + self.task_head.blocks()
+        return [b for key, opt in self.optim.items()
+                if not key.startswith(("mapper/", "cdisc/", "bdisc/")) for b in opt.blocks]
 
 
 def forward_unified(bundle: ModelBundle, platform_cols: list[dict[str, Array]],

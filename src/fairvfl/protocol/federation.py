@@ -129,13 +129,13 @@ class TaskPlatform(PlatformBase):
         logits, cache = self.head.forward(unified, training=True, rng=self.rng)
         labels = self.shard.take(self.round_ids)
         loss, glogits = softmax_cross_entropy(logits, labels)
-        self.head.zero_grad()
+        self.opt.zero_grad()
         grad_unified = self.head.backward(cache, glogits)
         if fed.events is not None:
             snap = _snap_grads(self.head.blocks())
             fed.events.append(UpdateEvent("task_head", [("task", 1.0, snap)], snap))
         self.opt.step()
-        self.head.zero_grad()
+        self.opt.zero_grad()
         self.last_loss = loss
         # gradient at the perturbed upload is treated as the gradient at s
         return [Message(msg.round_id, self.name, fed.server.name,
@@ -166,16 +166,16 @@ class InsensitivePlatform(PlatformBase):
             contributions = []
             if fed.events is not None:
                 for term, coeff, gpiece in fed.encoder_pieces.get(self.name, []):
-                    self.encoder.zero_grad()
+                    self.opt.zero_grad()
                     self.encoder.backward(self.cache, gpiece)
                     contributions.append((term, coeff, _snap_grads(self.encoder.blocks())))
-            self.encoder.zero_grad()
+            self.opt.zero_grad()
             self.encoder.backward(self.cache, msg.payload)
             if fed.events is not None:
                 fed.events.append(UpdateEvent(f"encoder/{self.index}", contributions,
                                               _snap_grads(self.encoder.blocks())))
             self.opt.step()
-            self.encoder.zero_grad()
+            self.opt.zero_grad()
             return []
         raise ProtocolError(f"{self.name} cannot handle {msg.kind}")
 
@@ -257,26 +257,26 @@ class ServerPlatform(PlatformBase):
             return []
         if msg.kind is Kind.BIAS_DISC_GRAD_DOWN:
             feature = fed.feature_of(msg.sender)
-            mapper = self.mappers[feature]
+            mapper, opt = self.mappers[feature], self.opts[f"mapper/{feature}"]
             cache = self.mapper_caches[feature]
-            mapper.zero_grad()
+            opt.zero_grad()
             mapper.backward(cache, msg.payload)
             if fed.events is not None:
                 snap = _snap_grads(mapper.blocks())
                 fed.events.append(UpdateEvent(f"mapper/{feature}",
                                               [(f"bias/{feature}", 1.0, snap)], snap))
-            self.opts[f"mapper/{feature}"].step()
-            mapper.zero_grad()
+            opt.step()
+            opt.zero_grad()
             # recompute the protected rep with the just-updated mapper
             protected, self.mapper_caches[feature] = mapper.forward(self.unified)
             return [Message(msg.round_id, self.name, msg.sender,
                             Kind.PROTECTED_REP_UPLOAD, protected)]
         if msg.kind is Kind.ADV_GRAD_DOWN:
             feature = fed.feature_of(msg.sender)
-            mapper = self.mappers[feature]
-            mapper.zero_grad()
+            mapper, opt = self.mappers[feature], self.opts[f"mapper/{feature}"]
+            opt.zero_grad()
             grad_unified = mapper.backward(self.mapper_caches[feature], msg.payload)
-            mapper.zero_grad()  # mapper frozen on this pass
+            opt.zero_grad()  # mapper frozen on this pass
             self.adv_grads[feature] = grad_unified
             return []
         raise ProtocolError(f"server cannot handle {msg.kind}")
@@ -445,7 +445,7 @@ class Federation:
             grad_unified = task_grad
 
         # 6) aggregator update
-        agg = self.server.aggregator
+        agg, agg_opt = self.server.aggregator, self.server.opts["aggregator"]
         agg_contribs, piece_stacks = [], []
         if self.events is not None:
             terms = [("task", self.config.task_grad_scale, self.server.task_grad)]
@@ -453,11 +453,11 @@ class Federation:
                 terms += [(f"adversarial/{f}", -weights.lam[f], self.server.adv_grads[f])
                           for f in self.bundle.features]
             for term, coeff, gout in terms:
-                agg.zero_grad()
+                agg_opt.zero_grad()
                 gstack_piece = agg.backward(self.server.agg_cache, gout)
                 agg_contribs.append((term, coeff, _snap_grads(agg.blocks())))
                 piece_stacks.append((term, coeff, gstack_piece))
-        agg.zero_grad()
+        agg_opt.zero_grad()
         grad_stacked = agg.backward(self.server.agg_cache, grad_unified)
         if self.events is not None:
             self.events.append(UpdateEvent("aggregator", agg_contribs,
@@ -466,8 +466,8 @@ class Federation:
                 self.encoder_pieces[p.name] = [
                     (term, coeff, piece[:, p.index, :]) for term, coeff, piece in piece_stacks
                 ]
-        self.server.opts["aggregator"].step()
-        agg.zero_grad()
+        agg_opt.step()
+        agg_opt.zero_grad()
 
         # 7) distribute local-rep gradients; encoders update on receipt
         for p in self.insensitive:
@@ -489,6 +489,7 @@ class Federation:
                         weights: LossWeights, lp, lc, ld, la) -> None:
         server = self.server
         mapper = server.mappers[feature]
+        mapper_opt = server.opts[f"mapper/{feature}"]
         cdisc = server.cdiscs[feature]
 
         # contrastive discriminator: one descent step, representations fixed
@@ -507,17 +508,17 @@ class Federation:
             cdisc, protected, unified, neg_idx)
         contribs = []
         if self.events is not None:
-            mapper.zero_grad()
+            mapper_opt.zero_grad()
             mapper.backward(mcache, grad_protected)
             contribs = [(f"contrastive_adv/{feature}", -gamma,
                          _snap_grads(mapper.blocks()))]
-        mapper.zero_grad()
+        mapper_opt.zero_grad()
         cal_mapper_gradient(mapper, mcache, grad_protected, gamma)
         if self.events is not None:
             self.events.append(UpdateEvent(f"mapper/{feature}", contribs,
                                            _snap_grads(mapper.blocks())))
-        server.opts[f"mapper/{feature}"].step()
-        mapper.zero_grad()
+        mapper_opt.step()
+        mapper_opt.zero_grad()
 
         # recompute and share the protected rep; the cascade runs the bias
         # game (discriminator step, mapper descent, frozen adversarial pass)

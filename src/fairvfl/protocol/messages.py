@@ -115,7 +115,7 @@ class TranscriptRecord:
                 float_count=int(obj["float_count"]),
                 digest=None if digest is None else int(digest, 16),
             )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise ParseError(f"bad transcript record: {exc}", line=lineno) from exc
 
 
@@ -170,12 +170,17 @@ class Transcript:
 
     @classmethod
     def read(cls, path: str | Path) -> "Transcript":
+        """Parses an exported transcript; an unreadable file, bytes that are
+        not UTF-8 or a malformed record raise ``ParseError``."""
         records = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if line:
-                    records.append(TranscriptRecord.from_line(line, lineno))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                for lineno, line in enumerate(fh, start=1):
+                    line = line.strip()
+                    if line:
+                        records.append(TranscriptRecord.from_line(line, lineno))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"cannot read transcript {path}: {exc}") from exc
         return cls(records)
 
 

@@ -109,17 +109,13 @@ def representations(bundle: ModelBundle, feature_shards, ids, batch: int = 512,
     return unified, {f: np.concatenate(v) for f, v in prot.items()}
 
 
-def _snapshot_params(bundle: ModelBundle):
-    return {b.name: (b.w.copy(), None if b.b is None else b.b.copy())
-            for b in bundle.named_blocks()}
+def _snapshot_params(bundle: ModelBundle) -> dict[str, np.ndarray]:
+    return {key: opt.params.copy() for key, opt in bundle.optim.items()}
 
 
-def _restore_params(bundle: ModelBundle, snap) -> None:
-    for b in bundle.named_blocks():
-        w, bias = snap[b.name]
-        b.w[...] = w
-        if bias is not None:
-            b.b[...] = bias
+def _restore_params(bundle: ModelBundle, snap: dict[str, np.ndarray]) -> None:
+    for key, opt in bundle.optim.items():
+        opt.params[...] = snap[key]
 
 
 @dataclass

@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from fairvfl.adversarial import LossWeights
 from fairvfl.data import SyntheticSpec, generate_synthetic, iterate_batches, synthetic_partition
 from fairvfl.models import RepWidths
 from fairvfl.protocol import FederationConfig, LdpConfig, build_federation
+
+
+# arbitrary JSON values, for fuzz tests that put them in place of a field of
+# a checkpoint header or a transcript record
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=8)
 
 
 def relative_error(analytic, numeric, floor=1e-6):

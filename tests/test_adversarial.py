@@ -76,6 +76,24 @@ class TestNegativeSampling:
             assert chosen[j] != j
             assert chosen[j] in pool
 
+    @pytest.mark.parametrize("pool_past_batch", [False, True])
+    @pytest.mark.parametrize("seed", range(15))
+    def test_batch_selection_matches_per_row_reference(self, seed, pool_past_batch):
+        """``select_negatives`` picks, row by row, what the per-row
+        ``rank_and_select_negative`` picks from the same-seed RNG."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 24))
+        top = n + int(rng.integers(0, 3)) if pool_past_batch else int(rng.integers(1, n))
+        # small integers make every relevance exact, so equal rows tie exactly
+        protected = rng.integers(-2, 3, size=(n, 4)).astype(np.float64)
+        dup_src = rng.integers(0, n, size=max(1, n // 3))
+        protected[rng.integers(0, n, size=dup_src.size)] = protected[dup_src]
+        unified = np.zeros((n, 4))
+        batch = select_negatives(ContrastiveContext(protected, unified, top,
+                                                    np.random.default_rng(seed + 100)))
+        ctx = ContrastiveContext(protected, unified, top, np.random.default_rng(seed + 100))
+        assert batch.tolist() == [rank_and_select_negative(ctx, j) for j in range(n)]
+
     def test_batch_of_one_rejected(self):
         with pytest.raises(ProtocolError, match="requires >=2"):
             ContrastiveContext(np.zeros((1, 4)), np.zeros((1, 8)), 3,

@@ -126,6 +126,22 @@ class TestCliCommands:
         assert rc == EXIT_VALIDATION
         assert "unified-to-sensitive" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("content", [
+        b'{"round":1e999,"sender":"a","receiver":"b","kind":"SampleIds",'
+        b'"shape":[2],"float_count":2,"payload_digest":null}\n',
+        b"\xff\xfe not utf-8\n",
+        None,  # no file at all
+    ], ids=["overflow", "not-utf8", "missing"])
+    def test_audit_of_unreadable_transcript_is_validation_error(self, tmp_path, capsys,
+                                                                content):
+        path = tmp_path / "transcript.ndjson"
+        if content is not None:
+            path.write_bytes(content)
+        rc = main(["audit", "--preset", "synthetic-smoke", "--transcript", str(path),
+                   "--out", str(tmp_path / "audit")])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_missing_config_is_validation_error(self, capsys):
         assert main(["train"]) == EXIT_VALIDATION
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import relative_error, small_widths
+from conftest import JSON_VALUES, relative_error, small_widths
 from fairvfl.checkpoint import (
     MAGIC,
     load_checkpoint,
@@ -346,14 +346,6 @@ class TestCounterfactualInvariant:
         assert np.array_equal(p1, p2)
 
 
-# arbitrary JSON values to put in place of checkpoint header fields
-_JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
-                                                                 max_size=3),
-    max_leaves=8)
-
-
 class TestCheckpoint:
     def _bundle(self, seed=0):
         schema = PlatformSchema([("f", 4)], ["x"])
@@ -453,7 +445,7 @@ class TestCheckpoint:
             pass
 
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), value=_JSON_VALUES)
+    @given(data=st.data(), value=JSON_VALUES)
     def test_header_field_replaced_raises_only_checkpoint_error(
             self, tmp_path_factory, saved_checkpoint, data, value):
         bundle, raw = saved_checkpoint

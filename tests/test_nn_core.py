@@ -7,11 +7,11 @@ import pytest
 from conftest import relative_error
 from fairvfl.errors import ConfigError, DimensionError, LabelError, OracleError
 from fairvfl.nn import (
+    _ADAM_TILE,
     Adam,
-    AdamState,
+    Embedding,
     Linear,
     ParamBlock,
-    adam_update,
     dropout_apply,
     dropout_backward,
     finite_difference_gradient,
@@ -111,36 +111,36 @@ class TestSoftmaxCrossEntropy:
 class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
         block = ParamBlock("p", np.array([[1.0, -2.0]]), np.array([0.5]))
-        state = AdamState(block, lr=1e-2)
+        opt = Adam([block], lr=1e-2)
         before = (block.w.copy(), block.b.copy())
         for _ in range(3):
-            adam_update(block, state)
+            opt.step()
         assert np.array_equal(block.w, before[0])
         assert np.array_equal(block.b, before[1])
-        assert state.t == 3
+        assert opt.t == 3
 
     def test_first_step_closed_form(self):
         g = 0.37
         block = ParamBlock("p", np.array([[2.0]]))
-        state = AdamState(block, lr=1e-3)
+        opt = Adam([block], lr=1e-3)
         block.gw[...] = g
-        adam_update(block, state)
-        expected = 2.0 - 1e-3 * g / (abs(g) + state.eps)
+        opt.step()
+        expected = 2.0 - 1e-3 * g / (abs(g) + opt.eps)
         assert block.w[0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_two_steps_constant_gradient(self):
         block = ParamBlock("p", np.array([[0.0]]))
-        state = AdamState(block, lr=1e-3)
+        opt = Adam([block], lr=1e-3)
         for _ in range(2):
             block.gw[...] = 5.0
-            adam_update(block, state)
+            opt.step()
         assert block.w[0, 0] == pytest.approx(-2e-3, abs=1e-6)
 
     def test_accumulators_untouched(self):
         block = ParamBlock("p", np.ones((2, 2)))
-        state = AdamState(block)
+        opt = Adam([block])
         block.gw[...] = 3.0
-        adam_update(block, state)
+        opt.step()
         assert np.all(block.gw == 3.0)
 
     def test_optimizer_wrapper(self):
@@ -152,6 +152,64 @@ class TestAdam:
         assert blocks[0].w[0, 0] != 1.0
         opt.zero_grad()
         assert np.all(blocks[0].gw == 0.0)
+
+    @staticmethod
+    def _mixed_blocks(seed):
+        # "wide" spans more than one tile of the store's step
+        return (Linear("lin", 3, 4, seed).blocks() + Linear("nobias", 4, 2, seed, bias=False).blocks()
+                + Embedding("emb", 5, 3, seed).blocks() + Linear("wide", 190, 180, seed).blocks())
+
+    def test_blocks_are_views_of_the_store_in_order(self):
+        blocks = self._mixed_blocks(0)
+        values = [(b.w.copy(), None if b.b is None else b.b.copy()) for b in blocks]
+        opt = Adam(blocks)
+        assert opt.m is None and opt.v is None  # the first step allocates them
+        off = 0
+        for blk, (w, bias) in zip(blocks, values):
+            for arr, grad, before in ((blk.w, blk.gw, w), (blk.b, blk.gb, bias)):
+                if before is None:
+                    assert arr is None and grad is None
+                    continue
+                n = before.size
+                assert np.shares_memory(arr, opt.params) and np.shares_memory(grad, opt.grads)
+                assert np.array_equal(arr, before)
+                assert np.array_equal(opt.params[off:off + n], before.ravel())
+                arr[...] = 7.0
+                grad[...] = 3.0
+                assert np.all(opt.params[off:off + n] == 7.0)
+                assert np.all(opt.grads[off:off + n] == 3.0)
+                off += n
+        assert off == opt.params.size == opt.grads.size > _ADAM_TILE
+
+    def test_matches_per_block_reference_bitwise(self):
+        """Five steps over mixed blocks equal Adam applied block by block."""
+        lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+        blocks, ref = self._mixed_blocks(1), self._mixed_blocks(1)
+        opt = Adam(blocks, lr, b1, b2, eps)
+        ref_arrays = [a for blk in ref for a in (blk.w, blk.b) if a is not None]
+        moments = [(np.zeros_like(a), np.zeros_like(a)) for a in ref_arrays]
+        rng = np.random.default_rng(2)
+        for t in range(1, 6):
+            grads = [rng.normal(size=a.shape) for a in ref_arrays]
+            i = 0
+            for blk in blocks:
+                for g in (blk.gw, blk.gb):
+                    if g is not None:
+                        g[...] = grads[i]
+                        i += 1
+            opt.step()
+            c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for a, g, (m, v) in zip(ref_arrays, grads, moments):
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * np.square(g)
+                a -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        for blk, rblk in zip(blocks, ref):
+            assert np.array_equal(blk.w, rblk.w)
+            assert (blk.b is None) == (rblk.b is None)
+            if blk.b is not None:
+                assert np.array_equal(blk.b, rblk.b)
 
 
 class TestDropout:

@@ -3,11 +3,14 @@ properties, determinism, transcript mechanics, auditing, and traffic
 accounting."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_federation, small_widths, train_batches
+from conftest import JSON_VALUES, make_federation, small_widths, train_batches
 from fairvfl.adversarial import LossWeights
 from fairvfl.data import (
     SyntheticSpec,
@@ -285,9 +288,9 @@ class TestMapperAdamSharing:
         ds, pa = tiny_dataset
         fed = make_federation(ds, pa)
         opt = fed.bundle.optim["mapper/attr"]
-        assert all(s.t == 0 for s in opt.states)
+        assert opt.t == 0
         fed.run_training_round(train_batches(ds)[0])
-        assert all(s.t == 2 for s in opt.states)
+        assert opt.t == 2
 
 
 class TestAudit:
@@ -353,6 +356,21 @@ class TestAudit:
         assert violations[0].kind == ViolationKind.UNIFIED_TO_SENSITIVE
 
 
+# JSON texts to put in place of a record's field: number literals json.dumps
+# never writes, malformed digests, and nesting deeper than the parser allows
+_RAW_JSON = ["1e999", "-1e999", "[1e999]", "NaN", "Infinity", "1.5", "-3", "[[2]]",
+             '"0xzz"', "9" * 5000, "[" * 5000 + "]" * 5000]
+
+
+@pytest.fixture(scope="module")
+def exported_transcript(tiny_dataset):
+    """The lines of one exported training round and the policy to audit them."""
+    ds, pa = tiny_dataset
+    fed = make_federation(ds, pa)
+    fed.run_training_round(train_batches(ds)[0])
+    return [rec.to_line() for rec in fed.transcript], _policy(fed)
+
+
 class TestTranscriptFiles:
     @pytest.mark.parametrize("payload_digests", [True, False],
                              ids=["digests", "no-digests"])
@@ -381,6 +399,54 @@ class TestTranscriptFiles:
                         "not json\n", encoding="utf-8")
         with pytest.raises(ParseError, match="line 2"):
             Transcript.read(path)
+
+    @pytest.mark.parametrize("field", ["round", "float_count", "shape"])
+    def test_overflowing_number_is_parse_error(self, tmp_path, field):
+        obj = {"round": 0, "sender": "a", "receiver": "b", "kind": "SampleIds",
+               "shape": [2], "float_count": 2, "payload_digest": None}
+        line = json.dumps({**obj, field: "X"}).replace('"X"', "[1e999]" if field == "shape"
+                                                      else "1e999")
+        path = tmp_path / "t.ndjson"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 1"):
+            Transcript.read(path)
+
+    def test_unreadable_file_is_parse_error(self, tmp_path):
+        bad = tmp_path / "bad.ndjson"
+        bad.write_bytes(b'{"round":0}\n\xff\xfe\n')
+        for path in (bad, tmp_path / "missing.ndjson", tmp_path):
+            with pytest.raises(ParseError, match="cannot read transcript"):
+                Transcript.read(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mutated_lines_raise_only_parse_error(self, tmp_path_factory,
+                                                  exported_transcript, data):
+        """A real transcript with one line edited either parses and audits,
+        or raises ParseError; nothing else escapes."""
+        lines, policy = exported_transcript
+        i = data.draw(st.integers(0, len(lines) - 1))
+        raw = [line.encode("utf-8") for line in lines]
+        if data.draw(st.booleans()):
+            obj = json.loads(lines[i])
+            key = data.draw(st.sampled_from(sorted(obj)))
+            value = data.draw(st.one_of(st.sampled_from(_RAW_JSON), JSON_VALUES.map(json.dumps)))
+            raw[i] = json.dumps({**obj, key: "X"}).replace('"X"', value).encode("utf-8")
+        else:
+            buf = bytearray(raw[i])
+            for off, mask in data.draw(st.lists(st.tuples(st.integers(0, len(buf) - 1),
+                                                          st.integers(1, 255)),
+                                                min_size=1, max_size=4)):
+                buf[off] ^= mask
+            raw[i] = bytes(buf[:data.draw(st.integers(0, len(buf)))])
+        path = tmp_path_factory.getbasetemp() / "mutated.ndjson"
+        path.write_bytes(b"\n".join(raw) + b"\n")
+        try:
+            back = Transcript.read(path)
+        except ParseError:
+            return
+        audit_transcript(back, policy)
+        per_round_fairness_cost(back)
 
     def test_payload_digest_reflects_content(self, tiny_dataset):
         ds, pa = tiny_dataset
