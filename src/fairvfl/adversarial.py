@@ -13,9 +13,10 @@ Four games run per training round and per sensitive feature, in this order:
    (task gradient minus the weighted adversarial gradients).
 
 Contrastive gradients never reach the unified rep: they stop at the mapper.
-``SignLedger`` declares, per parameter block group, exactly which loss terms
-may update it and in which direction; instrumented rounds verify every
-applied update against it.
+Every step and frozen pass leaves its group's gradients at zero (the
+contract in ``fairvfl.nn``). ``SignLedger`` declares, per optimizer group,
+exactly which loss terms may update it and in which direction; instrumented
+rounds verify every applied update against it.
 """
 
 from __future__ import annotations
@@ -135,14 +136,15 @@ def contrastive_loss_value(disc: ContrastiveDiscriminator, protected: Array,
 def contrastive_discriminator_step(disc: ContrastiveDiscriminator, opt: Adam,
                                    protected: Array, unified: Array,
                                    neg_idx: Array, grad_observer=None) -> float:
-    """One descent step on the discriminator; representations receive nothing."""
+    """One descent step on the discriminator; representations receive nothing.
+    ``grad_observer()``, if given, is called with ``opt.grads`` holding the
+    gradient about to be applied."""
     pos, neg, cache = _contrastive_forward(disc, protected, unified, neg_idx)
     _check_pairwise_finite(pos, neg)
     loss, gpos, gneg = pairwise_contrastive_loss(pos, neg)
-    opt.zero_grad()
     disc.backward(cache, np.concatenate([gpos, gneg]))  # input grads discarded
     if grad_observer is not None:
-        grad_observer(disc.blocks())
+        grad_observer()
     opt.step()
     opt.zero_grad()
     return loss
@@ -157,7 +159,6 @@ def contrastive_adversarial_grad(disc: ContrastiveDiscriminator, protected: Arra
     pos, neg, cache = _contrastive_forward(disc, protected, unified, neg_idx)
     _check_pairwise_finite(pos, neg)
     loss, gpos, gneg = pairwise_contrastive_loss(pos, neg)
-    disc.zero_grad()
     ga_both, _ = disc.backward(cache, np.concatenate([gpos, gneg]))
     disc.zero_grad()  # discriminator is frozen here
     n = protected.shape[0]
@@ -180,13 +181,13 @@ def bias_discriminator_step(disc: BiasDiscriminator, opt: Adam, protected: Array
                             labels: Array, grad_observer=None) -> tuple[float, Array]:
     """One descent step on the bias discriminator from a single forward pass;
     returns the loss and its gradient on the protected reps (both computed
-    at the pre-update parameters)."""
+    at the pre-update parameters). ``grad_observer()`` is called as in
+    ``contrastive_discriminator_step``."""
     logits, cache = disc.forward(protected)
     loss, glogits = softmax_cross_entropy(logits, labels)
-    opt.zero_grad()
     grad_protected = disc.backward(cache, glogits)
     if grad_observer is not None:
-        grad_observer(disc.blocks())
+        grad_observer()
     opt.step()
     opt.zero_grad()
     return loss, grad_protected
@@ -198,7 +199,6 @@ def bias_loss_and_grad_frozen(disc: BiasDiscriminator, protected: Array,
     discriminator frozen (no parameter gradients retained)."""
     logits, cache = disc.forward(protected)
     loss, glogits = softmax_cross_entropy(logits, labels)
-    disc.zero_grad()
     grad_protected = disc.backward(cache, glogits)
     disc.zero_grad()
     return loss, grad_protected
@@ -212,7 +212,6 @@ def adversarial_grad_on_unified(mapper: Mapper, disc: BiasDiscriminator,
     the unified rep only."""
     protected, mcache = mapper.forward(unified)
     loss, grad_protected = bias_loss_and_grad_frozen(disc, protected, labels)
-    mapper.zero_grad()
     grad_unified = mapper.backward(mcache, grad_protected)
     mapper.zero_grad()  # mapper is frozen here
     return loss, grad_unified
@@ -249,13 +248,14 @@ ASCEND = "ascend"
 
 @dataclass
 class UpdateEvent:
-    """One optimizer step: the applied per-block gradients and the per-loss
-    pieces they are supposed to be a signed combination of."""
+    """One optimizer step: the group's applied flat gradient (a copy of
+    ``opt.grads``) and the per-loss pieces, each the flat gradient of one term
+    alone, that it is supposed to be a signed combination of."""
 
     component: str
-    # (loss term, coefficient, {block name: (gw, gb)}); applied = sum coeff * piece
-    contributions: list[tuple[str, float, dict[str, tuple]]]
-    applied: dict[str, tuple]
+    # (loss term, coefficient, flat gradient); applied = sum coeff * piece
+    contributions: list[tuple[str, float, Array]]
+    applied: Array
 
 
 @dataclass
@@ -307,18 +307,10 @@ class SignLedger:
                     f"{event.component}: {term} declared {direction} but coeff={coeff}"
                 )
 
-        max_dev = 0.0
-        for name, (gw, gb) in event.applied.items():
-            acc_w = np.zeros_like(gw)
-            acc_b = None if gb is None else np.zeros_like(gb)
-            for _, coeff, pieces in event.contributions:
-                pw, pb = pieces[name]
-                acc_w += coeff * pw
-                if acc_b is not None:
-                    acc_b += coeff * pb
-            max_dev = max(max_dev, float(np.max(np.abs(acc_w - gw), initial=0.0)))
-            if acc_b is not None:
-                max_dev = max(max_dev, float(np.max(np.abs(acc_b - gb), initial=0.0)))
+        acc = np.zeros_like(event.applied)
+        for _, coeff, piece in event.contributions:
+            acc += coeff * piece
+        max_dev = float(np.max(np.abs(acc - event.applied), initial=0.0))
         if max_dev > tol:
             raise ProtocolError(
                 f"{event.component}: applied update deviates from declared "

@@ -111,6 +111,13 @@ def default_partition(ds: VerticalDataset, n_platforms: int, seed: int) -> Parti
     return PartitionAssignment(n_platforms, mapping, sens)
 
 
+def _check_ids(shard, ids: np.ndarray) -> None:
+    """Raises ``SampleLookupError`` naming the shard if an id is outside it."""
+    bad = ids[(ids < 0) | (ids >= shard.ids.shape[0])]
+    if bad.size:
+        raise SampleLookupError(f"{shard.name}: unknown sample id {int(bad[0])}")
+
+
 @dataclass
 class FeatureShard:
     """One insensitive platform's view: its feature columns only."""
@@ -121,16 +128,10 @@ class FeatureShard:
     columns: dict[str, Column]
 
     def take(self, ids: np.ndarray) -> dict[str, np.ndarray]:
-        self._check(ids)
+        _check_ids(self, ids)
         return {f: col.values[ids] for f, col in self.columns.items()}
 
-    def _check(self, ids: np.ndarray) -> None:
-        n = self.ids.shape[0]
-        bad = ids[(ids < 0) | (ids >= n)]
-        if bad.size:
-            raise SampleLookupError(f"{self.name}: unknown sample id {int(bad[0])}")
-
-    def schema(self, emb_dim_unused: int | None = None) -> PlatformSchema:
+    def schema(self) -> PlatformSchema:
         cats = [(f, col.embedding_rows) for f, col in self.columns.items() if col.kind == "cat"]
         nums = [f for f, col in self.columns.items() if col.kind == "num"]
         return PlatformSchema(cat_fields=cats, numeric_fields=nums)
@@ -147,10 +148,7 @@ class LabelShard:
     n_classes: int
 
     def take(self, ids: np.ndarray) -> np.ndarray:
-        n = self.ids.shape[0]
-        bad = ids[(ids < 0) | (ids >= n)]
-        if bad.size:
-            raise SampleLookupError(f"{self.name}: unknown sample id {int(bad[0])}")
+        _check_ids(self, ids)
         return self.values[ids]
 
 
@@ -164,10 +162,7 @@ class TaskShard:
     n_classes: int
 
     def take(self, ids: np.ndarray) -> np.ndarray:
-        n = self.ids.shape[0]
-        bad = ids[(ids < 0) | (ids >= n)]
-        if bad.size:
-            raise SampleLookupError(f"{self.name}: unknown sample id {int(bad[0])}")
+        _check_ids(self, ids)
         return self.labels[ids]
 
 

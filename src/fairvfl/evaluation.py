@@ -76,9 +76,9 @@ class AttackerNet:
     def train_step(self, x: Array, y: Array) -> float:
         logits, cache = self.net.forward(x)
         loss, glogits = softmax_cross_entropy(logits, y)
-        self.opt.zero_grad()
         self.net.backward(cache, glogits)
         self.opt.step()
+        self.opt.zero_grad()
         return loss
 
     def predict(self, x: Array, batch: int = 4096) -> Array:

@@ -2,8 +2,13 @@
 
 Everything runs in float64 with explicit forward caches and hand-written
 backward passes; there is no autodiff tape. Layers accumulate parameter
-gradients additively, so a caller combining several loss terms zeroes the
-accumulators at the step boundaries it owns.
+gradients additively.
+
+Gradients are zero at rest: between updates every group's gradients are
+zero, so a backward pass accumulates into a clean store and nothing zeroes
+before one. Whoever accumulates into a group zeroes it once the gradient is
+used: right after ``Adam.step`` (which itself leaves gradients untouched),
+or at the end of a pass through a frozen group.
 
 An ``Adam`` owns the storage of the blocks it optimizes: one flat buffer each
 for the group's weights, gradients and two moments. Each block's ``w``,

@@ -2,11 +2,11 @@
 training round.
 
 Actors communicate only through ``Federation.send``: every message is
-edge-checked, recorded in the transcript, then delivered by draining the
-receiver's mailbox to completion. All scheduling is deterministic; a round is
-driven in the fixed protocol order (local encodings, aggregation, task
-gradient, per-feature fairness machinery, overall-gradient assembly, local
-updates).
+recorded in the transcript, edge-checked, then handed to the receiver, and
+each reply is sent the same way before ``send`` returns. All scheduling is
+deterministic; a round is driven in the fixed protocol order (local
+encodings, aggregation, task gradient, per-feature fairness machinery,
+overall-gradient assembly, local updates).
 
 Training-round order per sensitive feature: contrastive-discriminator step,
 mapper ascent on the contrastive-adversarial loss, protected-rep recompute and
@@ -18,7 +18,6 @@ forward pass (the update lands after both are taken).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +38,7 @@ from ..adversarial import (
 from ..data.dataset import FeatureShard, LabelShard, TaskShard
 from ..errors import NumericError, ProtocolError
 from ..models import ModelBundle
-from ..nn import Array, rng_for, softmax_cross_entropy
+from ..nn import Adam, Array, rng_for, softmax_cross_entropy
 from .ldp import LdpConfig, ldp_perturb
 from .messages import Kind, LEGAL_EDGES, Message, Role, Transcript, record_of
 
@@ -92,15 +91,10 @@ class RoundResult:
     ledger_max_dev: float | None = None
 
 
-def _snap_grads(blocks) -> dict[str, tuple]:
-    return {b.name: (b.gw.copy(), None if b.gb is None else b.gb.copy()) for b in blocks}
-
-
 class PlatformBase:
     def __init__(self, name: str, role: Role):
         self.name = name
         self.role = role
-        self.mailbox: deque[Message] = deque()
 
     def handle(self, msg: Message, fed: "Federation") -> list[Message]:
         raise NotImplementedError
@@ -129,11 +123,8 @@ class TaskPlatform(PlatformBase):
         logits, cache = self.head.forward(unified, training=True, rng=self.rng)
         labels = self.shard.take(self.round_ids)
         loss, glogits = softmax_cross_entropy(logits, labels)
-        self.opt.zero_grad()
         grad_unified = self.head.backward(cache, glogits)
-        if fed.events is not None:
-            snap = _snap_grads(self.head.blocks())
-            fed.events.append(UpdateEvent("task_head", [("task", 1.0, snap)], snap))
+        fed.record_update("task_head", self.opt, "task")
         self.opt.step()
         self.opt.zero_grad()
         self.last_loss = loss
@@ -166,14 +157,11 @@ class InsensitivePlatform(PlatformBase):
             contributions = []
             if fed.events is not None:
                 for term, coeff, gpiece in fed.encoder_pieces.get(self.name, []):
-                    self.opt.zero_grad()
                     self.encoder.backward(self.cache, gpiece)
-                    contributions.append((term, coeff, _snap_grads(self.encoder.blocks())))
-            self.opt.zero_grad()
+                    contributions.append((term, coeff, self.opt.grads.copy()))
+                    self.opt.zero_grad()
             self.encoder.backward(self.cache, msg.payload)
-            if fed.events is not None:
-                fed.events.append(UpdateEvent(f"encoder/{self.index}", contributions,
-                                              _snap_grads(self.encoder.blocks())))
+            fed.record_update(f"encoder/{self.index}", self.opt, contributions)
             self.opt.step()
             self.opt.zero_grad()
             return []
@@ -203,10 +191,10 @@ class SensitivePlatform(PlatformBase):
             labels = self.shard.take(self.round_ids)
             self.uploads_this_round += 1
             if self.uploads_this_round == 1:
-                observer = fed.single_loss_observer(f"bdisc/{self.feature}",
-                                                    f"bias/{self.feature}")
                 loss, grad_protected = bias_discriminator_step(
-                    self.bdisc, self.opt, msg.payload, labels, grad_observer=observer)
+                    self.bdisc, self.opt, msg.payload, labels,
+                    grad_observer=lambda: fed.record_update(
+                        f"bdisc/{self.feature}", self.opt, f"bias/{self.feature}"))
                 self.last_bias_loss = loss
                 return [Message(msg.round_id, self.name, fed.server.name,
                                 Kind.BIAS_DISC_GRAD_DOWN, grad_protected)]
@@ -258,13 +246,8 @@ class ServerPlatform(PlatformBase):
         if msg.kind is Kind.BIAS_DISC_GRAD_DOWN:
             feature = fed.feature_of(msg.sender)
             mapper, opt = self.mappers[feature], self.opts[f"mapper/{feature}"]
-            cache = self.mapper_caches[feature]
-            opt.zero_grad()
-            mapper.backward(cache, msg.payload)
-            if fed.events is not None:
-                snap = _snap_grads(mapper.blocks())
-                fed.events.append(UpdateEvent(f"mapper/{feature}",
-                                              [(f"bias/{feature}", 1.0, snap)], snap))
+            mapper.backward(self.mapper_caches[feature], msg.payload)
+            fed.record_update(f"mapper/{feature}", opt, f"bias/{feature}")
             opt.step()
             opt.zero_grad()
             # recompute the protected rep with the just-updated mapper
@@ -274,7 +257,6 @@ class ServerPlatform(PlatformBase):
         if msg.kind is Kind.ADV_GRAD_DOWN:
             feature = fed.feature_of(msg.sender)
             mapper, opt = self.mappers[feature], self.opts[f"mapper/{feature}"]
-            opt.zero_grad()
             grad_unified = mapper.backward(self.mapper_caches[feature], msg.payload)
             opt.zero_grad()  # mapper frozen on this pass
             self.adv_grads[feature] = grad_unified
@@ -341,19 +323,21 @@ class Federation:
     def roles(self) -> dict[str, Role]:
         return {name: p.role for name, p in self._platforms.items()}
 
-    def single_loss_observer(self, component: str, term: str):
+    def record_update(self, component: str, opt: Adam, terms: str | list) -> None:
+        """On instrumented rounds, logs the update ``opt`` is about to apply:
+        a copy of its flat gradient store, checked against ``terms``, either
+        the (loss term, coefficient, flat gradient) pieces it must be the
+        signed sum of, or the name of the one loss term that made it alone."""
         if self.events is None:
-            return None
-
-        def observer(blocks):
-            snap = _snap_grads(blocks)
-            self.events.append(UpdateEvent(component, [(term, 1.0, snap)], snap))
-
-        return observer
+            return
+        applied = opt.grads.copy()
+        if isinstance(terms, str):
+            terms = [(terms, 1.0, applied)]
+        self.events.append(UpdateEvent(component, terms, applied))
 
     def send(self, msg: Message) -> None:
-        """Records, validates, and delivers a message, then drains the
-        receiver's mailbox (which may emit further messages)."""
+        """Records, validates, and delivers a message, then sends each of the
+        receiver's replies before returning."""
         self.transcript.append(record_of(msg, phase=self.phase,
                                          digest=self.config.payload_digests))
         sender = self._platforms.get(msg.sender)
@@ -364,11 +348,8 @@ class Federation:
             raise ProtocolError(
                 f"illegal edge for {msg.kind.value}: {msg.sender} -> {msg.receiver}"
             )
-        receiver.mailbox.append(msg)
-        while receiver.mailbox:
-            pending = receiver.mailbox.popleft()
-            for out in receiver.handle(pending, self):
-                self.send(out)
+        for out in receiver.handle(msg, self):
+            self.send(out)
 
     def _upload_unified(self, round_id: int) -> None:
         unified = self.server.unified
@@ -453,15 +434,13 @@ class Federation:
                 terms += [(f"adversarial/{f}", -weights.lam[f], self.server.adv_grads[f])
                           for f in self.bundle.features]
             for term, coeff, gout in terms:
-                agg_opt.zero_grad()
                 gstack_piece = agg.backward(self.server.agg_cache, gout)
-                agg_contribs.append((term, coeff, _snap_grads(agg.blocks())))
+                agg_contribs.append((term, coeff, agg_opt.grads.copy()))
+                agg_opt.zero_grad()
                 piece_stacks.append((term, coeff, gstack_piece))
-        agg_opt.zero_grad()
         grad_stacked = agg.backward(self.server.agg_cache, grad_unified)
+        self.record_update("aggregator", agg_opt, agg_contribs)
         if self.events is not None:
-            self.events.append(UpdateEvent("aggregator", agg_contribs,
-                                           _snap_grads(agg.blocks())))
             for p in self.insensitive:
                 self.encoder_pieces[p.name] = [
                     (term, coeff, piece[:, p.index, :]) for term, coeff, piece in piece_stacks
@@ -497,10 +476,11 @@ class Federation:
         ctx = ContrastiveContext(protected, unified, self.config.top_pool,
                                  server.neg_rngs[feature])
         neg_idx = select_negatives(ctx)
+        cdisc_opt = server.opts[f"cdisc/{feature}"]
         lp[feature] = contrastive_discriminator_step(
-            cdisc, server.opts[f"cdisc/{feature}"], protected, unified, neg_idx,
-            grad_observer=self.single_loss_observer(f"cdisc/{feature}",
-                                                    f"contrastive/{feature}"))
+            cdisc, cdisc_opt, protected, unified, neg_idx,
+            grad_observer=lambda: self.record_update(f"cdisc/{feature}", cdisc_opt,
+                                                     f"contrastive/{feature}"))
 
         # mapper ascent under the frozen, just-updated discriminator
         gamma = weights.gamma[feature]
@@ -508,15 +488,11 @@ class Federation:
             cdisc, protected, unified, neg_idx)
         contribs = []
         if self.events is not None:
-            mapper_opt.zero_grad()
             mapper.backward(mcache, grad_protected)
-            contribs = [(f"contrastive_adv/{feature}", -gamma,
-                         _snap_grads(mapper.blocks()))]
-        mapper_opt.zero_grad()
+            contribs = [(f"contrastive_adv/{feature}", -gamma, mapper_opt.grads.copy())]
+            mapper_opt.zero_grad()
         cal_mapper_gradient(mapper, mcache, grad_protected, gamma)
-        if self.events is not None:
-            self.events.append(UpdateEvent(f"mapper/{feature}", contribs,
-                                           _snap_grads(mapper.blocks())))
+        self.record_update(f"mapper/{feature}", mapper_opt, contribs)
         mapper_opt.step()
         mapper_opt.zero_grad()
 

@@ -165,8 +165,7 @@ class Transcript:
 
     def write(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            for rec in self.records:
-                fh.write(rec.to_line() + "\n")
+            write_records(fh, self.records)
 
     @classmethod
     def read(cls, path: str | Path) -> "Transcript":

@@ -414,9 +414,10 @@ class TestAscentCheck:
 
 class TestSignLedger:
     def _event(self, component, term, coeff, g=1.0, applied=None):
-        piece = {"blk": (np.array([[g]]), None)}
-        applied_grads = {"blk": (np.array([[applied if applied is not None else coeff * g]]), None)}
-        return UpdateEvent(component, [(term, coeff, piece)], applied_grads)
+        piece = np.atleast_1d(np.array(g, dtype=np.float64))
+        applied_grad = (coeff * piece if applied is None
+                        else np.atleast_1d(np.array(applied, dtype=np.float64)))
+        return UpdateEvent(component, [(term, coeff, piece)], applied_grad)
 
     def test_default_declarations(self):
         ledger = SignLedger.default(["gender", "age"])
@@ -445,6 +446,14 @@ class TestSignLedger:
         bad = self._event("task_head", "task", 1.0, g=2.0, applied=2.5)
         with pytest.raises(ProtocolError, match="deviates"):
             ledger.verify(bad)
+        # a flat store where only one element past the first is off
+        g = np.array([1.0, -2.0, 0.5, 4.0])
+        assert ledger.verify(self._event("mapper/g", "contrastive_adv/g", -0.5, g=g)) == 0.0
+        applied = -0.5 * g
+        applied[2] += 1e-6
+        with pytest.raises(ProtocolError, match="deviates"):
+            ledger.verify(self._event("mapper/g", "contrastive_adv/g", -0.5, g=g,
+                                      applied=applied))
 
     def test_unknown_component_rejected(self):
         ledger = SignLedger.default(["g"])

@@ -283,6 +283,34 @@ class TestTrainingRound:
             assert set(p.shard.columns) <= set(ds.columns)
 
 
+class TestGradientsAtRest:
+    def test_instrumented_rounds_train_alike_and_leave_grads_zero(self, tiny_dataset):
+        """The ledger's extra per-term backward passes change no loss and no
+        parameter bit, and every group's gradients are zero after each round
+        and after serving."""
+        ds, pa = tiny_dataset
+        feds = [make_federation(ds, pa, lam=3.0, gamma=0.5, verify=verify, seed=23)
+                for verify in (True, False)]
+
+        def check_grads_zero():
+            for fed in feds:
+                for key, opt in fed.bundle.optim.items():
+                    assert not np.any(opt.grads), key
+
+        for ids in train_batches(ds)[:5]:
+            losses = [fed.run_training_round(ids).losses.flat() for fed in feds]
+            assert list(losses[0]) == list(losses[1])
+            assert np.array(list(losses[0].values())).tobytes() == \
+                np.array(list(losses[1].values())).tobytes()
+            for key, opt in feds[0].bundle.optim.items():
+                assert opt.params.tobytes() == feds[1].bundle.optim[key].params.tobytes(), key
+            check_grads_zero()
+        test_ids = ds.split_ids("test")
+        preds = [fed.serve(test_ids) for fed in feds]
+        assert preds[0].tobytes() == preds[1].tobytes()
+        check_grads_zero()
+
+
 class TestMapperAdamSharing:
     def test_mapper_state_advances_twice_per_round(self, tiny_dataset):
         ds, pa = tiny_dataset
