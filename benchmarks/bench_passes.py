@@ -1,0 +1,203 @@
+"""Per-pass timings of the fairness games and the attacker step.
+
+Measures ms per call, at the paper widths (rep 400, gender H=32, age H=64)
+and at the C12 widths (rep 64, one H=4 feature), of:
+
+- ``cdisc_step``: ``contrastive_discriminator_step`` (forward, backward, Adam);
+- ``cdisc_frozen``: ``contrastive_adversarial_grad`` under the frozen
+  discriminator;
+- ``mapper_ascent``: ``cal_mapper_gradient``, then the mapper's Adam step and
+  zeroing, as a training round runs them;
+- ``mapper_descent``: the server handling ``BIAS_DISC_GRAD_DOWN`` (backward,
+  Adam step, protected-rep recompute);
+- ``mapper_frozen``: the server handling ``ADV_GRAD_DOWN`` (the frozen
+  mapper's gradient on the unified rep);
+- ``attacker_step``: one ``AttackerNet.train_step`` on a batch of 128
+  rep-wide inputs (hidden 128, two classes).
+
+The script uses only public functions whose signatures predate the
+``params``/``inputs`` backward flags, so it runs unchanged on older commits.
+Compare two commits on one machine by running it against each tree's
+``src/`` with its own label; every run adds or replaces its label's entry in
+the output file:
+
+    python benchmarks/bench_passes.py --label change
+    python benchmarks/bench_passes.py --src OTHER_TREE/src --label parent
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+# One BLAS thread, set before numpy loads, so every commit runs alike.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+ROOT = Path(__file__).resolve().parent.parent
+PASSES = ("cdisc_step", "cdisc_frozen", "mapper_ascent", "mapper_descent",
+          "mapper_frozen", "attacker_step")
+
+
+def widths_config(name: str):
+    from fairvfl.config import ExperimentConfig
+
+    if name == "paper":
+        return ExperimentConfig(
+            mode="fairvfl",
+            dataset={"kind": "synthetic", "n_samples": 400, "n_platforms": 3,
+                     "numeric_per_platform": 2, "categorical_per_platform": 2,
+                     "cat_vocab": 6, "sensitive_classes": {"gender": 2, "age": 5},
+                     "rho": 0.6, "seed": 1},
+            n_platforms=3,
+            widths={"rep": 400, "protected": {"gender": 32, "age": 64}},
+            lam={"gender": 1e2, "age": 1e1}, gamma={"gender": 0.25, "age": 0.25},
+            optim={"lr": 1e-4}, batch_size=32, epochs=1, seed=1)
+    return ExperimentConfig(
+        mode="fairvfl",
+        dataset={"kind": "synthetic", "n_samples": 4000, "n_platforms": 2,
+                 "numeric_per_platform": 2, "categorical_per_platform": 1,
+                 "cat_vocab": 4, "sensitive_classes": {"attr": 2},
+                 "rho": 0.9, "seed": 1},
+        n_platforms=2,
+        widths={"rep": 64, "protected": {"attr": 4}, "emb_dim": 8,
+                "encoder_hidden": 32, "attn_heads": 4, "pool_hidden": 32,
+                "head_hidden": 32, "mapper_hidden": 16, "cdisc_hidden": 32,
+                "bdisc_hidden": 16},
+        lam={"attr": 100.0}, gamma={"attr": 0.25},
+        optim={"lr": 1e-3}, batch_size=32, epochs=1, seed=1)
+
+
+def ms_per_call(fn, target_s: float, repeats: int) -> float:
+    """Median over ``repeats`` blocks of the mean ms per call in a block of
+    about ``target_s`` seconds."""
+    for _ in range(5):
+        fn()
+    t0 = time.perf_counter()
+    calls = 0
+    while time.perf_counter() - t0 < 0.05:
+        fn()
+        calls += 1
+    per_block = max(1, int(calls * target_s / (time.perf_counter() - t0)))
+    samples = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for _ in range(per_block):
+            fn()
+        samples.append((time.perf_counter() - t0) * 1e3 / per_block)
+    return statistics.median(samples)
+
+
+def pass_functions(widths_name: str):
+    """(case name, {pass: zero-argument callable}) per sensitive feature."""
+    import numpy as np
+
+    from fairvfl.adversarial import (
+        ContrastiveContext,
+        cal_mapper_gradient,
+        contrastive_adversarial_grad,
+        contrastive_discriminator_step,
+        select_negatives,
+    )
+    from fairvfl.data import iterate_batches
+    from fairvfl.evaluation import AttackerNet
+    from fairvfl.protocol.messages import Kind, Message
+    from fairvfl.runner import build_run_federation, make_dataset
+
+    cfg = widths_config(widths_name)
+    ds, pa = make_dataset(cfg)
+    fed = build_run_federation(cfg, ds, pa)
+    for ids in iterate_batches(ds, "train", cfg.batch_size, 0)[:3]:
+        fed.run_training_round(ids)
+    server = fed.server
+    unified = server.unified
+    n = unified.shape[0]
+    rng = np.random.default_rng(0)
+    for feature in fed.bundle.features:
+        mapper, mapper_opt = server.mappers[feature], server.opts[f"mapper/{feature}"]
+        cdisc, cdisc_opt = server.cdiscs[feature], server.opts[f"cdisc/{feature}"]
+        protected, mcache = mapper.forward(unified)
+        neg_idx = select_negatives(ContrastiveContext(protected, unified, cfg.top_pool,
+                                                      np.random.default_rng(0)))
+        grad_protected = rng.normal(size=protected.shape) / n
+        sender = fed.sensitive[feature].name
+
+        def mapper_ascent(mapper=mapper, opt=mapper_opt, mcache=mcache, g=grad_protected):
+            cal_mapper_gradient(mapper, mcache, g, 0.25)
+            opt.step()
+            opt.zero_grad()
+
+        def handle(kind, feature=feature, sender=sender, g=grad_protected, mcache=mcache):
+            server.mapper_caches[feature] = mcache
+            server.handle(Message(0, sender, server.name, kind, g), fed)
+
+        attacker = AttackerNet(f"bench/{feature}", unified.shape[1], 2, 128, 1e-3, seed=0)
+        x = rng.normal(size=(128, unified.shape[1]))
+        y = rng.integers(0, 2, size=128)
+        yield f"{widths_name}/{feature}", {
+            "cdisc_step": lambda c=cdisc, o=cdisc_opt, p=protected, q=neg_idx:
+                contrastive_discriminator_step(c, o, p, unified, q),
+            "cdisc_frozen": lambda c=cdisc, p=protected, q=neg_idx:
+                contrastive_adversarial_grad(c, p, unified, q),
+            "mapper_ascent": mapper_ascent,
+            "mapper_descent": lambda h=handle: h(Kind.BIAS_DISC_GRAD_DOWN),
+            "mapper_frozen": lambda h=handle: h(Kind.ADV_GRAD_DOWN),
+            "attacker_step": lambda a=attacker, x=x, y=y: a.train_step(x, y),
+        }
+
+
+def commit_of(src: Path) -> str | None:
+    try:
+        out = subprocess.run(["git", "-C", str(src), "describe", "--always", "--dirty"],
+                             capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.stdout.strip() or None
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="the src/ directory whose fairvfl to measure")
+    parser.add_argument("--label", default="change", help="entry name in the output file")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_passes.json")
+    parser.add_argument("--block-s", type=float, default=0.2, help="seconds per timed block")
+    parser.add_argument("--repeats", type=int, default=7, help="timed blocks per pass")
+    args = parser.parse_args()
+
+    sys.path.insert(0, str(args.src.resolve()))
+    import numpy as np
+
+    import fairvfl
+
+    if Path(fairvfl.__file__).resolve().parent != (args.src / "fairvfl").resolve():
+        sys.exit(f"bench_passes: imported fairvfl from outside {args.src}")
+
+    cases = {}
+    for widths_name in ("paper", "c12"):
+        for case, fns in pass_functions(widths_name):
+            cases[case] = {name: round(ms_per_call(fns[name], args.block_s, args.repeats), 4)
+                           for name in PASSES}
+            print(case, " ".join(f"{k}={v:.3f}ms" for k, v in cases[case].items()))
+
+    doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.is_file() else {}
+    doc[args.label] = {
+        "commit": commit_of(args.src),
+        "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                    "numpy": np.__version__, "blas_threads_env": os.environ["OPENBLAS_NUM_THREADS"]},
+        "unit": "ms per call, median of timed blocks",
+        "passes": cases,
+    }
+    args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,8 +13,9 @@ Four games run per training round and per sensitive feature, in this order:
    (task gradient minus the weighted adversarial gradients).
 
 Contrastive gradients never reach the unified rep: they stop at the mapper.
-Every step and frozen pass leaves its group's gradients at zero (the
-contract in ``fairvfl.nn``). ``SignLedger`` declares, per optimizer group,
+Every step zeroes its group's gradients after use, and frozen passes compute
+no parameter gradients at all, so every group is at zero between updates
+(the contract in ``fairvfl.nn``). ``SignLedger`` declares, per optimizer group,
 exactly which loss terms may update it and in which direction; instrumented
 rounds verify every applied update against it.
 """
@@ -91,14 +92,14 @@ def select_negatives(ctx: ContrastiveContext) -> Array:
     """Negative index per batch row, drawn in row order from the context RNG.
 
     Row j picks what ``rank_and_select_negative(ctx, j)`` picks: one stable
-    sort of the self-masked relevance matrix ranks every row at once, and the
-    scalar draws keep the RNG stream of one draw per row."""
+    sort of the self-masked relevance matrix ranks every row at once, and one
+    vector draw takes the same values, leaving the generator in the same
+    state, as one scalar draw per row."""
     relevance = ctx.protected @ ctx.protected.T
     n = relevance.shape[0]
     relevance[np.diag_indices(n)] = -np.inf
     pools = np.argsort(-relevance, axis=1, kind="stable")[:, : min(ctx.top_pool, n - 1)]
-    return np.array([pools[j, ctx.rng.integers(pools.shape[1])] for j in range(n)],
-                    dtype=np.int64)
+    return pools[np.arange(n), ctx.rng.integers(pools.shape[1], size=n)]
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +143,7 @@ def contrastive_discriminator_step(disc: ContrastiveDiscriminator, opt: Adam,
     pos, neg, cache = _contrastive_forward(disc, protected, unified, neg_idx)
     _check_pairwise_finite(pos, neg)
     loss, gpos, gneg = pairwise_contrastive_loss(pos, neg)
-    disc.backward(cache, np.concatenate([gpos, gneg]))  # input grads discarded
+    disc.backward(cache, np.concatenate([gpos, gneg]), inputs=False)
     if grad_observer is not None:
         grad_observer()
     opt.step()
@@ -159,8 +160,7 @@ def contrastive_adversarial_grad(disc: ContrastiveDiscriminator, protected: Arra
     pos, neg, cache = _contrastive_forward(disc, protected, unified, neg_idx)
     _check_pairwise_finite(pos, neg)
     loss, gpos, gneg = pairwise_contrastive_loss(pos, neg)
-    ga_both, _ = disc.backward(cache, np.concatenate([gpos, gneg]))
-    disc.zero_grad()  # discriminator is frozen here
+    ga_both, _ = disc.backward(cache, np.concatenate([gpos, gneg]), params=False)
     n = protected.shape[0]
     return loss, ga_both[:n] + ga_both[n:]
 
@@ -169,7 +169,7 @@ def cal_mapper_gradient(mapper: Mapper, mapper_cache, grad_protected: Array,
                         gamma: float) -> None:
     """Accumulates the mapper's ascent contribution (-gamma times the
     contrastive-adversarial gradient) into its parameter blocks."""
-    mapper.backward(mapper_cache, grad_protected * (-gamma))
+    mapper.backward(mapper_cache, grad_protected * (-gamma), inputs=False)
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +196,10 @@ def bias_discriminator_step(disc: BiasDiscriminator, opt: Adam, protected: Array
 def bias_loss_and_grad_frozen(disc: BiasDiscriminator, protected: Array,
                               labels: Array) -> tuple[float, Array]:
     """Label loss and its gradient on the protected reps with the
-    discriminator frozen (no parameter gradients retained)."""
+    discriminator frozen (no parameter gradients computed)."""
     logits, cache = disc.forward(protected)
     loss, glogits = softmax_cross_entropy(logits, labels)
-    grad_protected = disc.backward(cache, glogits)
-    disc.zero_grad()
-    return loss, grad_protected
+    return loss, disc.backward(cache, glogits, params=False)
 
 
 def adversarial_grad_on_unified(mapper: Mapper, disc: BiasDiscriminator,
@@ -212,9 +210,7 @@ def adversarial_grad_on_unified(mapper: Mapper, disc: BiasDiscriminator,
     the unified rep only."""
     protected, mcache = mapper.forward(unified)
     loss, grad_protected = bias_loss_and_grad_frozen(disc, protected, labels)
-    grad_unified = mapper.backward(mcache, grad_protected)
-    mapper.zero_grad()  # mapper is frozen here
-    return loss, grad_unified
+    return loss, mapper.backward(mcache, grad_protected, params=False)
 
 
 def combine_overall_grad(task_grad: Array, adv_grads: dict[str, Array],

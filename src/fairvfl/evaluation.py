@@ -76,7 +76,7 @@ class AttackerNet:
     def train_step(self, x: Array, y: Array) -> float:
         logits, cache = self.net.forward(x)
         loss, glogits = softmax_cross_entropy(logits, y)
-        self.net.backward(cache, glogits)
+        self.net.backward(cache, glogits, inputs=False)  # inputs are data
         self.opt.step()
         self.opt.zero_grad()
         return loss

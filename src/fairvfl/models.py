@@ -4,7 +4,8 @@ head, per-feature mappers, and both discriminator families.
 Every component exposes ``forward(...) -> (out, cache)`` and
 ``backward(cache, grad_out)``; backward never mutates its cache, so a single
 forward pass supports several independent backward passes (needed for the
-per-loss gradient accounting).
+per-loss gradient accounting). The mappers and discriminators also take
+``params``/``inputs`` flags that skip the gradients a caller does not read.
 """
 
 from __future__ import annotations
@@ -270,11 +271,13 @@ class TwoLayerMlp(Module):
         y, c2 = self.fc2.forward(a1)
         return y, (c1, h1, c2)
 
-    def backward(self, cache: tuple, gy: Array) -> Array:
+    def backward(self, cache: tuple, gy: Array, params: bool = True,
+                 inputs: bool = True) -> Array | None:
+        """Parameter gradients if ``params``; the input gradient if ``inputs``."""
         c1, h1, c2 = cache
-        ga1 = self.fc2.backward(c2, gy)
+        ga1 = self.fc2.backward(c2, gy, params)
         gh1 = relu_backward(h1, ga1)
-        return self.fc1.backward(c1, gh1)
+        return self.fc1.backward(c1, gh1, params, inputs)
 
     def blocks(self) -> list[ParamBlock]:
         return self.fc1.blocks() + self.fc2.blocks()
@@ -306,10 +309,13 @@ class ContrastiveDiscriminator(Module):
         scores, cache = self.net.forward(x)
         return scores[:, 0], (cache, protected.shape[1])
 
-    def backward(self, cache: tuple, gscores: Array) -> tuple[Array, Array]:
+    def backward(self, cache: tuple, gscores: Array, params: bool = True,
+                 inputs: bool = True) -> tuple[Array, Array] | None:
+        """Parameter gradients if ``params``; the (protected, candidate)
+        gradients if ``inputs``."""
         net_cache, h = cache
-        gx = self.net.backward(net_cache, gscores[:, None])
-        return gx[:, :h], gx[:, h:]
+        gx = self.net.backward(net_cache, gscores[:, None], params, inputs)
+        return (gx[:, :h], gx[:, h:]) if inputs else None
 
     def blocks(self) -> list[ParamBlock]:
         return self.net.blocks()

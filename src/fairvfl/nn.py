@@ -7,8 +7,15 @@ gradients additively.
 Gradients are zero at rest: between updates every group's gradients are
 zero, so a backward pass accumulates into a clean store and nothing zeroes
 before one. Whoever accumulates into a group zeroes it once the gradient is
-used: right after ``Adam.step`` (which itself leaves gradients untouched),
-or at the end of a pass through a frozen group.
+used, right after ``Adam.step`` (which itself leaves gradients untouched).
+
+A backward pass computes only what its caller reads: ``params=False`` skips
+the parameter gradients, ``inputs=False`` the input gradient (both default
+to True). Passes through a frozen group (the contrastive-adversarial and
+adversarial passes, the server's mapper pass for the adversarial gradient)
+ask for input gradients only, so they never touch a gradient store. Steps
+whose input gradient nobody reads (the discriminator and attacker steps, the
+mapper's ascent and descent) ask for parameter gradients only.
 
 An ``Adam`` owns the storage of the blocks it optimizes: one flat buffer each
 for the group's weights, gradients and two moments. Each block's ``w``,
@@ -190,12 +197,15 @@ class Linear:
             y = y + self.block.b
         return y, x
 
-    def backward(self, cache: Array, gy: Array) -> Array:
-        x = cache
-        self.block.gw += x.T @ gy
-        if self.block.gb is not None:
-            self.block.gb += gy.sum(axis=0)
-        return gy @ self.block.w.T
+    def backward(self, cache: Array, gy: Array, params: bool = True,
+                 inputs: bool = True) -> Array | None:
+        """Accumulates the parameter gradients if ``params`` and returns the
+        input gradient if ``inputs`` (else None)."""
+        if params:
+            self.block.gw += cache.T @ gy
+            if self.block.gb is not None:
+                self.block.gb += gy.sum(axis=0)
+        return gy @ self.block.w.T if inputs else None
 
     def blocks(self) -> list[ParamBlock]:
         return [self.block]
@@ -270,9 +280,10 @@ def softmax_cross_entropy(logits: Array, targets: Array) -> tuple[float, Array]:
         )
     n = logits.shape[0]
     shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    loss = float(np.mean(log_z - shifted[np.arange(n), targets]))
-    grad = softmax(logits)
+    e = np.exp(shifted)
+    z = e.sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(z[:, 0]) - shifted[np.arange(n), targets]))
+    grad = e / z  # softmax(logits), from the same shift and exp
     grad[np.arange(n), targets] -= 1.0
     return loss, grad / n
 

@@ -246,7 +246,7 @@ class ServerPlatform(PlatformBase):
         if msg.kind is Kind.BIAS_DISC_GRAD_DOWN:
             feature = fed.feature_of(msg.sender)
             mapper, opt = self.mappers[feature], self.opts[f"mapper/{feature}"]
-            mapper.backward(self.mapper_caches[feature], msg.payload)
+            mapper.backward(self.mapper_caches[feature], msg.payload, inputs=False)
             fed.record_update(f"mapper/{feature}", opt, f"bias/{feature}")
             opt.step()
             opt.zero_grad()
@@ -256,10 +256,9 @@ class ServerPlatform(PlatformBase):
                             Kind.PROTECTED_REP_UPLOAD, protected)]
         if msg.kind is Kind.ADV_GRAD_DOWN:
             feature = fed.feature_of(msg.sender)
-            mapper, opt = self.mappers[feature], self.opts[f"mapper/{feature}"]
-            grad_unified = mapper.backward(self.mapper_caches[feature], msg.payload)
-            opt.zero_grad()  # mapper frozen on this pass
-            self.adv_grads[feature] = grad_unified
+            # the mapper is frozen on this pass: input gradient only
+            self.adv_grads[feature] = self.mappers[feature].backward(
+                self.mapper_caches[feature], msg.payload, params=False)
             return []
         raise ProtocolError(f"server cannot handle {msg.kind}")
 
@@ -488,7 +487,7 @@ class Federation:
             cdisc, protected, unified, neg_idx)
         contribs = []
         if self.events is not None:
-            mapper.backward(mcache, grad_protected)
+            mapper.backward(mcache, grad_protected, inputs=False)
             contribs = [(f"contrastive_adv/{feature}", -gamma, mapper_opt.grads.copy())]
             mapper_opt.zero_grad()
         cal_mapper_gradient(mapper, mcache, grad_protected, gamma)

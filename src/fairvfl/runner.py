@@ -4,6 +4,8 @@ transcript audits, and sweeps."""
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import os
 import time
@@ -59,10 +61,46 @@ def make_dataset(cfg: ExperimentConfig):
     raise ConfigError(f"unknown dataset kind {kind!r}")
 
 
+_OPENBLAS_SET_THREADS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                         "scipy_openblas_set_num_threads64_")
+
+
+@functools.cache
+def _openblas_set_threads():
+    """The set-threads function of the OpenBLAS that numpy loaded, or None."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(libs):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_SET_THREADS:
+            if hasattr(lib, name):
+                setter = getattr(lib, name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return setter
+    return None
+
+
+def pin_blas_threads() -> None:
+    """Runs the OpenBLAS that numpy loaded on one thread; does nothing on any
+    other BLAS. At these widths a second thread buys no speed, and a cold
+    multi-threaded OpenBLAS takes ~24 ms for each of a process's first ~40
+    products. Environment variables come too late: numpy is loaded first."""
+    setter = _openblas_set_threads()
+    if setter is not None:
+        setter(1)
+
+
 def build_run_federation(cfg: ExperimentConfig, ds: VerticalDataset, pa,
                          payload_digests: bool = False):
     """The federation of a run. Payload digests are off by default: only an
     exported transcript (``cmd_train``) reads them."""
+    pin_blas_threads()
     fed_cfg = FederationConfig(
         weights=cfg.loss_weights(),
         ldp=cfg.ldp_config(),
@@ -133,6 +171,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
     checkpoints the best-by-validation-accuracy parameters, and reports task
     metrics of the selected checkpoint."""
     cfg.validate()
+    pin_blas_threads()
     t0 = time.perf_counter()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -203,6 +242,7 @@ def cmd_attack(cfg: ExperimentConfig, checkpoint_path: str | Path,
     """Regenerates representations with a frozen checkpoint and runs the
     fairness and privacy probes plus task metrics."""
     cfg.validate()
+    pin_blas_threads()
     atk: AttackConfig = cfg.attack_config()
     ds, pa = make_dataset(cfg)
     feature_shards, _, _ = partition_vertical(ds, pa)
@@ -300,6 +340,7 @@ def audit_policy_from_config(cfg: ExperimentConfig) -> AuditPolicy:
 
 def cmd_audit(transcript_path: str | Path, cfg: ExperimentConfig) -> AuditReport:
     cfg.validate()
+    pin_blas_threads()
     transcript = Transcript.read(transcript_path)
     policy = audit_policy_from_config(cfg)
     violations = audit_transcript(transcript, policy)
@@ -357,6 +398,7 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list[float],
     """One full train+attack per axis value; per-run failures are recorded
     and the sweep continues. FAIRVFL_THREADS caps process parallelism."""
     cfg.validate()
+    pin_blas_threads()
     for v in values:
         apply_axis(cfg, axis, v)  # fail fast on bad axis/values
     out = Path(out_dir)

@@ -27,6 +27,7 @@ from fairvfl.adversarial import (
 from fairvfl.errors import DimensionError, ProtocolError
 from fairvfl.models import BiasDiscriminator, ContrastiveDiscriminator, Mapper
 from fairvfl.nn import Adam, finite_difference_gradient, pack_blocks, pack_grads, unpack_blocks
+from fairvfl.protocol.messages import Kind, Message
 
 
 def brute_force_top_pool(protected, query, top_pool):
@@ -80,7 +81,8 @@ class TestNegativeSampling:
     @pytest.mark.parametrize("seed", range(15))
     def test_batch_selection_matches_per_row_reference(self, seed, pool_past_batch):
         """``select_negatives`` picks, row by row, what the per-row
-        ``rank_and_select_negative`` picks from the same-seed RNG."""
+        ``rank_and_select_negative`` picks from the same-seed RNG, and leaves
+        the RNG in the same state."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 24))
         top = n + int(rng.integers(0, 3)) if pool_past_batch else int(rng.integers(1, n))
@@ -88,11 +90,15 @@ class TestNegativeSampling:
         protected = rng.integers(-2, 3, size=(n, 4)).astype(np.float64)
         dup_src = rng.integers(0, n, size=max(1, n // 3))
         protected[rng.integers(0, n, size=dup_src.size)] = protected[dup_src]
-        unified = np.zeros((n, 4))
-        batch = select_negatives(ContrastiveContext(protected, unified, top,
-                                                    np.random.default_rng(seed + 100)))
-        ctx = ContrastiveContext(protected, unified, top, np.random.default_rng(seed + 100))
-        assert batch.tolist() == [rank_and_select_negative(ctx, j) for j in range(n)]
+        # tie-heavy: one 0/1 column gives every row at most two relevances
+        ties = rng.integers(0, 2, size=(n, 1)).astype(np.float64)
+        for prot in (protected, ties):
+            unified = np.zeros((n, 4))
+            batch_ctx = ContrastiveContext(prot, unified, top, np.random.default_rng(seed + 100))
+            batch = select_negatives(batch_ctx)
+            ctx = ContrastiveContext(prot, unified, top, np.random.default_rng(seed + 100))
+            assert batch.tolist() == [rank_and_select_negative(ctx, j) for j in range(n)]
+            assert batch_ctx.rng.bit_generator.state == ctx.rng.bit_generator.state
 
     def test_batch_of_one_rejected(self):
         with pytest.raises(ProtocolError, match="requires >=2"):
@@ -298,6 +304,59 @@ class TestAdversarialGradOnUnified:
         adversarial_grad_on_unified(mapper, bdisc, unified, labels)
         assert np.all(pack_grads(mapper.blocks()) == 0.0)
         assert np.all(pack_grads(bdisc.blocks()) == 0.0)
+
+
+def _sentinel(opt: Adam) -> np.ndarray:
+    """Fills a group's gradient store with non-zero values; returns a copy."""
+    opt.grads[...] = np.arange(1.0, opt.grads.size + 1.0) * 0.125
+    return opt.grads.copy()
+
+
+class TestFrozenPassesLeaveGradientStores:
+    """Frozen passes compute no parameter gradients, so whatever their groups'
+    stores hold stays there bit for bit."""
+
+    def test_contrastive_adversarial_grad(self):
+        _, mapper, cdisc, _, unified, _, _ = _game_fixture(30)
+        protected, _ = mapper.forward(unified)
+        neg = select_negatives(ContrastiveContext(protected, unified, 5,
+                                                  np.random.default_rng(0)))
+        opt = Adam(cdisc.blocks())
+        before = _sentinel(opt)
+        contrastive_adversarial_grad(cdisc, protected, unified, neg)
+        assert opt.grads.tobytes() == before.tobytes()
+
+    def test_bias_loss_and_grad_frozen(self):
+        _, mapper, _, bdisc, unified, labels, _ = _game_fixture(31)
+        protected, _ = mapper.forward(unified)
+        opt = Adam(bdisc.blocks())
+        before = _sentinel(opt)
+        bias_loss_and_grad_frozen(bdisc, protected, labels)
+        assert opt.grads.tobytes() == before.tobytes()
+
+    def test_adversarial_grad_on_unified(self):
+        _, mapper, _, bdisc, unified, labels, _ = _game_fixture(32)
+        m_opt, b_opt = Adam(mapper.blocks()), Adam(bdisc.blocks())
+        m_before, b_before = _sentinel(m_opt), _sentinel(b_opt)
+        adversarial_grad_on_unified(mapper, bdisc, unified, labels)
+        assert m_opt.grads.tobytes() == m_before.tobytes()
+        assert b_opt.grads.tobytes() == b_before.tobytes()
+
+    def test_server_adversarial_mapper_pass(self, tiny_dataset):
+        from conftest import make_federation, train_batches
+
+        ds, pa = tiny_dataset
+        fed = make_federation(ds, pa)
+        fed.run_training_round(train_batches(ds)[0])
+        feature = fed.bundle.features[0]
+        opt = fed.bundle.optim[f"mapper/{feature}"]
+        before = _sentinel(opt)
+        n = fed.server.unified.shape[0]
+        grad_protected = np.ones((n, fed.bundle.widths.protected[feature]))
+        fed.server.handle(Message(0, fed.sensitive[feature].name, fed.server.name,
+                                  Kind.ADV_GRAD_DOWN, grad_protected), fed)
+        assert opt.grads.tobytes() == before.tobytes()
+        assert fed.server.adv_grads[feature].shape == fed.server.unified.shape
 
 
 class TestCombineOverallGrad:

@@ -29,10 +29,12 @@ from fairvfl.models import (
     PlatformSchema,
     RepWidths,
     TaskHead,
+    TwoLayerMlp,
     forward_unified,
 )
 from fairvfl.nn import (
     Adam,
+    Linear,
     finite_difference_gradient,
     pack_blocks,
     pack_grads,
@@ -291,6 +293,45 @@ class TestContrastiveDiscriminator:
 
         numeric_s = finite_difference_gradient(fs, s.ravel().copy()).reshape(4, 16)
         assert relative_error(gs, numeric_s) < 1e-4
+
+
+class TestPartialBackward:
+    """A parameters-only or inputs-only backward gives bitwise what the full
+    backward gives, and nothing else."""
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp", "cdisc"])
+    def test_matches_full_backward_bitwise(self, kind):
+        rng = np.random.default_rng(7)
+        n = 9
+        if kind == "linear":
+            mod = Linear("t", 7, 5, seed=1)
+            _, cache = mod.forward(rng.normal(size=(n, 7)))
+            gy = rng.normal(size=(n, 5))
+        elif kind == "mlp":
+            mod = TwoLayerMlp("t", 7, 6, 3, seed=1)
+            _, cache = mod.forward(rng.normal(size=(n, 7)))
+            gy = rng.normal(size=(n, 3))
+        else:
+            widths = small_widths()
+            mod = ContrastiveDiscriminator("attr", widths, seed=1)
+            _, cache = mod.forward(rng.normal(size=(n, widths.protected["attr"])),
+                                   rng.normal(size=(n, widths.rep)))
+            gy = rng.normal(size=n)
+        opt = Adam(mod.blocks())
+        full = mod.backward(cache, gy)
+        full_grads = opt.grads.copy()
+        assert full_grads.any()
+        opt.zero_grad()
+
+        assert mod.backward(cache, gy, inputs=False) is None
+        assert opt.grads.tobytes() == full_grads.tobytes()
+        opt.zero_grad()
+
+        only_inputs = mod.backward(cache, gy, params=False)
+        assert not opt.grads.any()
+        pairs = zip(full, only_inputs) if kind == "cdisc" else [(full, only_inputs)]
+        for a, b in pairs:
+            assert a.tobytes() == b.tobytes()
 
 
 class TestBiasDiscriminator:
