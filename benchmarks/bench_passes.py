@@ -15,6 +15,10 @@ and at the C12 widths (rep 64, one H=4 feature), of:
 - ``attacker_step``: one ``AttackerNet.train_step`` on a batch of 128
   rep-wide inputs (hidden 128, two classes).
 
+It also times ``select_negatives`` alone at batch sizes 32, 500 and 1000
+(top pool 5, protected width 8), on distinct relevances and on rounded,
+tie-heavy ones: batch 32 is a training round's, 1000 a full-batch round's.
+
 The script uses only public functions whose signatures predate the
 ``params``/``inputs`` backward flags, so it runs unchanged on older commits.
 Compare two commits on one machine by running it against each tree's
@@ -44,6 +48,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = Path(__file__).resolve().parent.parent
 PASSES = ("cdisc_step", "cdisc_frozen", "mapper_ascent", "mapper_descent",
           "mapper_frozen", "attacker_step")
+NEGATIVE_BATCHES = (32, 500, 1000)
 
 
 def widths_config(name: str):
@@ -153,6 +158,22 @@ def pass_functions(widths_name: str):
         }
 
 
+def negatives_functions():
+    """{case name: zero-argument callable} for ``select_negatives`` alone."""
+    import numpy as np
+
+    from fairvfl.adversarial import ContrastiveContext, select_negatives
+
+    rng = np.random.default_rng(0)
+    cases = {}
+    for n in NEGATIVE_BATCHES:
+        protected = rng.normal(size=(n, 8))
+        for values, prot in (("distinct", protected), ("ties", np.round(protected))):
+            ctx = ContrastiveContext(prot, np.zeros((n, 1)), 5, np.random.default_rng(0))
+            cases[f"n{n}/{values}"] = lambda ctx=ctx: select_negatives(ctx)
+    return cases
+
+
 def commit_of(src: Path) -> str | None:
     try:
         out = subprocess.run(["git", "-C", str(src), "describe", "--always", "--dirty"],
@@ -186,6 +207,9 @@ def main() -> int:
             cases[case] = {name: round(ms_per_call(fns[name], args.block_s, args.repeats), 4)
                            for name in PASSES}
             print(case, " ".join(f"{k}={v:.3f}ms" for k, v in cases[case].items()))
+    negatives = {case: round(ms_per_call(fn, args.block_s, args.repeats), 4)
+                 for case, fn in negatives_functions().items()}
+    print("select_negatives", " ".join(f"{k}={v:.3f}ms" for k, v in negatives.items()))
 
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.is_file() else {}
     doc[args.label] = {
@@ -194,6 +218,7 @@ def main() -> int:
                     "numpy": np.__version__, "blas_threads_env": os.environ["OPENBLAS_NUM_THREADS"]},
         "unit": "ms per call, median of timed blocks",
         "passes": cases,
+        "select_negatives": negatives,
     }
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0

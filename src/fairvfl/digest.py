@@ -4,7 +4,6 @@ Payload digests (``digest_array``, ``digest_bytes``) are stdlib
 ``hashlib.blake2b(digest_size=8)`` over the little-endian, C-contiguous
 payload bytes, read as a big-endian int, so a transcript's ``payload_digest``
 hex equals ``hashlib``'s ``hexdigest()`` of the same bytes.
-``benchmarks/bench_digest.py`` measures both paths.
 
 ``digest_text`` stays pure-Python FNV-1a: it seeds every named RNG stream
 (``nn.rng_for``) and the config fingerprint, so changing it would reseed

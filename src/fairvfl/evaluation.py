@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EvaluationError
 from .models import TwoLayerMlp
-from .nn import Adam, Array, rng_for, softmax_cross_entropy
+from .nn import Adam, Array, rng_for, softmax_cross_entropy_grad
 
 
 def accuracy(pred: Array, labels: Array) -> float:
@@ -24,14 +24,16 @@ def accuracy(pred: Array, labels: Array) -> float:
 
 
 def macro_f1(pred: Array, labels: Array, n_classes: int) -> float:
-    """Macro-averaged F1 over all declared classes (absent classes score 0)."""
-    f1s = []
-    for c in range(n_classes):
-        tp = float(np.sum((pred == c) & (labels == c)))
-        fp = float(np.sum((pred == c) & (labels != c)))
-        fn = float(np.sum((pred != c) & (labels == c)))
-        denom = 2 * tp + fp + fn
-        f1s.append(0.0 if denom == 0 else 2 * tp / denom)
+    """Macro-averaged F1 over all declared classes (absent classes score 0).
+    A label or prediction outside the declared classes counts as a miss."""
+    pred, labels = np.asarray(pred), np.asarray(labels)
+    k = n_classes
+    tp = np.bincount(labels[pred == labels], minlength=k)[:k].astype(np.float64)
+    fp = np.bincount(pred, minlength=k)[:k] - tp
+    fn = np.bincount(labels, minlength=k)[:k] - tp
+    denom = 2 * tp + fp + fn
+    with np.errstate(invalid="ignore", divide="ignore"):
+        f1s = np.where(denom == 0, 0.0, 2 * tp / denom)
     return float(np.mean(f1s))
 
 
@@ -73,13 +75,12 @@ class AttackerNet:
         self.net = TwoLayerMlp(tag, in_width, hidden, n_classes, seed)
         self.opt = Adam(self.net.blocks(), lr=lr)
 
-    def train_step(self, x: Array, y: Array) -> float:
+    def train_step(self, x: Array, y: Array) -> None:
         logits, cache = self.net.forward(x)
-        loss, glogits = softmax_cross_entropy(logits, y)
+        glogits = softmax_cross_entropy_grad(logits, y)  # nobody reads the loss
         self.net.backward(cache, glogits, inputs=False)  # inputs are data
         self.opt.step()
         self.opt.zero_grad()
-        return loss
 
     def predict(self, x: Array, batch: int = 4096) -> Array:
         out = []
@@ -111,14 +112,15 @@ def _train_one_attacker(net: AttackerNet, reps: Array, labels: Array,
     n_val = max(1, int(round(n * holdout)))
     perm = rng.permutation(n)
     val_idx, tr_idx = perm[:n_val], perm[n_val:]
+    val_reps, val_labels = reps[val_idx], labels[val_idx]
+    n_classes = int(labels.max()) + 1
     best_f1, best_snap, stale = -1.0, None, 0
     for _ in range(max_epochs):
         order = tr_idx[rng.permutation(tr_idx.shape[0])]
         for i in range(0, order.shape[0], batch):
             sel = order[i:i + batch]
             net.train_step(reps[sel], labels[sel])
-        val_f1 = macro_f1(net.predict(reps[val_idx]), labels[val_idx],
-                          int(labels.max()) + 1)
+        val_f1 = macro_f1(net.predict(val_reps), val_labels, n_classes)
         if val_f1 > best_f1 + 1e-4:
             best_f1, best_snap, stale = val_f1, net.snapshot(), 0
         else:

@@ -30,7 +30,7 @@ checks every analytic backward against.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -72,11 +72,6 @@ class ParamBlock:
         grad = np.zeros((self.w if attr == "gw" else self.b).shape)
         setattr(self, attr, grad)
         return grad
-
-    def zero_grad(self) -> None:
-        self.gw[...] = 0.0
-        if self.gb is not None:
-            self.gb[...] = 0.0
 
 
 def glorot_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> Array:
@@ -170,10 +165,6 @@ class Module:
     def blocks(self) -> list[ParamBlock]:
         raise NotImplementedError
 
-    def zero_grad(self) -> None:
-        for b in self.blocks():
-            b.zero_grad()
-
 
 # ---------------------------------------------------------------------------
 # Layers
@@ -266,9 +257,9 @@ def softmax(z: Array) -> Array:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_cross_entropy(logits: Array, targets: Array) -> tuple[float, Array]:
-    """Mean negative log-likelihood and its gradient w.r.t. the logits."""
-    targets = np.asarray(targets)
+def _softmax_xent(logits: Array, targets: Array) -> tuple[Array, Array, Array]:
+    """Checks a (n, c) logits / (n,) targets pair; returns the max-shifted
+    logits, the row sums of their ``exp``, and the cross-entropy gradient."""
     if logits.ndim != 2 or targets.shape != (logits.shape[0],):
         raise DimensionError(
             f"logits {logits.shape} vs targets {targets.shape}: need (n, c) and (n,)"
@@ -282,10 +273,23 @@ def softmax_cross_entropy(logits: Array, targets: Array) -> tuple[float, Array]:
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     z = e.sum(axis=1, keepdims=True)
-    loss = float(np.mean(np.log(z[:, 0]) - shifted[np.arange(n), targets]))
-    grad = e / z  # softmax(logits), from the same shift and exp
+    grad = e / z  # softmax(logits), from the same shift and exp as the loss
     grad[np.arange(n), targets] -= 1.0
-    return loss, grad / n
+    return shifted, z, grad / n
+
+
+def softmax_cross_entropy(logits: Array, targets: Array) -> tuple[float, Array]:
+    """Mean negative log-likelihood and its gradient w.r.t. the logits."""
+    targets = np.asarray(targets)
+    shifted, z, grad = _softmax_xent(logits, targets)
+    loss = float(np.mean(np.log(z[:, 0]) - shifted[np.arange(logits.shape[0]), targets]))
+    return loss, grad
+
+
+def softmax_cross_entropy_grad(logits: Array, targets: Array) -> Array:
+    """The gradient ``softmax_cross_entropy`` returns, bit for bit, without
+    computing the loss."""
+    return _softmax_xent(logits, np.asarray(targets))[2]
 
 
 def softplus(z: Array) -> Array:
@@ -342,33 +346,3 @@ def finite_difference_gradient(f: Callable[[Array], float], x: Array,
             raise OracleError(f"objective non-finite near coordinate {k}")
         gflat[k] = (f_plus - f_minus) / (2.0 * h)
     return grad
-
-
-def pack_blocks(blocks: Iterable[ParamBlock]) -> Array:
-    parts = []
-    for blk in blocks:
-        parts.append(blk.w.ravel())
-        if blk.b is not None:
-            parts.append(blk.b.ravel())
-    return np.concatenate(parts) if parts else np.zeros(0)
-
-
-def unpack_blocks(vec: Array, blocks: Iterable[ParamBlock]) -> None:
-    off = 0
-    for blk in blocks:
-        n = blk.w.size
-        blk.w[...] = vec[off:off + n].reshape(blk.w.shape)
-        off += n
-        if blk.b is not None:
-            n = blk.b.size
-            blk.b[...] = vec[off:off + n]
-            off += n
-
-
-def pack_grads(blocks: Iterable[ParamBlock]) -> Array:
-    parts = []
-    for blk in blocks:
-        parts.append(blk.gw.ravel())
-        if blk.gb is not None:
-            parts.append(blk.gb.ravel())
-    return np.concatenate(parts) if parts else np.zeros(0)

@@ -14,11 +14,16 @@ record into exactly one violation kind (first matching rule wins):
                          its two gradient returns
   illegal-edge           any other (kind, sender role, receiver role) outside
                          the protocol table
+
+The classifier is table-driven: the kind strings, the roles and the edge
+table keyed by kind string (records carry ``kind`` as a plain ``str``) are
+resolved once at import, so a record costs a few dict lookups and string
+comparisons, well under a microsecond, and no enum lookup.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .messages import (
@@ -73,7 +78,15 @@ class AuditPolicy:
         return self.roles.get(name)
 
 
-_SENSITIVE_OUT = {Kind.BIAS_DISC_GRAD_DOWN.value, Kind.ADV_GRAD_DOWN.value}
+# enum lookups such as ``Kind.X.value`` cost more than a rule: resolve them once
+_SERVER, _INSENSITIVE, _SENSITIVE = Role.SERVER, Role.INSENSITIVE, Role.SENSITIVE
+_LOCAL_REP = Kind.LOCAL_REP_UPLOAD.value
+_UNIFIED_REP = Kind.UNIFIED_REP_TO_TASK.value
+_PROTECTED_REP = Kind.PROTECTED_REP_UPLOAD.value
+_SENSITIVE_OUT = frozenset({Kind.BIAS_DISC_GRAD_DOWN.value, Kind.ADV_GRAD_DOWN.value})
+_FAIRNESS = frozenset(k.value for k in FAIRNESS_KINDS)
+#: the protocol's edge table keyed by kind string, as records carry it
+_EDGES = {k.value: edges for k, edges in LEGAL_EDGES.items()}
 
 
 def _width(rec: TranscriptRecord) -> int | None:
@@ -81,47 +94,48 @@ def _width(rec: TranscriptRecord) -> int | None:
 
 
 def _classify(rec: TranscriptRecord, policy: AuditPolicy) -> Violation | None:
-    role_s = policy.role(rec.sender)
-    role_r = policy.role(rec.receiver)
+    kind = rec.kind
+    role_s = policy.roles.get(rec.sender)
+    role_r = policy.roles.get(rec.receiver)
     if role_s is None or role_r is None:
         return Violation(ViolationKind.ILLEGAL_EDGE, rec,
                          f"unknown platform on edge {rec.sender} -> {rec.receiver}")
 
     # (e) nothing but the two gradient returns may leave a sensitive platform
-    if role_s is Role.SENSITIVE and rec.kind not in _SENSITIVE_OUT:
+    if role_s is _SENSITIVE and kind not in _SENSITIVE_OUT:
         return Violation(ViolationKind.SENSITIVE_LABEL_LEAK, rec,
-                         f"{rec.sender} emitted {rec.kind}")
+                         f"{rec.sender} emitted {kind}")
 
     # (d) unified-width payloads must never reach a sensitive platform
-    if role_r is Role.SENSITIVE:
-        if rec.kind == Kind.UNIFIED_REP_TO_TASK.value or (
-                rec.kind == Kind.PROTECTED_REP_UPLOAD.value
+    if role_r is _SENSITIVE:
+        if kind == _UNIFIED_REP or (
+                kind == _PROTECTED_REP
                 and _width(rec) == policy.rep_width
                 and policy.protected_widths.get(rec.receiver) != policy.rep_width):
             return Violation(ViolationKind.UNIFIED_TO_SENSITIVE, rec,
                              f"rep-width payload ({rec.shape}) sent to {rec.receiver}")
-        if rec.kind == Kind.PROTECTED_REP_UPLOAD.value:
+        if kind == _PROTECTED_REP:
             expected = policy.protected_widths.get(rec.receiver)
             if expected is not None and _width(rec) != expected:
                 return Violation(ViolationKind.UNIFIED_TO_SENSITIVE, rec,
                                  f"payload width {_width(rec)} != declared {expected}")
 
     # (b) local reps go to the server and nowhere else
-    if rec.kind == Kind.LOCAL_REP_UPLOAD.value and role_r is not Role.SERVER:
+    if kind == _LOCAL_REP and role_r is not _SERVER:
         return Violation(ViolationKind.LOCAL_REP_MISROUTE, rec,
                          f"local rep delivered to {rec.receiver}")
 
     # (a) the only thing leaving a data platform is a rep-width local rep
-    if role_s is Role.INSENSITIVE:
-        if rec.kind != Kind.LOCAL_REP_UPLOAD.value:
+    if role_s is _INSENSITIVE:
+        if kind != _LOCAL_REP:
             return Violation(ViolationKind.RAW_FEATURE_LEAK, rec,
-                             f"{rec.sender} emitted {rec.kind}")
+                             f"{rec.sender} emitted {kind}")
         if _width(rec) != policy.rep_width:
             return Violation(ViolationKind.RAW_FEATURE_LEAK, rec,
                              f"upload width {_width(rec)} != rep width {policy.rep_width}")
 
     # (c) perturbation required on the unified upload (live transcripts only)
-    if rec.kind == Kind.UNIFIED_REP_TO_TASK.value and rec.ldp_applied is not None:
+    if kind == _UNIFIED_REP and rec.ldp_applied is not None:
         required = (policy.require_ldp_serving if rec.phase == "serve"
                     else policy.require_ldp_training)
         if required and rec.ldp_applied is False:
@@ -129,14 +143,13 @@ def _classify(rec: TranscriptRecord, policy: AuditPolicy) -> Violation | None:
                              "LDP required but upload was not perturbed")
 
     # edge legality table
-    try:
-        kind = Kind(rec.kind)
-    except ValueError:
+    edges = _EDGES.get(kind)
+    if edges is None:
         return Violation(ViolationKind.RAW_FEATURE_LEAK, rec,
-                         f"unknown payload kind {rec.kind!r}")
-    if (role_s, role_r) not in LEGAL_EDGES[kind]:
+                         f"unknown payload kind {kind!r}")
+    if (role_s, role_r) not in edges:
         return Violation(ViolationKind.ILLEGAL_EDGE, rec,
-                         f"{rec.kind}: {role_s.value} -> {role_r.value} not permitted")
+                         f"{kind}: {role_s.value} -> {role_r.value} not permitted")
     return None
 
 
@@ -155,8 +168,7 @@ def fairness_comm_cost(transcript: Transcript | list[TranscriptRecord]) -> int:
     """Total float count of fairness-machinery traffic (protected-rep uploads
     and their two gradient returns)."""
     records = transcript.records if isinstance(transcript, Transcript) else transcript
-    kinds = {k.value for k in FAIRNESS_KINDS}
-    return sum(r.float_count for r in records if r.kind in kinds)
+    return sum(r.float_count for r in records if r.kind in _FAIRNESS)
 
 
 def per_round_fairness_cost(transcript: Transcript | list[TranscriptRecord]
@@ -164,15 +176,14 @@ def per_round_fairness_cost(transcript: Transcript | list[TranscriptRecord]
     """Per round: actual fairness traffic, the 4*E*sum(H_i) prediction from the
     observed batch size, and the batch size itself."""
     records = transcript.records if isinstance(transcript, Transcript) else transcript
-    kinds = {k.value for k in FAIRNESS_KINDS}
     rounds: dict[int, dict[str, int]] = {}
     widths: dict[int, dict[str, int]] = {}
     for rec in records:
-        if rec.kind not in kinds:
+        if rec.kind not in _FAIRNESS:
             continue
         slot = rounds.setdefault(rec.round_id, {"actual": 0, "batch": 0})
         slot["actual"] += rec.float_count
-        if rec.kind == Kind.PROTECTED_REP_UPLOAD.value and len(rec.shape) == 2:
+        if rec.kind == _PROTECTED_REP and len(rec.shape) == 2:
             slot["batch"] = rec.shape[0]
             widths.setdefault(rec.round_id, {})[rec.receiver] = rec.shape[1]
     for rid, slot in rounds.items():

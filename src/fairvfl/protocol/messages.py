@@ -73,8 +73,15 @@ class Message:
     ldp_applied: bool | None = None  # only meaningful for unified-rep uploads
 
 
+#: one JSON value from a position in a string, as ``json.loads`` reads it
+_scan_once = json.JSONDecoder().scan_once
+
+
 @dataclass(frozen=True)
 class TranscriptRecord:
+    """One exchanged message's metadata. ``kind`` is a plain ``str``, as
+    ``record_of`` and ``from_line`` make it; the auditor is keyed by it."""
+
     round_id: int
     sender: str
     receiver: str
@@ -103,18 +110,20 @@ class TranscriptRecord:
 
     @classmethod
     def from_line(cls, line: str, lineno: int) -> "TranscriptRecord":
+        """Parses one stripped line: ``json.loads`` without its wrappers and
+        whitespace regexes, so every line it rejects (a BOM, trailing data, an
+        empty value, bad JSON) raises ``ParseError``."""
         try:
-            obj = json.loads(line)
+            obj, end = _scan_once(line, 0)
+            if end != len(line):
+                raise ValueError(f"extra data at column {end + 1}")
             digest = obj["payload_digest"]
-            return cls(
-                round_id=int(obj["round"]),
-                sender=str(obj["sender"]),
-                receiver=str(obj["receiver"]),
-                kind=str(obj["kind"]),
-                shape=tuple(int(x) for x in obj["shape"]),
-                float_count=int(obj["float_count"]),
-                digest=None if digest is None else int(digest, 16),
-            )
+            return cls(int(obj["round"]), str(obj["sender"]), str(obj["receiver"]),
+                       str(obj["kind"]), tuple(map(int, obj["shape"])),
+                       int(obj["float_count"]), None if digest is None else int(digest, 16))
+        except StopIteration as exc:
+            raise ParseError(f"bad transcript record: no JSON value at column "
+                             f"{exc.value + 1}", line=lineno) from None
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise ParseError(f"bad transcript record: {exc}", line=lineno) from exc
 

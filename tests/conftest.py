@@ -23,6 +23,45 @@ def relative_error(analytic, numeric, floor=1e-6):
     return float(np.max(np.abs(analytic - numeric) / (np.abs(numeric) + floor)))
 
 
+# Flat views of a list of parameter blocks, for the gradient checks: weights
+# to and from one vector, the gradients as one vector, and zeroing them.
+def pack_blocks(blocks):
+    parts = []
+    for blk in blocks:
+        parts.append(blk.w.ravel())
+        if blk.b is not None:
+            parts.append(blk.b.ravel())
+    return np.concatenate(parts) if parts else np.zeros(0)
+
+
+def unpack_blocks(vec, blocks):
+    off = 0
+    for blk in blocks:
+        n = blk.w.size
+        blk.w[...] = vec[off:off + n].reshape(blk.w.shape)
+        off += n
+        if blk.b is not None:
+            n = blk.b.size
+            blk.b[...] = vec[off:off + n]
+            off += n
+
+
+def pack_grads(blocks):
+    parts = []
+    for blk in blocks:
+        parts.append(blk.gw.ravel())
+        if blk.gb is not None:
+            parts.append(blk.gb.ravel())
+    return np.concatenate(parts) if parts else np.zeros(0)
+
+
+def zero_grads(blocks):
+    for blk in blocks:
+        blk.gw[...] = 0.0
+        if blk.gb is not None:
+            blk.gb[...] = 0.0
+
+
 def small_widths(feature="attr", h=8):
     return RepWidths(rep=16, protected={feature: h}, emb_dim=4, encoder_hidden=8,
                      attn_heads=2, pool_hidden=6, head_hidden=8, mapper_hidden=8,

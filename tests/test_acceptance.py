@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import pack_blocks, pack_grads, unpack_blocks, zero_grads
 from fairvfl.adversarial import (
     ContrastiveContext,
     LossWeights,
@@ -49,10 +50,7 @@ from fairvfl.models import (
 from fairvfl.nn import (
     Adam,
     finite_difference_gradient,
-    pack_blocks,
-    pack_grads,
     softmax_cross_entropy,
-    unpack_blocks,
 )
 from fairvfl.protocol import AuditPolicy, audit_transcript, fairness_comm_cost
 from fairvfl.protocol.audit import ViolationKind
@@ -286,14 +284,14 @@ class TestGradientOracle:
             unpack_blocks(v0, cdisc.blocks())
             pos_neg = np.concatenate([protected, protected]), np.concatenate(
                 [unified, unified[neg]])
-            cdisc.zero_grad()
+            zero_grads(cdisc.blocks())
             scores, cache = cdisc.forward(*pos_neg)
             from fairvfl.nn import pairwise_contrastive_loss
 
             _, gp, gq = pairwise_contrastive_loss(scores[:n], scores[n:])
             cdisc.backward(cache, np.concatenate([gp, gq]))
             worst["Lp"] = max(worst.get("Lp", 0), _rel_err(pack_grads(cdisc.blocks()), num))
-            cdisc.zero_grad()
+            zero_grads(cdisc.blocks())
 
             # contrastive adversarial loss vs mapper params (frozen disc)
             def f_lc(vec):
@@ -304,12 +302,12 @@ class TestGradientOracle:
             v0 = pack_blocks(mapper.blocks())
             num = finite_difference_gradient(f_lc, v0.copy())
             unpack_blocks(v0, mapper.blocks())
-            mapper.zero_grad()
+            zero_grads(mapper.blocks())
             a, mcache = mapper.forward(unified)
             _, ga = contrastive_adversarial_grad(cdisc, a, unified, neg)
             mapper.backward(mcache, ga)
             worst["Lc"] = max(worst.get("Lc", 0), _rel_err(pack_grads(mapper.blocks()), num))
-            mapper.zero_grad()
+            zero_grads(mapper.blocks())
 
             # bias discrimination loss vs protected reps
             num = finite_difference_gradient(
@@ -352,8 +350,7 @@ class TestGradientOracle:
             v0 = pack_blocks(blocks)
             num = finite_difference_gradient(f_model, v0.copy())
             unpack_blocks(v0, blocks)
-            for b in blocks:
-                b.zero_grad()
+            zero_grads(blocks)
             r, ce = enc.forward(cols, False, None)
             s, ca = agg.forward(np.stack([r, r], axis=1))
             lg, ch = head.forward(s)

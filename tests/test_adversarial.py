@@ -5,7 +5,14 @@ sign ledger."""
 import numpy as np
 import pytest
 
-from conftest import relative_error, small_widths
+from conftest import (
+    pack_blocks,
+    pack_grads,
+    relative_error,
+    small_widths,
+    unpack_blocks,
+    zero_grads,
+)
 from fairvfl.adversarial import (
     ASCEND,
     ContrastiveContext,
@@ -26,7 +33,7 @@ from fairvfl.adversarial import (
 )
 from fairvfl.errors import DimensionError, ProtocolError
 from fairvfl.models import BiasDiscriminator, ContrastiveDiscriminator, Mapper
-from fairvfl.nn import Adam, finite_difference_gradient, pack_blocks, pack_grads, unpack_blocks
+from fairvfl.nn import Adam, finite_difference_gradient
 from fairvfl.protocol.messages import Kind, Message
 
 
@@ -99,6 +106,21 @@ class TestNegativeSampling:
             ctx = ContrastiveContext(prot, unified, top, np.random.default_rng(seed + 100))
             assert batch.tolist() == [rank_and_select_negative(ctx, j) for j in range(n)]
             assert batch_ctx.rng.bit_generator.state == ctx.rng.bit_generator.state
+
+    @pytest.mark.parametrize("n,top", [(500, 5), (640, 31), (1000, 5)])
+    def test_full_batch_partition_matches_per_row_reference(self, n, top):
+        """Past ``top_pool < n/8`` the pools come from a partition, not a
+        sort. On a full batch of rounded inputs, where most rows tie at their
+        pool boundary, every row still picks what the per-row reference picks
+        and the RNG ends in the same state."""
+        rng = np.random.default_rng(n + top)
+        protected = np.round(rng.normal(size=(n, 3)))  # exact, tie-heavy relevances
+        unified = np.zeros((n, 4))
+        batch_ctx = ContrastiveContext(protected, unified, top, np.random.default_rng(7))
+        batch = select_negatives(batch_ctx)
+        ctx = ContrastiveContext(protected, unified, top, np.random.default_rng(7))
+        assert batch.tolist() == [rank_and_select_negative(ctx, j) for j in range(n)]
+        assert batch_ctx.rng.bit_generator.state == ctx.rng.bit_generator.state
 
     def test_batch_of_one_rejected(self):
         with pytest.raises(ProtocolError, match="requires >=2"):
@@ -177,11 +199,11 @@ class TestContrastiveDiscriminatorStep:
             p_scores, pc = cdisc.forward(both_a, unified)
             q_scores, qc = cdisc.forward(both_a, neg_pool[neg_idx])
             loss, gp, gq = pairwise_contrastive_loss(p_scores, q_scores)
-            cdisc.zero_grad()
+            zero_grads(cdisc.blocks())
             cdisc.backward(pc, gp)
             cdisc.backward(qc, gq)
             opt.step()
-            cdisc.zero_grad()
+            zero_grads(cdisc.blocks())
         assert loss < 0.1
 
 
@@ -204,7 +226,7 @@ class TestContrastiveAdversarialGrad:
         neg = select_negatives(ContrastiveContext(protected, unified, 5,
                                                   np.random.default_rng(4)))
         _, ga = contrastive_adversarial_grad(cdisc, protected, unified, neg)
-        mapper.zero_grad()
+        zero_grads(mapper.blocks())
         cal_mapper_gradient(mapper, mcache, ga, gamma=0.0)
         assert np.all(pack_grads(mapper.blocks()) == 0.0)
 
@@ -223,7 +245,7 @@ class TestContrastiveAdversarialGrad:
         v0 = pack_blocks(mapper.blocks())
         numeric = finite_difference_gradient(f, v0.copy())
         unpack_blocks(v0, mapper.blocks())
-        mapper.zero_grad()
+        zero_grads(mapper.blocks())
         a, mcache = mapper.forward(unified)
         _, ga = contrastive_adversarial_grad(cdisc, a, unified, neg)
         cal_mapper_gradient(mapper, mcache, ga, gamma=1.0)
@@ -251,7 +273,7 @@ class TestBiasDiscriminatorStep:
         # is a separate, explicit application of the returned gradient
         assert np.array_equal(pack_blocks(cdisc.blocks()), cdisc_w0)
         assert np.array_equal(pack_blocks(mapper.blocks()), mapper_w0)
-        mapper.zero_grad()
+        zero_grads(mapper.blocks())
         gs = mapper.backward(mcache, ga)
         assert np.any(pack_grads(mapper.blocks()) != 0.0)
         assert gs.shape == unified.shape
@@ -450,10 +472,10 @@ class TestAscentCheck:
                 a, mcache = mapper.forward(s_tr[sel])
                 _, ga = bias_discriminator_step(bdisc, fed.bundle.optim["bdisc/attr"],
                                                 a, y[train_ids][sel])
-                mapper.zero_grad()
+                zero_grads(mapper.blocks())
                 mapper.backward(mcache, ga)
                 fed.bundle.optim["mapper/attr"].step()
-                mapper.zero_grad()
+                zero_grads(mapper.blocks())
 
             traj = [probe(fed.bundle, seed)]
             for r in range(50):

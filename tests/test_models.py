@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import JSON_VALUES, relative_error, small_widths
+from conftest import (
+    JSON_VALUES,
+    pack_blocks,
+    pack_grads,
+    relative_error,
+    small_widths,
+    unpack_blocks,
+    zero_grads,
+)
 from fairvfl.checkpoint import (
     MAGIC,
     load_checkpoint,
@@ -36,11 +44,8 @@ from fairvfl.nn import (
     Adam,
     Linear,
     finite_difference_gradient,
-    pack_blocks,
-    pack_grads,
     rng_for,
     softmax_cross_entropy,
-    unpack_blocks,
 )
 
 
@@ -91,7 +96,7 @@ class TestLocalEncoder:
         v0 = pack_blocks(enc.blocks())
         numeric = finite_difference_gradient(f, v0.copy())
         unpack_blocks(v0, enc.blocks())
-        enc.zero_grad()
+        zero_grads(enc.blocks())
         y, cache = enc.forward(cols, training=False, rng=None)
         enc.backward(cache, proj)
         assert relative_error(pack_grads(enc.blocks()), numeric) < 1e-4
@@ -127,7 +132,7 @@ class TestAggregator:
         v0 = pack_blocks(agg.blocks())
         numeric = finite_difference_gradient(f, v0.copy())
         unpack_blocks(v0, agg.blocks())
-        agg.zero_grad()
+        zero_grads(agg.blocks())
         s, cache = agg.forward(x)
         gx = agg.backward(cache, proj)
         assert relative_error(pack_grads(agg.blocks()), numeric) < 1e-4
@@ -236,7 +241,7 @@ class TestMapper:
         v0 = pack_blocks(mapper.blocks())
         numeric = finite_difference_gradient(f, v0.copy())
         unpack_blocks(v0, mapper.blocks())
-        mapper.zero_grad()
+        zero_grads(mapper.blocks())
         a, cache = mapper.forward(s)
         mapper.backward(cache, proj)
         assert relative_error(pack_grads(mapper.blocks()), numeric) < 1e-4
@@ -275,7 +280,7 @@ class TestContrastiveDiscriminator:
         v0 = pack_blocks(disc.blocks())
         numeric = finite_difference_gradient(f, v0.copy())
         unpack_blocks(v0, disc.blocks())
-        disc.zero_grad()
+        zero_grads(disc.blocks())
         scores, cache = disc.forward(a, s)
         ga, gs = disc.backward(cache, w)
         assert relative_error(pack_grads(disc.blocks()), numeric) < 1e-4
@@ -356,7 +361,7 @@ class TestBiasDiscriminator:
         for _ in range(200):
             logits, cache = disc.forward(reps)
             _, glogits = softmax_cross_entropy(logits, labels)
-            disc.zero_grad()
+            zero_grads(disc.blocks())
             disc.backward(cache, glogits)
             opt.step()
         logits, _ = disc.forward(reps)

@@ -4,7 +4,7 @@ and the finite-difference oracle cross-checks."""
 import numpy as np
 import pytest
 
-from conftest import relative_error
+from conftest import pack_blocks, pack_grads, relative_error, unpack_blocks, zero_grads
 from fairvfl.errors import ConfigError, DimensionError, LabelError, OracleError
 from fairvfl.nn import (
     _ADAM_TILE,
@@ -16,14 +16,12 @@ from fairvfl.nn import (
     dropout_backward,
     finite_difference_gradient,
     glorot_uniform,
-    pack_blocks,
-    pack_grads,
     pairwise_contrastive_loss,
     relu,
     relu_backward,
     softmax,
     softmax_cross_entropy,
-    unpack_blocks,
+    softmax_cross_entropy_grad,
 )
 
 
@@ -61,7 +59,7 @@ class TestLinear:
         v0 = pack_blocks(lin.blocks())
         numeric = finite_difference_gradient(f, v0.copy())
         unpack_blocks(v0, lin.blocks())
-        lin.block.zero_grad()
+        zero_grads([lin.block])
         y, cache = lin.forward(x)
         gx = lin.backward(cache, np.tile(proj, (5, 1)))
         assert relative_error(pack_grads(lin.blocks()), numeric) < 1e-4
@@ -86,6 +84,20 @@ class TestSoftmaxCrossEntropy:
     def test_out_of_range_label(self):
         with pytest.raises(LabelError):
             softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
+
+    def test_grad_only_checks_labels_and_shapes(self):
+        with pytest.raises(LabelError):
+            softmax_cross_entropy_grad(np.zeros((2, 3)), np.array([0, 3]))
+        with pytest.raises(DimensionError):
+            softmax_cross_entropy_grad(np.zeros((2, 3)), np.array([0, 1, 2]))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_grad_only_is_bitwise_the_full_gradient(self, seed):
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(scale=20.0, size=(128, 2 + seed))
+        targets = rng.integers(0, 2 + seed, size=128)
+        _, grad = softmax_cross_entropy(logits, targets)
+        assert softmax_cross_entropy_grad(logits, targets).tobytes() == grad.tobytes()
 
     def test_softmax_rows_normalized_nonnegative(self):
         z = np.random.default_rng(0).normal(scale=50.0, size=(20, 7))
@@ -277,8 +289,7 @@ class TestFiniteDifferenceOracle:
         v0 = pack_blocks(blocks)
         numeric = finite_difference_gradient(f, v0.copy())
         unpack_blocks(v0, blocks)
-        for b in blocks:
-            b.zero_grad()
+        zero_grads(blocks)
         h, c1 = fc1.forward(x)
         y, c2 = fc2.forward(relu(h))
         loss, gy = softmax_cross_entropy(y, targets)

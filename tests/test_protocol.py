@@ -3,6 +3,7 @@ properties, determinism, transcript mechanics, auditing, and traffic
 accounting."""
 
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -34,7 +35,7 @@ from fairvfl.protocol import (
     fairness_comm_cost,
     ldp_perturb,
 )
-from fairvfl.protocol.audit import ViolationKind, per_round_fairness_cost
+from fairvfl.protocol.audit import ViolationKind, _classify, per_round_fairness_cost
 from fairvfl.protocol.messages import Role, TranscriptRecord, record_of
 
 
@@ -384,10 +385,158 @@ class TestAudit:
         assert violations[0].kind == ViolationKind.UNIFIED_TO_SENSITIVE
 
 
+def _reference_classify(rec, policy):
+    """The auditor's classifier as it read before its constants were hoisted
+    (enum lookups per record, ``Kind(rec.kind)`` for the edge table): the
+    reference the table-driven ``_classify`` must match rule for rule."""
+    from fairvfl.protocol.audit import Violation
+    from fairvfl.protocol.messages import LEGAL_EDGES
+
+    def width(r):
+        return r.shape[-1] if len(r.shape) == 2 else None
+
+    sensitive_out = {Kind.BIAS_DISC_GRAD_DOWN.value, Kind.ADV_GRAD_DOWN.value}
+    role_s = policy.role(rec.sender)
+    role_r = policy.role(rec.receiver)
+    if role_s is None or role_r is None:
+        return Violation(ViolationKind.ILLEGAL_EDGE, rec,
+                         f"unknown platform on edge {rec.sender} -> {rec.receiver}")
+    if role_s is Role.SENSITIVE and rec.kind not in sensitive_out:
+        return Violation(ViolationKind.SENSITIVE_LABEL_LEAK, rec,
+                         f"{rec.sender} emitted {rec.kind}")
+    if role_r is Role.SENSITIVE:
+        if rec.kind == Kind.UNIFIED_REP_TO_TASK.value or (
+                rec.kind == Kind.PROTECTED_REP_UPLOAD.value
+                and width(rec) == policy.rep_width
+                and policy.protected_widths.get(rec.receiver) != policy.rep_width):
+            return Violation(ViolationKind.UNIFIED_TO_SENSITIVE, rec,
+                             f"rep-width payload ({rec.shape}) sent to {rec.receiver}")
+        if rec.kind == Kind.PROTECTED_REP_UPLOAD.value:
+            expected = policy.protected_widths.get(rec.receiver)
+            if expected is not None and width(rec) != expected:
+                return Violation(ViolationKind.UNIFIED_TO_SENSITIVE, rec,
+                                 f"payload width {width(rec)} != declared {expected}")
+    if rec.kind == Kind.LOCAL_REP_UPLOAD.value and role_r is not Role.SERVER:
+        return Violation(ViolationKind.LOCAL_REP_MISROUTE, rec,
+                         f"local rep delivered to {rec.receiver}")
+    if role_s is Role.INSENSITIVE:
+        if rec.kind != Kind.LOCAL_REP_UPLOAD.value:
+            return Violation(ViolationKind.RAW_FEATURE_LEAK, rec,
+                             f"{rec.sender} emitted {rec.kind}")
+        if width(rec) != policy.rep_width:
+            return Violation(ViolationKind.RAW_FEATURE_LEAK, rec,
+                             f"upload width {width(rec)} != rep width {policy.rep_width}")
+    if rec.kind == Kind.UNIFIED_REP_TO_TASK.value and rec.ldp_applied is not None:
+        required = (policy.require_ldp_serving if rec.phase == "serve"
+                    else policy.require_ldp_training)
+        if required and rec.ldp_applied is False:
+            return Violation(ViolationKind.UNPERTURBED_UNIFIED, rec,
+                             "LDP required but upload was not perturbed")
+    try:
+        kind = Kind(rec.kind)
+    except ValueError:
+        return Violation(ViolationKind.RAW_FEATURE_LEAK, rec,
+                         f"unknown payload kind {rec.kind!r}")
+    if (role_s, role_r) not in LEGAL_EDGES[kind]:
+        return Violation(ViolationKind.ILLEGAL_EDGE, rec,
+                         f"{rec.kind}: {role_s.value} -> {role_r.value} not permitted")
+    return None
+
+
+class TestClassifierMatchesReference:
+    @pytest.mark.parametrize("serving", [False, True])
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("protected_width", [8, 16])
+    def test_every_edge_kind_shape_and_flag(self, serving, training, protected_width):
+        """Every sender and receiver (the fixture platforms and an unknown
+        one), every kind and an unknown one, payload shapes of rep width,
+        protected width, neither, rank 1 and rank 0, each LDP flag and phase:
+        the classifier gives the reference's violation kind and detail, or
+        None for both."""
+        policy = dataclasses.replace(
+            TestAudit()._fixture_policy(), protected_widths={"sensitive/attr": protected_width},
+            require_ldp_serving=serving, require_ldp_training=training)
+        names = [*policy.roles, "stranger"]
+        kinds = [k.value for k in Kind] + ["RawDump"]
+        seen = set()
+        for sender, receiver, kind, shape, ldp_applied, phase in itertools.product(
+                names, names, kinds, [(4, 16), (4, 8), (4, 7), (4,), ()],
+                [None, True, False], ["train", "serve", None]):
+            rec = TranscriptRecord(0, sender, receiver, kind, shape, int(np.prod(shape)), 0,
+                                   ldp_applied=ldp_applied, phase=phase)
+            got, want = _classify(rec, policy), _reference_classify(rec, policy)
+            assert (got is None) == (want is None), rec
+            if want is not None:
+                seen.add(want.kind)
+                assert (got.kind, got.detail, got.record) == (want.kind, want.detail, rec)
+        # every rule fires somewhere (LDP only when a flag requires it)
+        assert seen == set(ViolationKind) - (set() if serving or training
+                                             else {ViolationKind.UNPERTURBED_UNIFIED})
+
+
 # JSON texts to put in place of a record's field: number literals json.dumps
 # never writes, malformed digests, and nesting deeper than the parser allows
 _RAW_JSON = ["1e999", "-1e999", "[1e999]", "NaN", "Infinity", "1.5", "-3", "[[2]]",
              '"0xzz"', "9" * 5000, "[" * 5000 + "]" * 5000]
+
+
+def _write_mutated(path, lines, data):
+    """Writes the transcript ``lines`` with one line edited: a field replaced
+    by an arbitrary JSON text, or a few bytes flipped and the line cut."""
+    i = data.draw(st.integers(0, len(lines) - 1))
+    raw = [line.encode("utf-8") for line in lines]
+    if data.draw(st.booleans()):
+        obj = json.loads(lines[i])
+        key = data.draw(st.sampled_from(sorted(obj)))
+        value = data.draw(st.one_of(st.sampled_from(_RAW_JSON), JSON_VALUES.map(json.dumps)))
+        raw[i] = json.dumps({**obj, key: "X"}).replace('"X"', value).encode("utf-8")
+    else:
+        buf = bytearray(raw[i])
+        for off, mask in data.draw(st.lists(st.tuples(st.integers(0, len(buf) - 1),
+                                                      st.integers(1, 255)),
+                                            min_size=1, max_size=4)):
+            buf[off] ^= mask
+        raw[i] = bytes(buf[:data.draw(st.integers(0, len(buf)))])
+    path.write_bytes(b"\n".join(raw) + b"\n")
+    return path
+
+
+def _reference_read(path):
+    """Transcript reading as it was before the scanner: ``json.loads`` per
+    stripped line and a keyword-built record. Returns the records and the
+    number of the first bad line (None if every line parsed, 0 if the file is
+    not UTF-8)."""
+    records = []
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                    digest = obj["payload_digest"]
+                    records.append(TranscriptRecord(
+                        round_id=int(obj["round"]),
+                        sender=str(obj["sender"]),
+                        receiver=str(obj["receiver"]),
+                        kind=str(obj["kind"]),
+                        shape=tuple(int(x) for x in obj["shape"]),
+                        float_count=int(obj["float_count"]),
+                        digest=None if digest is None else int(digest, 16)))
+                except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
+                    return records, lineno
+    except UnicodeDecodeError:
+        return records, 0
+    return records, None
+
+
+def _read_or_bad_line(path):
+    """``Transcript.read`` in ``_reference_read``'s terms."""
+    try:
+        return Transcript.read(path).records, None
+    except ParseError as exc:
+        return None, 0 if exc.line is None else exc.line
 
 
 @pytest.fixture(scope="module")
@@ -453,28 +602,51 @@ class TestTranscriptFiles:
         """A real transcript with one line edited either parses and audits,
         or raises ParseError; nothing else escapes."""
         lines, policy = exported_transcript
-        i = data.draw(st.integers(0, len(lines) - 1))
-        raw = [line.encode("utf-8") for line in lines]
-        if data.draw(st.booleans()):
-            obj = json.loads(lines[i])
-            key = data.draw(st.sampled_from(sorted(obj)))
-            value = data.draw(st.one_of(st.sampled_from(_RAW_JSON), JSON_VALUES.map(json.dumps)))
-            raw[i] = json.dumps({**obj, key: "X"}).replace('"X"', value).encode("utf-8")
-        else:
-            buf = bytearray(raw[i])
-            for off, mask in data.draw(st.lists(st.tuples(st.integers(0, len(buf) - 1),
-                                                          st.integers(1, 255)),
-                                                min_size=1, max_size=4)):
-                buf[off] ^= mask
-            raw[i] = bytes(buf[:data.draw(st.integers(0, len(buf)))])
-        path = tmp_path_factory.getbasetemp() / "mutated.ndjson"
-        path.write_bytes(b"\n".join(raw) + b"\n")
+        path = _write_mutated(tmp_path_factory.getbasetemp() / "mutated.ndjson", lines, data)
         try:
             back = Transcript.read(path)
         except ParseError:
             return
         audit_transcript(back, policy)
         per_round_fairness_cost(back)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mutated_lines_read_as_json_loads_reads_them(self, tmp_path_factory,
+                                                         exported_transcript, data):
+        """On a real transcript with one line edited, the scanner-based reader
+        gives the records a ``json.loads`` reader gives, or both reject the
+        same line."""
+        lines, _ = exported_transcript
+        path = _write_mutated(tmp_path_factory.getbasetemp() / "mutated.ndjson", lines, data)
+        want, bad = _reference_read(path)
+        got, got_bad = _read_or_bad_line(path)
+        assert got_bad == bad
+        if bad is None:
+            assert got == want
+
+    @pytest.mark.parametrize("edit", [
+        lambda line: "\ufeff" + line,  # a byte order mark
+        lambda line: line + " x",  # trailing data
+        lambda line: line + line,  # two values on one line
+        lambda line: line + " " + line,
+        lambda line: line[:-1],  # a value cut short
+        lambda line: "[" + line + "]",  # a record, but not an object
+    ], ids=["bom", "trailing-data", "two-values", "two-values-spaced", "cut", "list"])
+    def test_bad_line_is_parse_error_like_json_loads(self, tmp_path, exported_transcript, edit):
+        lines, _ = exported_transcript
+        path = tmp_path / "t.ndjson"
+        path.write_text("\n".join([lines[0], edit(lines[1]), lines[2]]) + "\n",
+                        encoding="utf-8")
+        assert _reference_read(path)[1] == 2
+        with pytest.raises(ParseError, match="line 2") as err:
+            Transcript.read(path)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("text", ["", " ", "\ufeff"])
+    def test_empty_value_is_parse_error(self, text):
+        with pytest.raises(ParseError, match="line 7"):
+            TranscriptRecord.from_line(text, 7)
 
     def test_payload_digest_reflects_content(self, tiny_dataset):
         ds, pa = tiny_dataset
