@@ -6,8 +6,9 @@ and at the C12 widths (rep 64, one H=4 feature), of:
 - ``cdisc_step``: ``contrastive_discriminator_step`` (forward, backward, Adam);
 - ``cdisc_frozen``: ``contrastive_adversarial_grad`` under the frozen
   discriminator;
-- ``mapper_ascent``: ``cal_mapper_gradient``, then the mapper's Adam step and
-  zeroing, as a training round runs them;
+- ``mapper_ascent``: ``cal_mapper_gradient``, then the mapper's Adam step
+  (and, in trees whose optimizer still has ``zero_grad``, the zeroing), as a
+  training round runs them;
 - ``mapper_descent``: the server handling ``BIAS_DISC_GRAD_DOWN`` (backward,
   Adam step, protected-rep recompute);
 - ``mapper_frozen``: the server handling ``ADV_GRAD_DOWN`` (the frozen
@@ -16,8 +17,9 @@ and at the C12 widths (rep 64, one H=4 feature), of:
   rep-wide inputs (hidden 128, two classes).
 
 It also times ``select_negatives`` alone at batch sizes 32, 500 and 1000
-(top pool 5, protected width 8), on distinct relevances and on rounded,
-tie-heavy ones: batch 32 is a training round's, 1000 a full-batch round's.
+(top pool 5, protected width 8), on distinct relevances, on rounded,
+tie-heavy ones, and on all-equal ones (collapsed representations): batch 32
+is a training round's, 1000 a full-batch round's.
 
 The script uses only public functions whose signatures predate the
 ``params``/``inputs`` backward flags, so it runs unchanged on older commits.
@@ -137,7 +139,8 @@ def pass_functions(widths_name: str):
         def mapper_ascent(mapper=mapper, opt=mapper_opt, mcache=mcache, g=grad_protected):
             cal_mapper_gradient(mapper, mcache, g, 0.25)
             opt.step()
-            opt.zero_grad()
+            if hasattr(opt, "zero_grad"):  # trees whose layers add to the gradient
+                opt.zero_grad()
 
         def handle(kind, feature=feature, sender=sender, g=grad_protected, mcache=mcache):
             server.mapper_caches[feature] = mcache
@@ -168,7 +171,8 @@ def negatives_functions():
     cases = {}
     for n in NEGATIVE_BATCHES:
         protected = rng.normal(size=(n, 8))
-        for values, prot in (("distinct", protected), ("ties", np.round(protected))):
+        for values, prot in (("distinct", protected), ("ties", np.round(protected)),
+                             ("equal", np.ones_like(protected))):
             ctx = ContrastiveContext(prot, np.zeros((n, 1)), 5, np.random.default_rng(0))
             cases[f"n{n}/{values}"] = lambda ctx=ctx: select_negatives(ctx)
     return cases

@@ -13,9 +13,9 @@ Four games run per training round and per sensitive feature, in this order:
    (task gradient minus the weighted adversarial gradients).
 
 Contrastive gradients never reach the unified rep: they stop at the mapper.
-Every step zeroes its group's gradients after use, and frozen passes compute
-no parameter gradients at all, so every group is at zero between updates
-(the contract in ``fairvfl.nn``). ``SignLedger`` declares, per optimizer group,
+Every step's one parameter backward sets its group's gradient, and frozen
+passes compute no parameter gradients at all (the contract in
+``fairvfl.nn``). ``SignLedger`` declares, per optimizer group,
 exactly which loss terms may update it and in which direction; instrumented
 rounds verify every applied update against it.
 """
@@ -92,22 +92,35 @@ def _top_pools(neg: Array, k: int) -> Array:
     """Per row, the first ``k`` columns of a stable argsort of ``neg``: the
     ``k`` smallest entries, ties broken by ascending column.
 
-    Below ``k < n/8``, a partition finds each row's ``k``-th smallest value;
-    the pool is the entries under it, filled up with the entries equal to it
-    in column order, and one stable sort of the (n, k) pool values orders
-    each row by (value, column): O(n^2) in place of O(n^2 log n). Rows whose
-    pool comes out short (NaNs fill it) take the full sort."""
+    Below ``k < n/8`` no row is sorted. If every row holds at least ``k``
+    entries equal to its minimum (collapsed representations), ``k``
+    first-True scans find the first ``k`` of them. Otherwise a partition
+    finds each row's ``k``-th smallest value; the pool is the entries up to
+    it, cut to ``k`` in column order where ties run past it, and one stable
+    sort of the (n, k) pool values orders each row by (value, column):
+    O(n^2) in place of O(n^2 log n). Rows whose pool comes out short (NaNs
+    fill it) take the full sort."""
     n = neg.shape[0]
     if 8 * k < n:
+        if np.count_nonzero(neg[0] == neg[0].min()) >= k:  # else row 0 needs the partition
+            rows = np.arange(n)
+            at_min = neg == neg.min(axis=1, keepdims=True)
+            pools, flat = np.empty((n, k), dtype=np.intp), np.ones(n, dtype=bool)
+            for i in range(k):
+                pools[:, i] = at_min.argmax(axis=1)
+                flat &= at_min[rows, pools[:, i]]  # False once a row runs out
+                at_min[rows, pools[:, i]] = False
+            if flat.all():
+                return pools
         kth = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
-        below, at = neg < kth, neg == kth
-        need = k - np.count_nonzero(below, axis=1)
-        pool = below | at
-        tied = np.flatnonzero(np.count_nonzero(at, axis=1) > need)  # ties past the pool
+        pool = neg <= kth
+        count = np.count_nonzero(pool, axis=1)
+        tied = np.flatnonzero(count > k)  # ties past the pool: keep the first in column order
         if tied.size:
-            first = np.cumsum(at[tied], axis=1, dtype=np.int32) <= need[tied, None]
-            pool[tied] = below[tied] | (at[tied] & first)
-        if np.all(np.count_nonzero(pool, axis=1) == k):
+            at = (neg == kth)[tied]
+            need = k - count[tied] + np.count_nonzero(at, axis=1)
+            pool[tied] ^= at & (np.cumsum(at, axis=1, dtype=np.int32) > need[:, None])
+        if np.all(count >= k):
             cols = (np.flatnonzero(pool) % n).reshape(n, k)  # row-major: ascending columns
             order = np.argsort(neg[pool].reshape(n, k), axis=1, kind="stable")
             return np.take_along_axis(cols, order, axis=1)
@@ -173,7 +186,6 @@ def contrastive_discriminator_step(disc: ContrastiveDiscriminator, opt: Adam,
     if grad_observer is not None:
         grad_observer()
     opt.step()
-    opt.zero_grad()
     return loss
 
 
@@ -193,8 +205,8 @@ def contrastive_adversarial_grad(disc: ContrastiveDiscriminator, protected: Arra
 
 def cal_mapper_gradient(mapper: Mapper, mapper_cache, grad_protected: Array,
                         gamma: float) -> None:
-    """Accumulates the mapper's ascent contribution (-gamma times the
-    contrastive-adversarial gradient) into its parameter blocks."""
+    """Sets the mapper's parameter gradients to its ascent contribution
+    (-gamma times the contrastive-adversarial gradient)."""
     mapper.backward(mapper_cache, grad_protected * (-gamma), inputs=False)
 
 
@@ -215,7 +227,6 @@ def bias_discriminator_step(disc: BiasDiscriminator, opt: Adam, protected: Array
     if grad_observer is not None:
         grad_observer()
     opt.step()
-    opt.zero_grad()
     return loss, grad_protected
 
 

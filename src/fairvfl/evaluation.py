@@ -80,7 +80,6 @@ class AttackerNet:
         glogits = softmax_cross_entropy_grad(logits, y)  # nobody reads the loss
         self.net.backward(cache, glogits, inputs=False)  # inputs are data
         self.opt.step()
-        self.opt.zero_grad()
 
     def predict(self, x: Array, batch: int = 4096) -> Array:
         out = []

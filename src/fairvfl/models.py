@@ -4,8 +4,10 @@ head, per-feature mappers, and both discriminator families.
 Every component exposes ``forward(...) -> (out, cache)`` and
 ``backward(cache, grad_out)``; backward never mutates its cache, so a single
 forward pass supports several independent backward passes (needed for the
-per-loss gradient accounting). The mappers and discriminators also take
-``params``/``inputs`` flags that skip the gradients a caller does not read.
+per-loss gradient accounting). A backward sets, not adds to, the parameter
+gradients of the blocks it passes through. The mappers and discriminators
+also take ``params``/``inputs`` flags that skip the gradients a caller does
+not read.
 """
 
 from __future__ import annotations
@@ -157,7 +159,7 @@ class MultiHeadSelfAttention:
         gx = np.zeros_like(xf)
         for g, blk in ((gq, self.wq), (gk, self.wk), (gv, self.wv)):
             gf = g.transpose(0, 2, 1, 3).reshape(b * n, d)
-            blk.gw += xf.T @ gf
+            np.matmul(xf.T, gf, out=blk.gw)
             gx += gf @ blk.w.T
         return gx.reshape(b, n, d)
 
@@ -190,7 +192,7 @@ class AttentionPool:
         gx = alpha[:, :, None] * gpooled[:, None, :]
         ge = alpha * (galpha - (galpha * alpha).sum(axis=1, keepdims=True))
         gef = ge.reshape(b * n, 1)
-        self.query.gw += u.T @ gef
+        np.matmul(u.T, gef, out=self.query.gw)
         gu = gef @ self.query.w.T
         gz = gu * (1.0 - u * u)
         gx += self.proj.backward(cproj, gz).reshape(b, n, d)

@@ -1,27 +1,26 @@
 """Dense neural-network numerics.
 
 Everything runs in float64 with explicit forward caches and hand-written
-backward passes; there is no autodiff tape. Layers accumulate parameter
-gradients additively.
+backward passes; there is no autodiff tape.
 
-Gradients are zero at rest: between updates every group's gradients are
-zero, so a backward pass accumulates into a clean store and nothing zeroes
-before one. Whoever accumulates into a group zeroes it once the gradient is
-used, right after ``Adam.step`` (which itself leaves gradients untouched).
+A parameter backward sets its group's gradient: each layer writes its
+parameter gradients over whatever the store held, and ``Adam.step`` reads
+them. Every update of a group comes from one parameter backward, so nothing
+ever zeroes a store.
 
 A backward pass computes only what its caller reads: ``params=False`` skips
 the parameter gradients, ``inputs=False`` the input gradient (both default
 to True). Passes through a frozen group (the contrastive-adversarial and
 adversarial passes, the server's mapper pass for the adversarial gradient)
-ask for input gradients only, so they never touch a gradient store. Steps
-whose input gradient nobody reads (the discriminator and attacker steps, the
-mapper's ascent and descent) ask for parameter gradients only.
+ask for input gradients only, so they never touch a store. Steps whose input
+gradient nobody reads (the discriminator and attacker steps, the mapper's
+ascent and descent) ask for parameter gradients only.
 
 An ``Adam`` owns the storage of the blocks it optimizes: one flat buffer each
 for the group's weights, gradients and two moments. Each block's ``w``,
-``b``, ``gw`` and ``gb`` are views into those buffers, so a step or a zeroing
-is one pass over the group. Building a second ``Adam`` over the same blocks
-moves them into the new one's buffers.
+``b``, ``gw`` and ``gb`` are views into those buffers, so a step is one pass
+over the group. Building a second ``Adam`` over the same blocks moves them
+into the new one's buffers.
 
 ``finite_difference_gradient`` is the independent oracle the test suite
 checks every analytic backward against.
@@ -126,8 +125,7 @@ class Adam:
         p -= lr (m / c1) / (sqrt(v / c2) + eps),  c_i = 1 - b_i^t.
 
         Every operation is elementwise, so stepping the group equals stepping
-        each block alone, bit for bit. Leaves the gradients untouched;
-        zeroing is the caller's job.
+        each block alone, bit for bit. Leaves the gradients untouched.
         """
         if self.t == 0:
             self.m, self.v = np.zeros(self.params.size), np.zeros(self.params.size)
@@ -154,9 +152,6 @@ class Adam:
             upd *= self.lr
             upd /= tmp
             self.params[s] -= upd
-
-    def zero_grad(self) -> None:
-        self.grads.fill(0.0)
 
 
 class Module:
@@ -190,12 +185,12 @@ class Linear:
 
     def backward(self, cache: Array, gy: Array, params: bool = True,
                  inputs: bool = True) -> Array | None:
-        """Accumulates the parameter gradients if ``params`` and returns the
-        input gradient if ``inputs`` (else None)."""
+        """Sets the parameter gradients if ``params`` and returns the input
+        gradient if ``inputs`` (else None)."""
         if params:
-            self.block.gw += cache.T @ gy
+            np.matmul(cache.T, gy, out=self.block.gw)
             if self.block.gb is not None:
-                self.block.gb += gy.sum(axis=0)
+                np.sum(gy, axis=0, out=self.block.gb)
         return gy @ self.block.w.T if inputs else None
 
     def blocks(self) -> list[ParamBlock]:
@@ -216,6 +211,7 @@ class Embedding:
         return self.block.w[idx], idx
 
     def backward(self, cache: Array, gy: Array) -> None:
+        self.block.gw.fill(0.0)  # rows outside the batch get no gradient
         np.add.at(self.block.gw, cache, gy)
 
     def blocks(self) -> list[ParamBlock]:

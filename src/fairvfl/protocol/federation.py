@@ -126,7 +126,6 @@ class TaskPlatform(PlatformBase):
         grad_unified = self.head.backward(cache, glogits)
         fed.record_update("task_head", self.opt, "task")
         self.opt.step()
-        self.opt.zero_grad()
         self.last_loss = loss
         # gradient at the perturbed upload is treated as the gradient at s
         return [Message(msg.round_id, self.name, fed.server.name,
@@ -159,11 +158,9 @@ class InsensitivePlatform(PlatformBase):
                 for term, coeff, gpiece in fed.encoder_pieces.get(self.name, []):
                     self.encoder.backward(self.cache, gpiece)
                     contributions.append((term, coeff, self.opt.grads.copy()))
-                    self.opt.zero_grad()
             self.encoder.backward(self.cache, msg.payload)
             fed.record_update(f"encoder/{self.index}", self.opt, contributions)
             self.opt.step()
-            self.opt.zero_grad()
             return []
         raise ProtocolError(f"{self.name} cannot handle {msg.kind}")
 
@@ -249,7 +246,6 @@ class ServerPlatform(PlatformBase):
             mapper.backward(self.mapper_caches[feature], msg.payload, inputs=False)
             fed.record_update(f"mapper/{feature}", opt, f"bias/{feature}")
             opt.step()
-            opt.zero_grad()
             # recompute the protected rep with the just-updated mapper
             protected, self.mapper_caches[feature] = mapper.forward(self.unified)
             return [Message(msg.round_id, self.name, msg.sender,
@@ -435,7 +431,6 @@ class Federation:
             for term, coeff, gout in terms:
                 gstack_piece = agg.backward(self.server.agg_cache, gout)
                 agg_contribs.append((term, coeff, agg_opt.grads.copy()))
-                agg_opt.zero_grad()
                 piece_stacks.append((term, coeff, gstack_piece))
         grad_stacked = agg.backward(self.server.agg_cache, grad_unified)
         self.record_update("aggregator", agg_opt, agg_contribs)
@@ -445,7 +440,6 @@ class Federation:
                     (term, coeff, piece[:, p.index, :]) for term, coeff, piece in piece_stacks
                 ]
         agg_opt.step()
-        agg_opt.zero_grad()
 
         # 7) distribute local-rep gradients; encoders update on receipt
         for p in self.insensitive:
@@ -489,11 +483,9 @@ class Federation:
         if self.events is not None:
             mapper.backward(mcache, grad_protected, inputs=False)
             contribs = [(f"contrastive_adv/{feature}", -gamma, mapper_opt.grads.copy())]
-            mapper_opt.zero_grad()
         cal_mapper_gradient(mapper, mcache, grad_protected, gamma)
         self.record_update(f"mapper/{feature}", mapper_opt, contribs)
         mapper_opt.step()
-        mapper_opt.zero_grad()
 
         # recompute and share the protected rep; the cascade runs the bias
         # game (discriminator step, mapper descent, frozen adversarial pass)

@@ -116,19 +116,11 @@ def _epoch_batch_seed(seed: int, epoch: int) -> int:
     return int(np.random.SeedSequence([seed, 0xBA7C4, epoch]).generate_state(1)[0])
 
 
-def _platform_cols(feature_shards, ids):
-    return [shard.take(ids) for shard in feature_shards]
-
-
-def predict_classes(bundle: ModelBundle, feature_shards, ids, batch: int = 512):
-    """Eval-mode predictions via direct composition (no federation traffic)."""
-    out = []
-    for i in range(0, ids.shape[0], batch):
-        chunk = ids[i:i + batch]
-        s, _ = forward_unified(bundle, _platform_cols(feature_shards, chunk))
-        probs = bundle.task_head.predict(s)
-        out.append(np.argmax(probs, axis=1))
-    return np.concatenate(out)
+def predict_classes(bundle: ModelBundle, unified, batch: int = 512):
+    """Eval-mode task predictions for unified reps from ``representations``,
+    classified in chunks of the same ``batch`` rows."""
+    return np.concatenate([np.argmax(bundle.task_head.predict(unified[i:i + batch]), axis=1)
+                           for i in range(0, unified.shape[0], batch)])
 
 
 def representations(bundle: ModelBundle, feature_shards, ids, batch: int = 512,
@@ -137,7 +129,7 @@ def representations(bundle: ModelBundle, feature_shards, ids, batch: int = 512,
     reps, prot = [], {f: [] for f in bundle.features} if protected else {}
     for i in range(0, ids.shape[0], batch):
         chunk = ids[i:i + batch]
-        s, _ = forward_unified(bundle, _platform_cols(feature_shards, chunk))
+        s, _ = forward_unified(bundle, [shard.take(chunk) for shard in feature_shards])
         reps.append(s)
         if protected:
             for f in bundle.features:
@@ -207,7 +199,8 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
                     comm["total_floats"] += rec.float_count
                     if rec.kind in fairness_kinds:
                         comm["fairness_floats"] += rec.float_count
-            val_pred = predict_classes(fed.bundle, feature_shards, val_ids)
+            s_val, _ = representations(fed.bundle, feature_shards, val_ids, protected=False)
+            val_pred = predict_classes(fed.bundle, s_val)
             val_acc = float(np.mean(val_pred == val_labels))
             row = {"epoch": epoch, "val_accuracy": val_acc}
             row.update({k: v / max(counts, 1) for k, v in sums.items()})
@@ -222,7 +215,8 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
     _write_loss_curves(out / "losses.csv", epoch_rows)
 
     test_ids = ds.split_ids("test")
-    test_pred = predict_classes(fed.bundle, feature_shards, test_ids)
+    s_test, _ = representations(fed.bundle, feature_shards, test_ids, protected=False)
+    test_pred = predict_classes(fed.bundle, s_test)
     acc, f1 = task_metrics(test_pred, ds.task_labels[test_ids])
     if comm["rounds"]:
         comm["fairness_floats_per_round"] = comm["fairness_floats"] / comm["rounds"]
@@ -258,7 +252,7 @@ def cmd_attack(cfg: ExperimentConfig, checkpoint_path: str | Path,
     s_test, prot_test = representations(bundle, feature_shards, test_ids)
 
     report = MetricsReport(config_fingerprint=cfg.fingerprint())
-    test_pred = predict_classes(bundle, feature_shards, test_ids)
+    test_pred = predict_classes(bundle, s_test)
     report.task_accuracy, report.task_f1 = task_metrics(test_pred, ds.task_labels[test_ids])
 
     attacker_kw = dict(hidden=atk.hidden, lr=atk.lr, batch=atk.batch,

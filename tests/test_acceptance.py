@@ -562,8 +562,7 @@ class TestSyntheticEndToEnd:
                                           hidden=32, lr=1e-2, batch=64,
                                           max_epochs=25, patience=4)
             f1 = attack_f1(ens, s_te, y_attr[te]).mean_f1
-            acc = float(np.mean(predict_classes(bundle, shards, te)
-                                == ds.task_labels[te]))
+            acc = float(np.mean(predict_classes(bundle, s_te) == ds.task_labels[te]))
             return f1, acc
 
         plain_f1, plain_acc = probe(train(plain, epochs=10))

@@ -20,6 +20,7 @@ from fairvfl.adversarial import (
     LossWeights,
     SignLedger,
     UpdateEvent,
+    _contrastive_forward,
     adversarial_grad_on_unified,
     bias_discriminator_step,
     bias_loss_and_grad_frozen,
@@ -33,7 +34,7 @@ from fairvfl.adversarial import (
 )
 from fairvfl.errors import DimensionError, ProtocolError
 from fairvfl.models import BiasDiscriminator, ContrastiveDiscriminator, Mapper
-from fairvfl.nn import Adam, finite_difference_gradient
+from fairvfl.nn import Adam, finite_difference_gradient, pairwise_contrastive_loss
 from fairvfl.protocol.messages import Kind, Message
 
 
@@ -109,18 +110,24 @@ class TestNegativeSampling:
 
     @pytest.mark.parametrize("n,top", [(500, 5), (640, 31), (1000, 5)])
     def test_full_batch_partition_matches_per_row_reference(self, n, top):
-        """Past ``top_pool < n/8`` the pools come from a partition, not a
-        sort. On a full batch of rounded inputs, where most rows tie at their
-        pool boundary, every row still picks what the per-row reference picks
-        and the RNG ends in the same state."""
+        """Past ``top_pool < n/8`` the pools come from a partition or from
+        scans of each row's minimum, not a sort. On full batches where most
+        rows tie at their pool boundary (rounded inputs), where every row is
+        constant, where every row takes two values, and where a few rows take
+        two values but fewer than ``top`` sit at their minimum, every row
+        still picks what the per-row reference picks and the RNG ends in the
+        same state."""
         rng = np.random.default_rng(n + top)
-        protected = np.round(rng.normal(size=(n, 3)))  # exact, tie-heavy relevances
         unified = np.zeros((n, 4))
-        batch_ctx = ContrastiveContext(protected, unified, top, np.random.default_rng(7))
-        batch = select_negatives(batch_ctx)
-        ctx = ContrastiveContext(protected, unified, top, np.random.default_rng(7))
-        assert batch.tolist() == [rank_and_select_negative(ctx, j) for j in range(n)]
-        assert batch_ctx.rng.bit_generator.state == ctx.rng.bit_generator.state
+        for protected in (np.round(rng.normal(size=(n, 3))),  # exact, tie-heavy relevances
+                          np.ones((n, 3)),
+                          rng.integers(0, 2, size=(n, 1)).astype(np.float64),
+                          (rng.random(size=(n, 1)) < 4 / n).astype(np.float64)):
+            batch_ctx = ContrastiveContext(protected, unified, top, np.random.default_rng(7))
+            batch = select_negatives(batch_ctx)
+            ctx = ContrastiveContext(protected, unified, top, np.random.default_rng(7))
+            assert batch.tolist() == [rank_and_select_negative(ctx, j) for j in range(n)]
+            assert batch_ctx.rng.bit_generator.state == ctx.rng.bit_generator.state
 
     def test_batch_of_one_rejected(self):
         with pytest.raises(ProtocolError, match="requires >=2"):
@@ -159,11 +166,19 @@ class TestContrastiveDiscriminatorStep:
         mapper_grads0 = pack_grads(mapper.blocks()).copy()
         neg = select_negatives(ContrastiveContext(protected, unified, 5,
                                                   np.random.default_rng(1)))
-        contrastive_discriminator_step(cdisc, Adam(cdisc.blocks()), protected, unified, neg)
+        # the same pass through an untouched copy of the discriminator
+        ref = ContrastiveDiscriminator("attr", small_widths(), seed=2)
+        ref_opt = Adam(ref.blocks())
+        pos, negs, cache = _contrastive_forward(ref, protected, unified, neg)
+        _, gpos, gneg = pairwise_contrastive_loss(pos, negs)
+        ref.backward(cache, np.concatenate([gpos, gneg]), inputs=False)
+        opt = Adam(cdisc.blocks())
+        contrastive_discriminator_step(cdisc, opt, protected, unified, neg)
         assert np.array_equal(protected, p0)
         assert np.array_equal(unified, u0)
         assert np.array_equal(pack_grads(mapper.blocks()), mapper_grads0)
-        assert np.all(pack_grads(cdisc.blocks()) == 0.0)  # zeroed after its step
+        assert ref_opt.grads.any()
+        assert np.array_equal(opt.grads, ref_opt.grads)  # its own gradient, nothing else
 
     def test_non_finite_loss_names_the_sample(self):
         _, mapper, cdisc, _, unified, _, _ = _game_fixture(11)
@@ -191,19 +206,13 @@ class TestContrastiveDiscriminatorStep:
         loss = None
         for step in range(200):
             neg_idx = np.roll(np.arange(n), 1 + step % 5)
-            both_a = protected
-            # train on (a, pos) vs (a, shuffled noise)
-            from fairvfl.adversarial import _contrastive_forward, _check_pairwise_finite
-            from fairvfl.nn import pairwise_contrastive_loss
-
-            p_scores, pc = cdisc.forward(both_a, unified)
-            q_scores, qc = cdisc.forward(both_a, neg_pool[neg_idx])
-            loss, gp, gq = pairwise_contrastive_loss(p_scores, q_scores)
-            zero_grads(cdisc.blocks())
-            cdisc.backward(pc, gp)
-            cdisc.backward(qc, gq)
+            # train on (a, pos) vs (a, shuffled noise), stacked into one
+            # forward and one backward as _contrastive_forward stacks them
+            scores, cache = cdisc.forward(np.concatenate([protected, protected]),
+                                          np.concatenate([unified, neg_pool[neg_idx]]))
+            loss, gp, gq = pairwise_contrastive_loss(scores[:n], scores[n:])
+            cdisc.backward(cache, np.concatenate([gp, gq]))
             opt.step()
-            zero_grads(cdisc.blocks())
         assert loss < 0.1
 
 

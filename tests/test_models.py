@@ -28,10 +28,12 @@ from fairvfl.checkpoint import (
 from fairvfl.errors import CheckpointError, ConfigError
 from fairvfl.models import (
     Aggregator,
+    AttentionPool,
     BiasDiscriminator,
     ContrastiveDiscriminator,
     LocalEncoder,
     Mapper,
+    MultiHeadSelfAttention,
     ModelBundle,
     OptimParams,
     PlatformSchema,
@@ -42,6 +44,7 @@ from fairvfl.models import (
 )
 from fairvfl.nn import (
     Adam,
+    Embedding,
     Linear,
     finite_difference_gradient,
     rng_for,
@@ -191,7 +194,7 @@ class TestTaskHead:
                     enc.backward(enc_caches[i], gstack[:, i, :])
                 for key in ("task_head", "aggregator", "encoder/0", "encoder/1"):
                     bundle.optim[key].step()
-                    bundle.optim[key].zero_grad()
+                    zero_grads(bundle.optim[key].blocks)
                 steps += 1
             test_ids = ds.split_ids("test")
             unified, _ = forward_unified(bundle, [s.take(test_ids) for s in shards])
@@ -326,17 +329,73 @@ class TestPartialBackward:
         full = mod.backward(cache, gy)
         full_grads = opt.grads.copy()
         assert full_grads.any()
-        opt.zero_grad()
+        zero_grads(opt.blocks)
 
         assert mod.backward(cache, gy, inputs=False) is None
         assert opt.grads.tobytes() == full_grads.tobytes()
-        opt.zero_grad()
+        zero_grads(opt.blocks)
 
         only_inputs = mod.backward(cache, gy, params=False)
         assert not opt.grads.any()
         pairs = zip(full, only_inputs) if kind == "cdisc" else [(full, only_inputs)]
         for a, b in pairs:
             assert a.tobytes() == b.tobytes()
+
+
+class TestBackwardSetsGradients:
+    """A parameter backward writes its gradients over the store: a second
+    backward of the same pass leaves what one backward on a fresh store
+    leaves, and so does one over a store of NaNs."""
+
+    @staticmethod
+    def _pass(kind):
+        """(module, forward output, cache) of one forward pass."""
+        rng = np.random.default_rng(3)
+        widths = small_widths()
+        n = 6
+        if kind == "linear":
+            mod = Linear("t", 7, 5, seed=1)
+            out, cache = mod.forward(rng.normal(size=(n, 7)))
+        elif kind == "embedding":
+            mod = Embedding("e", 6, 3, seed=1)
+            out, cache = mod.forward(np.array([0, 2, 2, 5, 0, 2]))
+        elif kind == "mlp":
+            mod = TwoLayerMlp("t", 7, 6, 3, seed=1)
+            out, cache = mod.forward(rng.normal(size=(n, 7)))
+        elif kind == "cdisc":
+            mod = ContrastiveDiscriminator("attr", widths, seed=1)
+            out, cache = mod.forward(rng.normal(size=(n, widths.protected["attr"])),
+                                     rng.normal(size=(n, widths.rep)))
+        elif kind == "attention":
+            mod = MultiHeadSelfAttention("a", widths.rep, widths.attn_heads, seed=1)
+            out, cache = mod.forward(rng.normal(size=(n, 3, widths.rep)))
+        elif kind == "pool":
+            mod = AttentionPool("p", widths.rep, widths.pool_hidden, seed=1)
+            out, cache = mod.forward(rng.normal(size=(n, 3, widths.rep)))
+        elif kind == "encoder":
+            mod = LocalEncoder("enc", PlatformSchema([("c", 4)], ["x"]), widths, seed=1,
+                               p_drop=0.0)
+            out, cache = mod.forward({"c": rng.integers(0, 4, size=n),
+                                      "x": rng.normal(size=n)}, False, None)
+        else:
+            mod = TaskHead(widths, 2, seed=1, p_drop=0.0)
+            out, cache = mod.forward(rng.normal(size=(n, widths.rep)))
+        return mod, out, cache
+
+    @pytest.mark.parametrize("kind", ["linear", "embedding", "mlp", "cdisc", "attention",
+                                      "pool", "encoder", "task_head"])
+    def test_second_backward_equals_one_on_a_fresh_store(self, kind):
+        mod, out, cache = self._pass(kind)
+        opt = Adam(mod.blocks())
+        gy = np.random.default_rng(4).normal(size=out.shape)
+        mod.backward(cache, gy)
+        fresh = opt.grads.copy()
+        assert fresh.any()
+        mod.backward(cache, gy)
+        assert np.array_equal(opt.grads, fresh)
+        opt.grads.fill(np.nan)
+        mod.backward(cache, gy)
+        assert np.array_equal(opt.grads, fresh)
 
 
 class TestBiasDiscriminator:

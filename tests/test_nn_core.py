@@ -162,8 +162,6 @@ class TestAdam:
             b.gw[...] = 1.0
         opt.step()
         assert blocks[0].w[0, 0] != 1.0
-        opt.zero_grad()
-        assert np.all(blocks[0].gw == 0.0)
 
     @staticmethod
     def _mixed_blocks(seed):

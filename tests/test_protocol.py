@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import JSON_VALUES, make_federation, small_widths, train_batches
+from conftest import JSON_VALUES, make_federation, small_widths, train_batches, zero_grads
 from fairvfl.adversarial import LossWeights
 from fairvfl.data import (
     SyntheticSpec,
@@ -237,14 +237,14 @@ class TestTrainingRound:
             _, glogits = softmax_cross_entropy(logits, task_shard.take(ids))
             gs = bundle.task_head.backward(hcache, glogits)
             bundle.optim["task_head"].step()
-            bundle.optim["task_head"].zero_grad()
+            zero_grads(bundle.optim["task_head"].blocks)
             gstack = bundle.aggregator.backward(agg_cache, gs)
             bundle.optim["aggregator"].step()
-            bundle.optim["aggregator"].zero_grad()
+            zero_grads(bundle.optim["aggregator"].blocks)
             for i, enc in enumerate(bundle.encoders):
                 enc.backward(enc_caches[i], gstack[:, i, :])
                 bundle.optim[f"encoder/{i}"].step()
-                bundle.optim[f"encoder/{i}"].zero_grad()
+                zero_grads(bundle.optim[f"encoder/{i}"].blocks)
 
         for fb, db in zip(fed.bundle.main_blocks(), bundle.main_blocks()):
             assert fb.name == db.name
@@ -286,17 +286,18 @@ class TestTrainingRound:
 
 class TestGradientsAtRest:
     def test_instrumented_rounds_train_alike_and_leave_grads_zero(self, tiny_dataset):
-        """The ledger's extra per-term backward passes change no loss and no
-        parameter bit, and every group's gradients are zero after each round
-        and after serving."""
+        """The ledger's extra per-term backward passes change no loss, no
+        parameter bit and no gradient bit: each group's store holds the
+        gradient of its last update, the same with and without the ledger,
+        after each round and after serving."""
         ds, pa = tiny_dataset
         feds = [make_federation(ds, pa, lam=3.0, gamma=0.5, verify=verify, seed=23)
                 for verify in (True, False)]
 
-        def check_grads_zero():
-            for fed in feds:
-                for key, opt in fed.bundle.optim.items():
-                    assert not np.any(opt.grads), key
+        def check_grads_equal():
+            for key, opt in feds[0].bundle.optim.items():
+                assert opt.grads.any(), key
+                assert opt.grads.tobytes() == feds[1].bundle.optim[key].grads.tobytes(), key
 
         for ids in train_batches(ds)[:5]:
             losses = [fed.run_training_round(ids).losses.flat() for fed in feds]
@@ -305,11 +306,14 @@ class TestGradientsAtRest:
                 np.array(list(losses[1].values())).tobytes()
             for key, opt in feds[0].bundle.optim.items():
                 assert opt.params.tobytes() == feds[1].bundle.optim[key].params.tobytes(), key
-            check_grads_zero()
+            check_grads_equal()
         test_ids = ds.split_ids("test")
+        stores = [opt.grads.copy() for opt in feds[0].bundle.optim.values()]
         preds = [fed.serve(test_ids) for fed in feds]
         assert preds[0].tobytes() == preds[1].tobytes()
-        check_grads_zero()
+        check_grads_equal()
+        for before, opt in zip(stores, feds[0].bundle.optim.values()):
+            assert opt.grads.tobytes() == before.tobytes()
 
 
 class TestMapperAdamSharing:
