@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import pack_blocks, pack_grads, unpack_blocks, zero_grads
+from conftest import pack_blocks, pack_grads, unpack_blocks
 from fairvfl.adversarial import (
     ContrastiveContext,
     LossWeights,
@@ -284,14 +284,12 @@ class TestGradientOracle:
             unpack_blocks(v0, cdisc.blocks())
             pos_neg = np.concatenate([protected, protected]), np.concatenate(
                 [unified, unified[neg]])
-            zero_grads(cdisc.blocks())
             scores, cache = cdisc.forward(*pos_neg)
             from fairvfl.nn import pairwise_contrastive_loss
 
             _, gp, gq = pairwise_contrastive_loss(scores[:n], scores[n:])
             cdisc.backward(cache, np.concatenate([gp, gq]))
             worst["Lp"] = max(worst.get("Lp", 0), _rel_err(pack_grads(cdisc.blocks()), num))
-            zero_grads(cdisc.blocks())
 
             # contrastive adversarial loss vs mapper params (frozen disc)
             def f_lc(vec):
@@ -302,12 +300,10 @@ class TestGradientOracle:
             v0 = pack_blocks(mapper.blocks())
             num = finite_difference_gradient(f_lc, v0.copy())
             unpack_blocks(v0, mapper.blocks())
-            zero_grads(mapper.blocks())
             a, mcache = mapper.forward(unified)
             _, ga = contrastive_adversarial_grad(cdisc, a, unified, neg)
             mapper.backward(mcache, ga)
             worst["Lc"] = max(worst.get("Lc", 0), _rel_err(pack_grads(mapper.blocks()), num))
-            zero_grads(mapper.blocks())
 
             # bias discrimination loss vs protected reps
             num = finite_difference_gradient(
@@ -350,7 +346,6 @@ class TestGradientOracle:
             v0 = pack_blocks(blocks)
             num = finite_difference_gradient(f_model, v0.copy())
             unpack_blocks(v0, blocks)
-            zero_grads(blocks)
             r, ce = enc.forward(cols, False, None)
             s, ca = agg.forward(np.stack([r, r], axis=1))
             lg, ch = head.forward(s)

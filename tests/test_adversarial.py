@@ -11,7 +11,6 @@ from conftest import (
     relative_error,
     small_widths,
     unpack_blocks,
-    zero_grads,
 )
 from fairvfl.adversarial import (
     ASCEND,
@@ -235,7 +234,6 @@ class TestContrastiveAdversarialGrad:
         neg = select_negatives(ContrastiveContext(protected, unified, 5,
                                                   np.random.default_rng(4)))
         _, ga = contrastive_adversarial_grad(cdisc, protected, unified, neg)
-        zero_grads(mapper.blocks())
         cal_mapper_gradient(mapper, mcache, ga, gamma=0.0)
         assert np.all(pack_grads(mapper.blocks()) == 0.0)
 
@@ -254,7 +252,6 @@ class TestContrastiveAdversarialGrad:
         v0 = pack_blocks(mapper.blocks())
         numeric = finite_difference_gradient(f, v0.copy())
         unpack_blocks(v0, mapper.blocks())
-        zero_grads(mapper.blocks())
         a, mcache = mapper.forward(unified)
         _, ga = contrastive_adversarial_grad(cdisc, a, unified, neg)
         cal_mapper_gradient(mapper, mcache, ga, gamma=1.0)
@@ -282,7 +279,6 @@ class TestBiasDiscriminatorStep:
         # is a separate, explicit application of the returned gradient
         assert np.array_equal(pack_blocks(cdisc.blocks()), cdisc_w0)
         assert np.array_equal(pack_blocks(mapper.blocks()), mapper_w0)
-        zero_grads(mapper.blocks())
         gs = mapper.backward(mcache, ga)
         assert np.any(pack_grads(mapper.blocks()) != 0.0)
         assert gs.shape == unified.shape
@@ -481,10 +477,8 @@ class TestAscentCheck:
                 a, mcache = mapper.forward(s_tr[sel])
                 _, ga = bias_discriminator_step(bdisc, fed.bundle.optim["bdisc/attr"],
                                                 a, y[train_ids][sel])
-                zero_grads(mapper.blocks())
                 mapper.backward(mcache, ga)
                 fed.bundle.optim["mapper/attr"].step()
-                zero_grads(mapper.blocks())
 
             traj = [probe(fed.bundle, seed)]
             for r in range(50):

@@ -99,7 +99,6 @@ class TestLocalEncoder:
         v0 = pack_blocks(enc.blocks())
         numeric = finite_difference_gradient(f, v0.copy())
         unpack_blocks(v0, enc.blocks())
-        zero_grads(enc.blocks())
         y, cache = enc.forward(cols, training=False, rng=None)
         enc.backward(cache, proj)
         assert relative_error(pack_grads(enc.blocks()), numeric) < 1e-4
@@ -135,7 +134,6 @@ class TestAggregator:
         v0 = pack_blocks(agg.blocks())
         numeric = finite_difference_gradient(f, v0.copy())
         unpack_blocks(v0, agg.blocks())
-        zero_grads(agg.blocks())
         s, cache = agg.forward(x)
         gx = agg.backward(cache, proj)
         assert relative_error(pack_grads(agg.blocks()), numeric) < 1e-4
@@ -194,7 +192,6 @@ class TestTaskHead:
                     enc.backward(enc_caches[i], gstack[:, i, :])
                 for key in ("task_head", "aggregator", "encoder/0", "encoder/1"):
                     bundle.optim[key].step()
-                    zero_grads(bundle.optim[key].blocks)
                 steps += 1
             test_ids = ds.split_ids("test")
             unified, _ = forward_unified(bundle, [s.take(test_ids) for s in shards])
@@ -244,7 +241,6 @@ class TestMapper:
         v0 = pack_blocks(mapper.blocks())
         numeric = finite_difference_gradient(f, v0.copy())
         unpack_blocks(v0, mapper.blocks())
-        zero_grads(mapper.blocks())
         a, cache = mapper.forward(s)
         mapper.backward(cache, proj)
         assert relative_error(pack_grads(mapper.blocks()), numeric) < 1e-4
@@ -283,7 +279,6 @@ class TestContrastiveDiscriminator:
         v0 = pack_blocks(disc.blocks())
         numeric = finite_difference_gradient(f, v0.copy())
         unpack_blocks(v0, disc.blocks())
-        zero_grads(disc.blocks())
         scores, cache = disc.forward(a, s)
         ga, gs = disc.backward(cache, w)
         assert relative_error(pack_grads(disc.blocks()), numeric) < 1e-4
@@ -329,7 +324,6 @@ class TestPartialBackward:
         full = mod.backward(cache, gy)
         full_grads = opt.grads.copy()
         assert full_grads.any()
-        zero_grads(opt.blocks)
 
         assert mod.backward(cache, gy, inputs=False) is None
         assert opt.grads.tobytes() == full_grads.tobytes()
@@ -420,7 +414,6 @@ class TestBiasDiscriminator:
         for _ in range(200):
             logits, cache = disc.forward(reps)
             _, glogits = softmax_cross_entropy(logits, labels)
-            zero_grads(disc.blocks())
             disc.backward(cache, glogits)
             opt.step()
         logits, _ = disc.forward(reps)

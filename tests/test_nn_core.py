@@ -4,7 +4,7 @@ and the finite-difference oracle cross-checks."""
 import numpy as np
 import pytest
 
-from conftest import pack_blocks, pack_grads, relative_error, unpack_blocks, zero_grads
+from conftest import pack_blocks, pack_grads, relative_error, unpack_blocks
 from fairvfl.errors import ConfigError, DimensionError, LabelError, OracleError
 from fairvfl.nn import (
     _ADAM_TILE,
@@ -59,7 +59,6 @@ class TestLinear:
         v0 = pack_blocks(lin.blocks())
         numeric = finite_difference_gradient(f, v0.copy())
         unpack_blocks(v0, lin.blocks())
-        zero_grads([lin.block])
         y, cache = lin.forward(x)
         gx = lin.backward(cache, np.tile(proj, (5, 1)))
         assert relative_error(pack_grads(lin.blocks()), numeric) < 1e-4
@@ -287,7 +286,6 @@ class TestFiniteDifferenceOracle:
         v0 = pack_blocks(blocks)
         numeric = finite_difference_gradient(f, v0.copy())
         unpack_blocks(v0, blocks)
-        zero_grads(blocks)
         h, c1 = fc1.forward(x)
         y, c2 = fc2.forward(relu(h))
         loss, gy = softmax_cross_entropy(y, targets)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import JSON_VALUES, make_federation, small_widths, train_batches, zero_grads
+from conftest import JSON_VALUES, make_federation, small_widths, train_batches
 from fairvfl.adversarial import LossWeights
 from fairvfl.data import (
     SyntheticSpec,
@@ -237,14 +237,11 @@ class TestTrainingRound:
             _, glogits = softmax_cross_entropy(logits, task_shard.take(ids))
             gs = bundle.task_head.backward(hcache, glogits)
             bundle.optim["task_head"].step()
-            zero_grads(bundle.optim["task_head"].blocks)
             gstack = bundle.aggregator.backward(agg_cache, gs)
             bundle.optim["aggregator"].step()
-            zero_grads(bundle.optim["aggregator"].blocks)
             for i, enc in enumerate(bundle.encoders):
                 enc.backward(enc_caches[i], gstack[:, i, :])
                 bundle.optim[f"encoder/{i}"].step()
-                zero_grads(bundle.optim[f"encoder/{i}"].blocks)
 
         for fb, db in zip(fed.bundle.main_blocks(), bundle.main_blocks()):
             assert fb.name == db.name
@@ -289,7 +286,12 @@ class TestGradientsAtRest:
         """The ledger's extra per-term backward passes change no loss, no
         parameter bit and no gradient bit: each group's store holds the
         gradient of its last update, the same with and without the ledger,
-        after each round and after serving."""
+        after each round and after serving.
+
+        The name is kept from the earlier contract, under which every store
+        was zeroed after use; backward passes now set the gradient, so the
+        test checks that the stores are equal and that serving leaves them
+        unchanged."""
         ds, pa = tiny_dataset
         feds = [make_federation(ds, pa, lam=3.0, gamma=0.5, verify=verify, seed=23)
                 for verify in (True, False)]
