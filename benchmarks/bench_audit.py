@@ -8,6 +8,8 @@ Measures, with one BLAS thread:
   (rep 64, one H=4 feature);
 - ``read_us_per_line``: ``Transcript.read`` of the ``transcript.ndjson``
   that ``fairvfl train --preset synthetic-smoke --seed 1`` exports;
+- ``write_us_per_record``: ``TranscriptRecord.to_line`` over that
+  transcript's records, the lines ``fairvfl train`` writes;
 - ``audit_command_ms``: ``runner.cmd_audit`` on that transcript (read,
   audit, traffic accounting), what ``fairvfl audit`` runs.
 
@@ -94,10 +96,13 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         cmd_train(cfg, tmp)
         path = Path(tmp) / "transcript.ndjson"
-        n_lines = len(Transcript.read(path))
+        records = Transcript.read(path).records
+        n_lines = len(records)
         read_us = round(timed(lambda: Transcript.read(path)) * 1e3 / n_lines, 4)
+        write_us = round(timed(lambda: [rec.to_line() for rec in records]) * 1e3 / n_lines, 4)
         command_ms = round(timed(lambda: cmd_audit(path, cfg)), 4)
-    print(f"read: {n_lines} lines, {read_us:.3f} us/line; cmd_audit {command_ms:.3f} ms")
+    print(f"read: {n_lines} lines, {read_us:.3f} us/line; write {write_us:.3f} us/record; "
+          f"cmd_audit {command_ms:.3f} ms")
 
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.is_file() else {}
     doc[args.label] = {
@@ -107,6 +112,7 @@ def main() -> int:
         "audit_us_per_record": audit_us,
         "read_us_per_line": read_us,
         "read_lines": n_lines,
+        "write_us_per_record": write_us,
         "audit_command_ms": command_ms,
         "unit": "median over timed blocks",
     }

@@ -5,8 +5,11 @@ preset for seeds 1-3, once with this repository's ``src/`` and once with the
 ``src/`` given by ``--src``, each command in its own subprocess and output
 directory under a temporary directory. It compares the SHA-256 of the
 transcript, the checkpoint, the training ``metrics.json`` and ``losses.csv``,
-and the attack ``metrics.json``, prints one row per seed and artifact, and
-exits 1 on any mismatch or failed command:
+and the attack ``metrics.json``. It also reads each tree's transcript with
+that tree's ``Transcript.read`` and writes the records back with its
+``write_records``, which must give the file's bytes again. It prints one row
+per seed and artifact, and exits 1 on any mismatch, failed round trip or
+failed command:
 
     python benchmarks/check_artifacts.py --src OTHER_TREE/src
 """
@@ -29,9 +32,9 @@ ARTIFACTS = (("transcript", "train", "transcript.ndjson"),
              ("train metrics", "train", "metrics.json"),
              ("losses", "train", "losses.csv"),
              ("attack metrics", "attack", "metrics.json"))
-# Runs the command line of the tree whose src/ is argv[1], and refuses to run
-# a fairvfl imported from anywhere else.
-LAUNCH = """
+# Imports fairvfl from the tree whose src/ is argv[1], and refuses to run one
+# imported from anywhere else.
+PRELUDE = """
 import sys
 from pathlib import Path
 src = Path(sys.argv.pop(1)).resolve()
@@ -39,7 +42,18 @@ sys.path.insert(0, str(src))
 import fairvfl.cli
 if not Path(fairvfl.cli.__file__).resolve().is_relative_to(src):
     sys.exit(f"imported fairvfl from {fairvfl.cli.__file__}, not from {src}")
-sys.exit(fairvfl.cli.main(sys.argv[1:]))
+"""
+# Runs that tree's command line.
+LAUNCH = PRELUDE + "sys.exit(fairvfl.cli.main(sys.argv[1:]))\n"
+# Reads the transcript argv[1] and writes its records back; exits 3 if the
+# bytes differ from the file's.
+ROUND_TRIP = PRELUDE + """
+import io
+from fairvfl.protocol.messages import Transcript, write_records
+path = Path(sys.argv[1])
+buf = io.StringIO()
+write_records(buf, Transcript.read(path).records)
+sys.exit(0 if buf.getvalue().encode("utf-8") == path.read_bytes() else 3)
 """
 
 
@@ -56,6 +70,16 @@ def run_tree(src: Path, seed: int, out: Path) -> None:
                                f"{proc.returncode}:\n{proc.stderr}")
 
 
+def round_trips(src: Path, transcript: Path) -> bool:
+    """Whether the tree at ``src`` reads and rewrites ``transcript`` byte for byte."""
+    proc = subprocess.run([sys.executable, "-c", ROUND_TRIP, str(src), str(transcript)],
+                          capture_output=True, text=True)
+    if proc.returncode not in (0, 3):
+        raise RuntimeError(f"{src}: transcript round trip exited "
+                           f"{proc.returncode}:\n{proc.stderr}")
+    return proc.returncode == 0
+
+
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -67,15 +91,16 @@ def main() -> int:
     args = parser.parse_args()
     trees = {"this": ROOT / "src", "other": args.src.resolve()}
 
-    mismatches = 0
+    mismatches = failed_trips = 0
     print(f"{'seed':>4}  {'artifact':<15} {'this':<16} {'other':<16} result")
     with tempfile.TemporaryDirectory(prefix="check_artifacts-") as tmp:
         for seed in SEEDS:
-            digests = {}
+            digests, trips = {}, {}
             for name, src in trees.items():
                 out = Path(tmp) / f"{name}-seed{seed}"
                 try:
                     run_tree(src, seed, out)
+                    trips[name] = round_trips(src, out / "train" / "transcript.ndjson")
                 except RuntimeError as exc:
                     print(exc, file=sys.stderr)
                     return 1
@@ -84,8 +109,12 @@ def main() -> int:
                 mismatches += a != b
                 print(f"{seed:>4}  {label:<15} {a[:16]} {b[:16]} "
                       f"{'same' if a == b else 'DIFFERENT'}")
-    print(f"{mismatches} mismatched artifact(s)")
-    return 1 if mismatches else 0
+            failed_trips += list(trips.values()).count(False)
+            cells = ["bytes same" if ok else "CHANGED" for ok in trips.values()]
+            print(f"{seed:>4}  {'round trip':<15} {cells[0]:<16} {cells[1]:<16} "
+                  f"{'ok' if all(trips.values()) else 'FAILED'}")
+    print(f"{mismatches} mismatched artifact(s), {failed_trips} failed round trip(s)")
+    return 1 if mismatches or failed_trips else 0
 
 
 if __name__ == "__main__":

@@ -6,12 +6,11 @@ Exit codes: 0 success, 1 audit/validation failure, 2 numeric failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from .config import ExperimentConfig, PRESET_NAMES, preset
-from .errors import FairVflError, NumericError
+from .config import ExperimentConfig, PRESET_NAMES, preset, read_config_object
+from .errors import ConfigError, FairVflError, NumericError
 from .runner import SWEEP_AXES, cmd_attack, cmd_audit, cmd_sweep, cmd_train
 
 EXIT_OK = 0
@@ -29,18 +28,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _resolve_config(args) -> ExperimentConfig:
     if args.preset is None and args.config is None:
         raise FairVflError("provide --preset and/or --config")
-    if args.config is not None and args.preset is not None:
+    obj = preset(args.preset).to_dict() if args.preset is not None else {}
+    if args.config is not None:
         # shallow merge: top-level keys in the file replace the preset's
-        base = preset(args.preset).to_dict()
-        try:
-            base.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
-        except json.JSONDecodeError as exc:
-            raise FairVflError(f"{args.config}: invalid JSON: {exc}") from exc
-        cfg = ExperimentConfig.from_dict(base)
-    elif args.config is not None:
-        cfg = ExperimentConfig.from_file(args.config)
-    else:
-        cfg = preset(args.preset)
+        obj.update(read_config_object(args.config))
+    cfg = ExperimentConfig.from_dict(obj)
     if args.seed is not None:
         cfg = cfg.with_overrides(seed=args.seed)
     cfg.validate()
@@ -94,7 +86,10 @@ def main(argv: list[str] | None = None) -> int:
             _print_audit(report)
             return EXIT_OK if report.ok else EXIT_VALIDATION
         if args.command == "sweep":
-            values = [float(v) for v in args.values.split(",") if v.strip()]
+            try:
+                values = [float(v) for v in args.values.split(",") if v.strip()]
+            except ValueError as exc:
+                raise ConfigError(f"--values: {exc}") from None
             rows = cmd_sweep(cfg, args.axis, values, args.out)
             failed = [r for r in rows if r.get("error")]
             for row in rows:

@@ -4,6 +4,7 @@ digest fingerprint, and the maintained presets."""
 from __future__ import annotations
 
 import json
+import typing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -13,6 +14,60 @@ from .errors import ConfigError
 from .models import OptimParams, RepWidths
 from .protocol.ldp import LdpConfig
 from .data.synthetic import SyntheticSpec
+
+
+def _is_a(value, hint) -> bool:
+    """Whether a JSON value fits a field annotation. ``float`` takes ints
+    too; ``dict[K, V]``, ``list[T]`` and fixed-length ``tuple[...]`` take
+    lists or tuples and are checked item by item."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint is float:
+        return isinstance(value, (int, float))
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _is_a(k, args[0]) and _is_a(v, args[1]) for k, v in value.items())
+    if origin is list:
+        return isinstance(value, (list, tuple)) and all(_is_a(v, args[0]) for v in value)
+    if origin is tuple:
+        return (isinstance(value, (list, tuple)) and len(value) == len(args)
+                and all(map(_is_a, value, args)))
+    return isinstance(value, hint)
+
+
+def _check_fields(obj, where: str) -> None:
+    """ConfigError naming the first field of the dataclass ``obj`` whose
+    value does not fit its annotation."""
+    for name, hint in _HINTS[type(obj)].items():
+        value = getattr(obj, name)
+        if not _is_a(value, hint):
+            kind = hint.__name__ if typing.get_origin(hint) is None else str(hint)
+            raise ConfigError(f"{where}{name} must be {kind}, got {value!r}")
+
+
+def _section(cls, obj: dict, where: str):
+    """``cls(**obj)`` for the config section ``where``, or ConfigError
+    naming an unknown key or a value of the wrong type."""
+    unknown = set(obj) - set(_HINTS[cls])
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    view = cls(**obj)
+    _check_fields(view, f"{where}.")
+    return view
+
+
+def read_config_object(path: str | Path) -> dict:
+    """The JSON object in a config file, or ConfigError if the file cannot
+    be read, is not UTF-8 JSON or holds something else."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read config: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: a config must be a JSON object, "
+                          f"got {type(obj).__name__}")
+    return obj
 
 
 @dataclass
@@ -37,8 +92,8 @@ class ExperimentConfig:
     n_platforms: int = 3
     partition_seed: int = 0
     widths: dict = field(default_factory=dict)
-    lam: dict = field(default_factory=dict)  # per-feature adversarial weights
-    gamma: dict = field(default_factory=dict)  # per-feature contrastive weights
+    lam: dict[str, float] = field(default_factory=dict)  # per-feature adversarial weights
+    gamma: dict[str, float] = field(default_factory=dict)  # per-feature contrastive weights
     ldp: dict = field(default_factory=dict)
     optim: dict = field(default_factory=dict)
     p_drop: float = 0.2
@@ -51,39 +106,39 @@ class ExperimentConfig:
     # -- typed views --------------------------------------------------------
 
     def rep_widths(self) -> RepWidths:
-        return RepWidths(**self.widths) if self.widths else RepWidths()
+        return _section(RepWidths, self.widths, "widths")
 
     def loss_weights(self) -> LossWeights:
         return LossWeights(dict(self.lam), dict(self.gamma))
 
     def ldp_config(self) -> LdpConfig:
-        return LdpConfig(**self.ldp) if self.ldp else LdpConfig()
+        return _section(LdpConfig, self.ldp, "ldp")
 
     def optim_params(self) -> OptimParams:
-        return OptimParams(**self.optim) if self.optim else OptimParams()
+        return _section(OptimParams, self.optim, "optim")
 
     def attack_config(self) -> AttackConfig:
-        return AttackConfig(**self.attack) if self.attack else AttackConfig()
+        return _section(AttackConfig, self.attack, "attack")
 
     def synthetic_spec(self) -> SyntheticSpec:
         if self.dataset.get("kind") != "synthetic":
             raise ConfigError("not a synthetic-dataset config")
-        kw = {k: v for k, v in self.dataset.items() if k != "kind"}
-        if "sensitive_classes" in kw:
-            kw["sensitive_classes"] = dict(kw["sensitive_classes"])
-        if "split_fractions" in kw:
-            kw["split_fractions"] = tuple(kw["split_fractions"])
-        return SyntheticSpec(**kw)
+        spec = _section(SyntheticSpec,
+                        {k: v for k, v in self.dataset.items() if k != "kind"}, "dataset")
+        spec.sensitive_classes = dict(spec.sensitive_classes)
+        spec.split_fractions = tuple(spec.split_fractions)
+        return spec
 
     # -- validation / serialization ----------------------------------------
 
     def validate(self) -> None:
+        _check_fields(self, "")
         if self.mode not in ("fairvfl", "vfl"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        kind = self.dataset.get("kind")
+        kind, path = self.dataset.get("kind"), self.dataset.get("path")
         if kind not in ("adult", "synthetic"):
             raise ConfigError(f"dataset.kind must be 'adult' or 'synthetic', got {kind!r}")
-        if kind == "adult" and not self.dataset.get("path"):
+        if kind == "adult" and not (path and isinstance(path, str)):
             raise ConfigError("adult dataset requires a 'path'")
         if kind == "synthetic":
             self.synthetic_spec().validate()
@@ -102,6 +157,7 @@ class ExperimentConfig:
                 f"must match protected widths {sorted(features)}"
             )
         self.loss_weights()
+        self.optim_params()
         self.ldp_config().validate()
         self.attack_config().validate()
 
@@ -128,11 +184,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        try:
-            obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-        return cls.from_dict(obj)
+        return cls.from_dict(read_config_object(path))
 
     def with_overrides(self, **kw) -> "ExperimentConfig":
         obj = self.to_dict()
@@ -188,3 +240,7 @@ def preset(name: str) -> ExperimentConfig:
 
 
 PRESET_NAMES = ("adult-fairvfl", "adult-vfl", "synthetic-smoke")
+
+#: each config section's field annotations, resolved once at import
+_HINTS = {cls: typing.get_type_hints(cls) for cls in (
+    ExperimentConfig, AttackConfig, RepWidths, LdpConfig, OptimParams, SyntheticSpec)}

@@ -52,6 +52,8 @@ class RepWidths:
     def validate(self) -> None:
         if self.rep < 1 or any(h < 1 for h in self.protected.values()):
             raise ConfigError("all representation widths must be >= 1")
+        if self.attn_heads < 1:
+            raise ConfigError(f"attn_heads must be >= 1, got {self.attn_heads}")
         if self.rep % self.attn_heads != 0:
             raise ConfigError(
                 f"rep width {self.rep} not divisible by {self.attn_heads} heads"

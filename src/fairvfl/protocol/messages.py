@@ -11,13 +11,26 @@ hash payloads. In-memory federations from ``runner.build_run_federation``
 skip the hash: their records carry ``digest=None``, written as
 ``"payload_digest": null``. The auditor and the traffic accounting read only
 kind, shape and float_count, so they treat both alike.
+
+An exported transcript has one record per line, in one canonical form: the
+keys ``round``, ``sender``, ``receiver``, ``kind``, ``shape``,
+``float_count``, ``payload_digest`` in that order, ``,`` and ``:`` with no
+spaces, strings escaped to ASCII as ``json.dumps`` escapes them, and the
+digest as ``"0x"`` plus 16 lowercase hex digits, or ``null``. This is
+``json.dumps(..., separators=(",", ":"))`` of the record, byte for byte,
+built by one format string. The reader matches that form with one pattern
+and sends every other line to the json module's scanner, so it accepts any
+JSON object with those keys, as ``json.loads`` would read it. Records are
+hashable and compare by value, but are not frozen.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -76,11 +89,24 @@ class Message:
 #: one JSON value from a position in a string, as ``json.loads`` reads it
 _scan_once = json.JSONDecoder().scan_once
 
+# The canonical line, and only lines the scanner reads to the same values:
+# ints without sign or leading zero, in ASCII digits ([0-9], since int()
+# also takes digits JSON rejects); strings without quote, backslash or
+# control character, so they need no unescaping.
+_INT = r"(?:0|[1-9][0-9]*)"
+_STR = r'"([^"\\\x00-\x1f]*)"'
+_CANONICAL = re.compile(
+    rf'\{{"round":({_INT}),"sender":{_STR},"receiver":{_STR},"kind":{_STR},'
+    rf'"shape":\[({_INT}(?:,{_INT})*)?\],"float_count":({_INT}),'
+    rf'"payload_digest":(?:null|"0x([0-9a-f]{{16}})")\}}')
 
-@dataclass(frozen=True)
+
+@dataclass(unsafe_hash=True)
 class TranscriptRecord:
     """One exchanged message's metadata. ``kind`` is a plain ``str``, as
-    ``record_of`` and ``from_line`` make it; the auditor is keyed by it."""
+    ``record_of`` and ``from_line`` make it; the auditor is keyed by it.
+    Not frozen, since a frozen ``__init__`` costs ~4x as much to build; equal
+    records hash alike."""
 
     round_id: int
     sender: str
@@ -94,26 +120,27 @@ class TranscriptRecord:
     phase: str | None = None
 
     def to_line(self) -> str:
-        return json.dumps(
-            {
-                "round": self.round_id,
-                "sender": self.sender,
-                "receiver": self.receiver,
-                "kind": self.kind,
-                "shape": list(self.shape),
-                "float_count": self.float_count,
-                "payload_digest": (None if self.digest is None
-                                   else f"0x{self.digest:016x}"),
-            },
-            separators=(",", ":"),
-        )
+        """The canonical line: what ``json.dumps`` with ``(",", ":")``
+        separators writes for the record's seven exported fields."""
+        digest = "null" if self.digest is None else f'"0x{self.digest:016x}"'
+        return (f'{{"round":{self.round_id},"sender":{_quote(self.sender)},'
+                f'"receiver":{_quote(self.receiver)},"kind":{_quote(self.kind)},'
+                f'"shape":[{",".join(map(str, self.shape))}],'
+                f'"float_count":{self.float_count},"payload_digest":{digest}}}')
 
     @classmethod
     def from_line(cls, line: str, lineno: int) -> "TranscriptRecord":
-        """Parses one stripped line: ``json.loads`` without its wrappers and
-        whitespace regexes, so every line it rejects (a BOM, trailing data, an
-        empty value, bad JSON) raises ``ParseError``."""
+        """Parses one stripped line. A canonical line is read from the
+        pattern's groups; any other goes through ``json.loads`` without its
+        wrappers and whitespace regexes, so every line it rejects (a BOM,
+        trailing data, an empty value, bad JSON) raises ``ParseError``."""
         try:
+            m = _CANONICAL.fullmatch(line)
+            if m is not None:
+                rid, sender, receiver, kind, shape, count, digest = m.groups()
+                return cls(int(rid), sender, receiver, kind,
+                           tuple(map(int, shape.split(","))) if shape else (),
+                           int(count), None if digest is None else int(digest, 16))
             obj, end = _scan_once(line, 0)
             if end != len(line):
                 raise ValueError(f"extra data at column {end + 1}")
@@ -134,16 +161,10 @@ def record_of(msg: Message, phase: str | None = None,
     payload and records ``digest=None``."""
     payload = np.asarray(msg.payload)
     return TranscriptRecord(
-        round_id=msg.round_id,
-        sender=msg.sender,
-        receiver=msg.receiver,
-        kind=msg.kind.value if isinstance(msg.kind, Kind) else str(msg.kind),
-        shape=tuple(payload.shape),
-        float_count=int(payload.size),
-        digest=digest_array(payload) if digest else None,
-        ldp_applied=msg.ldp_applied,
-        phase=phase,
-    )
+        msg.round_id, msg.sender, msg.receiver,
+        msg.kind.value if isinstance(msg.kind, Kind) else str(msg.kind),
+        tuple(payload.shape), int(payload.size),
+        digest_array(payload) if digest else None, msg.ldp_applied, phase)
 
 
 class Transcript:

@@ -46,8 +46,8 @@ from .protocol import (
     build_federation,
     audit_transcript,
 )
-from .protocol.audit import per_round_fairness_cost
-from .protocol.messages import FAIRNESS_KINDS, Role, write_records
+from .protocol.audit import fairness_comm_cost, per_round_fairness_cost
+from .protocol.messages import Role, write_records
 
 
 def make_dataset(cfg: ExperimentConfig):
@@ -179,7 +179,6 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
     best = {"acc": -1.0, "epoch": -1, "snap": None}
     epoch_rows = []
     comm = {"total_floats": 0, "fairness_floats": 0, "rounds": 0}
-    fairness_kinds = {k.value for k in FAIRNESS_KINDS}
 
     transcript_path = out / "transcript.ndjson"
     with open(transcript_path, "w", encoding="utf-8") as tfh:
@@ -195,10 +194,8 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
                 records = fed.transcript.drain()
                 write_records(tfh, records)
                 comm["rounds"] += 1
-                for rec in records:
-                    comm["total_floats"] += rec.float_count
-                    if rec.kind in fairness_kinds:
-                        comm["fairness_floats"] += rec.float_count
+                comm["total_floats"] += sum(rec.float_count for rec in records)
+                comm["fairness_floats"] += fairness_comm_cost(records)
             s_val, _ = representations(fed.bundle, feature_shards, val_ids, protected=False)
             val_pred = predict_classes(fed.bundle, s_val)
             val_acc = float(np.mean(val_pred == val_labels))

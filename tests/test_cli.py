@@ -1,9 +1,14 @@
 """Command surface: presets, config plumbing, exit codes, and the sweep."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import JSON_VALUES
 
 from fairvfl.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 from fairvfl.config import ExperimentConfig, preset
@@ -62,6 +67,89 @@ class TestPresets:
         cfg = preset("synthetic-smoke").with_overrides(lam={"other": 1.0})
         with pytest.raises(ConfigError, match="must match"):
             cfg.validate()
+
+
+#: config files that once ended in a raw traceback, and the text the error names
+_BAD_CONFIGS = {
+    "list": ("[1,2]", "JSON object"),
+    "dataset-int": ('{"dataset": 5}', "dataset"),
+    "attack-unknown-key": ('{"attack": {"bogus": 1}}', "bogus"),
+    "width-string": ('{"widths": {"rep": "abc"}}', "widths.rep"),
+    "zero-heads": ('{"widths": {"attn_heads": 0}}', "attn_heads"),
+    "seed-string": ('{"seed": "x"}', "seed"),
+    "lam-int": ('{"lam": 3}', "lam"),
+    "n-samples-string": ('{"dataset": {"kind": "synthetic", "n_samples": "x"}}',
+                         "dataset.n_samples"),
+    "batch-size-float": ('{"batch_size": 2.5}', "batch_size"),
+    "lr-string": ('{"optim": {"lr": "x"}}', "optim.lr"),
+    "non-utf8": (b'{"seed": "\xff\xfe"}', "cannot read config"),
+    "missing": (None, "cannot read config"),
+}
+
+
+_BAD_CASES = [(name, True) for name in _BAD_CONFIGS] + \
+             [(name, False) for name in ("list", "non-utf8", "missing")]
+
+
+def _json_type(value):
+    for name, types in (("null", type(None)), ("boolean", bool), ("number", (int, float)),
+                        ("string", str), ("array", list), ("object", dict)):
+        if isinstance(value, types):
+            return name
+
+
+def _value_paths(obj, prefix=()):
+    """The key path of every value in a JSON document, nested ones included."""
+    for key, value in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _value_paths(value, prefix + (key,))
+
+
+_SMOKE = preset("synthetic-smoke").to_dict()
+
+
+class TestMalformedConfigs:
+    @pytest.mark.parametrize("name, with_preset", _BAD_CASES,
+                             ids=[f"{n}-{'preset' if p else 'bare'}" for n, p in _BAD_CASES])
+    def test_bad_config_is_validation_error(self, tmp_path, capsys, name, with_preset):
+        text, names = _BAD_CONFIGS[name]
+        path = tmp_path / "bad.json"
+        if isinstance(text, str):
+            path.write_text(text, encoding="utf-8")
+        elif text is not None:
+            path.write_bytes(text)
+        preset_args = ["--preset", "synthetic-smoke"] if with_preset else []
+        rc = main(["train", *preset_args, "--config", str(path), "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_VALIDATION
+        assert err.startswith("error: ") and names in err
+        assert not (tmp_path / "run").exists()
+
+    def test_sweep_values_not_numbers(self, tmp_path, capsys):
+        rc = main(["sweep", "--preset", "synthetic-smoke", "--axis", "seed",
+                   "--values", "1,abc", "--out", str(tmp_path / "sweep")])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: --values: ")
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_swapped_value_passes_or_is_config_error(self, data):
+        """The synthetic-smoke preset with one value, top-level or nested,
+        swapped for a JSON value of another type validates or raises
+        ConfigError, never anything else."""
+        path = data.draw(st.sampled_from(list(_value_paths(_SMOKE))))
+        obj = copy.deepcopy(_SMOKE)
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        old = parent[path[-1]]
+        parent[path[-1]] = data.draw(
+            JSON_VALUES.filter(lambda v: _json_type(v) != _json_type(old)))
+        try:
+            ExperimentConfig.from_dict(obj).validate()
+        except ConfigError:
+            pass
 
 
 def _smoke_overrides(tmp_path, **extra):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import JSON_VALUES, make_federation, small_widths, train_batches
 from fairvfl.adversarial import LossWeights
+from fairvfl.config import preset
 from fairvfl.data import (
     SyntheticSpec,
     generate_synthetic,
@@ -36,7 +37,14 @@ from fairvfl.protocol import (
     ldp_perturb,
 )
 from fairvfl.protocol.audit import ViolationKind, _classify, per_round_fairness_cost
-from fairvfl.protocol.messages import Role, TranscriptRecord, record_of
+from fairvfl.protocol.messages import (
+    _CANONICAL,
+    Role,
+    TranscriptRecord,
+    record_of,
+    write_records,
+)
+from fairvfl.runner import cmd_train
 
 
 def _policy(fed):
@@ -680,3 +688,145 @@ class TestTranscriptFiles:
             assert list(l_on) == list(l_off)
             assert np.array(list(l_on.values())).tobytes() == \
                 np.array(list(l_off.values())).tobytes()
+
+
+def _reference_line(rec):
+    """A record's line as ``json.dumps`` writes it."""
+    return json.dumps({"round": rec.round_id, "sender": rec.sender, "receiver": rec.receiver,
+                       "kind": rec.kind, "shape": list(rec.shape),
+                       "float_count": rec.float_count,
+                       "payload_digest": None if rec.digest is None else f"0x{rec.digest:016x}"},
+                      separators=(",", ":"))
+
+
+#: strings json.dumps must escape, and a few it writes as they are
+_ODD_STRINGS = ["", '"', "\\", 'a"b\\c/d', "".join(map(chr, range(32))), "\x7f", "é",
+                "ß中", "\U0001f600", "퟿￿", "insensitive/0"]
+_HUGE = 10**25 - 1  # 25 digits
+_BASE = {"round": 3, "sender": "task", "receiver": "insensitive/0", "kind": "SampleIds",
+         "shape": [32, 4], "float_count": 128, "payload_digest": "0x11d9eccb361f8d3c"}
+
+
+def _canonical(**fields):
+    """A canonical line: ``_BASE`` with ``fields`` replaced, non-ASCII left raw."""
+    return json.dumps({**_BASE, **fields}, ensure_ascii=False, separators=(",", ":"))
+
+
+def _reads_like_reference(path, line):
+    """Writes a good line, then ``line``, and checks ``Transcript.read`` gives
+    what ``_reference_read`` gives, or fails on the same line. Returns the
+    reference's bad line number."""
+    path.write_text(_canonical() + "\n" + line + "\n", encoding="utf-8")
+    want, bad = _reference_read(path)
+    got, got_bad = _read_or_bad_line(path)
+    assert got_bad == bad
+    if bad is None:
+        assert got == want
+    return bad
+
+
+#: lines one edit away from canonical, each read by the scanner
+_NEAR_CANONICAL = {
+    "leading-zero": _canonical().replace('"round":3', '"round":03'),
+    "double-zero": _canonical().replace('"round":3', '"round":00'),
+    "leading-zero-dim": _canonical().replace("[32,4]", "[032,4]"),
+    "leading-zero-count": _canonical().replace('"float_count":128', '"float_count":0128'),
+    "minus-zero": _canonical().replace('"round":3', '"round":-0'),
+    "minus-zero-dim": _canonical().replace("[32,4]", "[-0,4]"),
+    "arabic-digit": _canonical().replace('"round":3', '"round":٣'),  # Arabic-Indic three
+    "fullwidth-dim": _canonical().replace("[32,4]", "[３２,4]"),  # fullwidth 32
+    "arabic-count": _canonical().replace('"float_count":128', '"float_count":١٢٨'),
+    "mixed-digits": _canonical().replace('"round":3', '"round":3٣'),
+    "mixed-digits-dim": _canonical().replace("[32,4]", "[3２,4]"),
+    "float": _canonical().replace('"round":3', '"round":3.0'),
+    "exponent": _canonical().replace('"round":3', '"round":3e0'),
+    "bool": _canonical().replace('"round":3', '"round":true'),
+    "upper-hex": _canonical(payload_digest="0x11D9ECCB361F8D3C"),
+    "upper-prefix": _canonical(payload_digest="0X11d9eccb361f8d3c"),
+    "short-hex": _canonical(payload_digest="0x1f"),
+    "long-hex": _canonical(payload_digest="0x011d9eccb361f8d3c"),
+    "no-prefix": _canonical(payload_digest="11d9eccb361f8d3c"),
+    "bad-hex": _canonical(payload_digest="0xzz"),
+    "int-digest": _canonical(payload_digest=17),
+    "escape-u": _canonical().replace('"task"', '"\\u0074ask"'),
+    "escape-quote": _canonical().replace('"task"', '"t\\/a\\"sk"'),
+    "escape-non-ascii": _canonical().replace('"task"', '"ta\\u00e9"'),
+    "raw-tab": _canonical().replace('"task"', '"ta\tsk"'),
+    "raw-control": _canonical().replace('"task"', '"ta\x1fsk"'),
+    "spaces": json.dumps(_BASE),
+    "space-in-brace": _canonical().replace("{", "{ ", 1),
+    "space-before-comma": _canonical().replace(",", " ,", 1),
+    "sorted-keys": json.dumps(_BASE, sort_keys=True, separators=(",", ":")),
+    "extra-key": _canonical()[:-1] + ',"extra":1}',
+    "duplicate-key": _canonical().replace('"round":3', '"round":3,"round":4'),
+    "missing-key": _canonical().replace('"shape":[32,4],', ""),
+    "int-string-field": _canonical().replace('"task"', "5"),
+    "nested-dim": _canonical().replace("[32,4]", "[32,[4]]"),
+}
+
+_RECORDS = st.builds(
+    TranscriptRecord, st.integers(0, _HUGE), st.text(), st.text(), st.text(),
+    st.lists(st.integers(0, _HUGE), max_size=4).map(tuple), st.integers(0, _HUGE),
+    st.none() | st.integers(0, 2**64 - 1))
+
+
+class TestTranscriptCodec:
+    """The format-string writer and the pattern reader against ``json``."""
+
+    @pytest.mark.parametrize("rec", [
+        *(TranscriptRecord(0, s, s[::-1], s, (2,), 2, 0) for s in _ODD_STRINGS),
+        TranscriptRecord(0, "a", "b", "k", (), 0, None),
+        TranscriptRecord(1, "a", "b", "k", (0, 0), 0, 2**64 - 1),
+        TranscriptRecord(_HUGE, "a", "b", "k", (_HUGE, 0, 7), _HUGE, 0),
+    ])
+    def test_writer_matches_json_dumps(self, rec):
+        line = rec.to_line()
+        assert line == _reference_line(rec)
+        assert TranscriptRecord.from_line(line, 1) == rec
+
+    @settings(max_examples=300, deadline=None)
+    @given(rec=_RECORDS)
+    def test_random_records_write_as_json_dumps_and_read_back(self, rec):
+        line = rec.to_line()
+        assert line == _reference_line(rec)
+        assert TranscriptRecord.from_line(line, 1) == rec
+
+    @pytest.mark.parametrize("fields", [
+        {"shape": []}, {"shape": [0, 0], "float_count": 0}, {"shape": [0]},
+        {"round": _HUGE, "shape": [_HUGE, 1], "float_count": _HUGE},
+        {"payload_digest": None}, {"payload_digest": "0x0000000000000000"},
+        {"payload_digest": "0xffffffffffffffff"},
+        {"sender": "é中\U0001f600", "receiver": "\x7f", "kind": "Ω"},
+        {"sender": "", "receiver": "", "kind": ""},
+    ], ids=["empty-shape", "zero-dims", "zero-dim", "25-digits", "null-digest",
+            "zero-digest", "max-digest", "non-ascii", "empty-strings"])
+    def test_canonical_line_reads_as_json_loads_reads_it(self, tmp_path, fields):
+        line = _canonical(**fields)
+        assert _CANONICAL.fullmatch(line)
+        assert _reads_like_reference(tmp_path / "t.ndjson", line) is None
+
+    @pytest.mark.parametrize("line", list(_NEAR_CANONICAL.values()), ids=list(_NEAR_CANONICAL))
+    def test_near_canonical_line_reads_as_json_loads_reads_it(self, tmp_path, line):
+        assert not _CANONICAL.fullmatch(line)
+        _reads_like_reference(tmp_path / "t.ndjson", line)
+
+    @pytest.mark.parametrize("field", ["round", "float_count", "shape"])
+    def test_huge_number_is_parse_error(self, tmp_path, field):
+        big = "9" * 5000  # past int()'s 4300-digit limit
+        line = _canonical(**{field: "X"}).replace(
+            '"X"', f"[2,{big}]" if field == "shape" else big)
+        assert _CANONICAL.fullmatch(line)
+        path = tmp_path / "t.ndjson"
+        path.write_text(_canonical() + "\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 2"):
+            Transcript.read(path)
+
+    def test_exported_transcript_rewrites_byte_for_byte(self, tmp_path):
+        cmd_train(preset("synthetic-smoke").with_overrides(seed=1), tmp_path)
+        path = tmp_path / "transcript.ndjson"
+        records = Transcript.read(path).records
+        assert all(_CANONICAL.fullmatch(rec.to_line()) for rec in records)
+        again = tmp_path / "again.ndjson"
+        with open(again, "w", encoding="utf-8") as fh:
+            write_records(fh, records)
+        assert again.read_bytes() == path.read_bytes()
