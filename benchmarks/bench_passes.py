@@ -1,4 +1,4 @@
-"""Per-pass timings of the fairness games and the attacker step.
+"""Per-pass timings of the fairness games, the attacker step and the model build.
 
 Measures ms per call, at the paper widths (rep 400, gender H=32, age H=64)
 and at the C12 widths (rep 64, one H=4 feature), of:
@@ -21,6 +21,12 @@ It also times ``select_negatives`` alone at batch sizes 32, 500 and 1000
 tie-heavy ones, and on all-equal ones (collapsed representations): batch 32
 is a training round's, 1000 a full-batch round's.
 
+At both widths it also times building the model:
+
+- ``bundle_build``: a ``ModelBundle`` build, as every run and attack makes;
+- ``checkpoint_load``: ``load_checkpoint`` of a saved checkpoint into a
+  built bundle.
+
 The script uses only public functions whose signatures predate the
 ``params``/``inputs`` backward flags, so it runs unchanged on older commits.
 Compare two commits on one machine by running it against each tree's
@@ -40,6 +46,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -51,6 +58,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PASSES = ("cdisc_step", "cdisc_frozen", "mapper_ascent", "mapper_descent",
           "mapper_frozen", "attacker_step")
 NEGATIVE_BATCHES = (32, 500, 1000)
+BUILDS = ("bundle_build", "checkpoint_load")
 
 
 def widths_config(name: str):
@@ -178,6 +186,27 @@ def negatives_functions():
     return cases
 
 
+def build_functions(widths_name: str, tmp: Path):
+    """{build: zero-argument callable} at the widths' config: a
+    ``ModelBundle`` build, and a checkpoint load into a built bundle."""
+    from fairvfl.checkpoint import load_checkpoint, save_checkpoint
+    from fairvfl.data import partition_vertical
+    from fairvfl.models import ModelBundle
+    from fairvfl.runner import make_dataset
+
+    cfg = widths_config(widths_name)
+    ds, pa = make_dataset(cfg)
+    shards, _, _ = partition_vertical(ds, pa)
+    args = ([s.schema() for s in shards], cfg.rep_widths(), ds.n_task_classes,
+            {f: ds.sensitive[f].n_classes for f in ds.sensitive}, cfg.seed,
+            cfg.optim_params(), cfg.p_drop)
+    bundle = ModelBundle(*args)
+    path = tmp / f"{widths_name}.fvfl"
+    save_checkpoint(bundle, path)
+    return {"bundle_build": lambda: ModelBundle(*args),
+            "checkpoint_load": lambda: load_checkpoint(bundle, path)}
+
+
 def commit_of(src: Path) -> str | None:
     try:
         out = subprocess.run(["git", "-C", str(src), "describe", "--always", "--dirty"],
@@ -214,6 +243,14 @@ def main() -> int:
     negatives = {case: round(ms_per_call(fn, args.block_s, args.repeats), 4)
                  for case, fn in negatives_functions().items()}
     print("select_negatives", " ".join(f"{k}={v:.3f}ms" for k, v in negatives.items()))
+    builds = {}
+    with tempfile.TemporaryDirectory(prefix="bench_passes-") as tmp:
+        for widths_name in ("paper", "c12"):
+            fns = build_functions(widths_name, Path(tmp))
+            builds[widths_name] = {name: round(ms_per_call(fns[name], args.block_s, args.repeats), 4)
+                                   for name in BUILDS}
+            print(f"{widths_name} builds",
+                  " ".join(f"{k}={v:.3f}ms" for k, v in builds[widths_name].items()))
 
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.is_file() else {}
     doc[args.label] = {
@@ -223,6 +260,7 @@ def main() -> int:
         "unit": "ms per call, median of timed blocks",
         "passes": cases,
         "select_negatives": negatives,
+        "builds": builds,
     }
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0

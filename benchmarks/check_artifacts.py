@@ -8,8 +8,9 @@ transcript, the checkpoint, the training ``metrics.json`` and ``losses.csv``,
 and the attack ``metrics.json``. It also reads each tree's transcript with
 that tree's ``Transcript.read`` and writes the records back with its
 ``write_records``, which must give the file's bytes again. It prints one row
-per seed and artifact, and exits 1 on any mismatch, failed round trip or
-failed command:
+per seed and artifact, and for a transcript that differs, the first line
+that does: its round, sender and kind, and which fields differ. It exits 1
+on any mismatch, failed round trip or failed command:
 
     python benchmarks/check_artifacts.py --src OTHER_TREE/src
 """
@@ -18,6 +19,8 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
+import json
 import subprocess
 import sys
 import tempfile
@@ -84,6 +87,26 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def first_difference(this: Path, other: Path) -> str | None:
+    """Where two transcripts first differ: the line, its round, sender and
+    kind in this tree's file, and each differing field with both values."""
+    with open(this, encoding="utf-8") as fa, open(other, encoding="utf-8") as fb:
+        for lineno, (a, b) in enumerate(itertools.zip_longest(fa, fb), start=1):
+            if a == b:
+                continue
+            if a is None or b is None:
+                return f"line {lineno}: only in {'other' if a is None else 'this'}"
+            try:
+                ra, rb = json.loads(a), json.loads(b)
+                where = f"round {ra['round']} {ra['sender']} {ra['kind']}"
+            except (ValueError, KeyError, TypeError):
+                return f"line {lineno}: not a transcript record in one tree"
+            fields = [f"{k} {ra.get(k)!r} vs {rb.get(k)!r}"
+                      for k in dict.fromkeys([*ra, *rb]) if ra.get(k) != rb.get(k)]
+            return f"line {lineno}, {where}: {'; '.join(fields) or 'same values, other bytes'}"
+    return None
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, required=True,
@@ -96,8 +119,9 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="check_artifacts-") as tmp:
         for seed in SEEDS:
             digests, trips = {}, {}
+            outs = {name: Path(tmp) / f"{name}-seed{seed}" for name in trees}
             for name, src in trees.items():
-                out = Path(tmp) / f"{name}-seed{seed}"
+                out = outs[name]
                 try:
                     run_tree(src, seed, out)
                     trips[name] = round_trips(src, out / "train" / "transcript.ndjson")
@@ -109,6 +133,10 @@ def main() -> int:
                 mismatches += a != b
                 print(f"{seed:>4}  {label:<15} {a[:16]} {b[:16]} "
                       f"{'same' if a == b else 'DIFFERENT'}")
+                if label == "transcript" and a != b:
+                    path = Path("train") / "transcript.ndjson"
+                    print(f"      first difference: "
+                          f"{first_difference(outs['this'] / path, outs['other'] / path)}")
             failed_trips += list(trips.values()).count(False)
             cells = ["bytes same" if ok else "CHANGED" for ok in trips.values()]
             print(f"{seed:>4}  {'round trip':<15} {cells[0]:<16} {cells[1]:<16} "

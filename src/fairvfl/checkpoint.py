@@ -48,16 +48,18 @@ def save_checkpoint(bundle: ModelBundle, path: str | Path) -> None:
 
 
 def _take(raw: bytes, off: int, shape: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    """The float64 array of ``shape`` at ``off`` and the offset after it."""
+    """The float64 array of ``shape`` at ``off`` and the offset after it: a
+    read-only view of ``raw`` where float64 is little-endian, else a copy."""
     n = math.prod(shape)
     if min(shape, default=0) < 0 or off + 8 * n > len(raw):
         raise ValueError("truncated body")
     arr = np.frombuffer(raw, dtype="<f8", count=n, offset=off).reshape(shape)
-    return arr.astype(np.float64), off + 8 * n
+    return arr.astype(np.float64, copy=False), off + 8 * n
 
 
 def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, tuple[np.ndarray, np.ndarray | None]]]:
-    """Returns (header, {block name: (weights, bias-or-None)})."""
+    """Returns (header, {block name: (weights, bias-or-None)}); where float64
+    is little-endian, the arrays are read-only views of the file's bytes."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -101,7 +103,8 @@ def parse_checkpoint(raw: bytes, path: str | Path = "checkpoint") -> tuple[dict,
 
 
 def load_checkpoint(bundle: ModelBundle, path: str | Path) -> None:
-    """Loads parameters into an existing bundle; shapes must match exactly."""
+    """Loads parameters into an existing bundle, copying each weight once
+    from the file's bytes into its store; shapes must match exactly."""
     header, params = read_checkpoint(path)
     if header["rep_width"] != bundle.widths.rep:
         raise CheckpointError(

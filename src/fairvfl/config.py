@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .adversarial import LossWeights
 from .digest import digest_text
-from .errors import ConfigError
+from .errors import ConfigError, ProtocolError
 from .models import OptimParams, RepWidths
 from .protocol.ldp import LdpConfig
 from .data.synthetic import SyntheticSpec
@@ -156,7 +156,10 @@ class ExperimentConfig:
                 f"lambda/gamma keys {sorted(set(self.lam) | set(self.gamma))} "
                 f"must match protected widths {sorted(features)}"
             )
-        self.loss_weights()
+        try:
+            self.loss_weights()
+        except ProtocolError as exc:
+            raise ConfigError(str(exc)) from exc
         self.optim_params()
         self.ldp_config().validate()
         self.attack_config().validate()

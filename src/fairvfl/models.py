@@ -26,10 +26,8 @@ from .nn import (
     ParamBlock,
     dropout_apply,
     dropout_backward,
-    glorot_uniform,
     relu,
     relu_backward,
-    rng_for,
     softmax,
 )
 
@@ -128,9 +126,8 @@ class MultiHeadSelfAttention:
             raise ConfigError(f"dim {dim} not divisible by {heads} heads")
         self.heads = heads
         self.dh = dim // heads
-        self.wq = ParamBlock(f"{name}/wq", glorot_uniform(dim, dim, rng_for(seed, f"init/{name}/wq")))
-        self.wk = ParamBlock(f"{name}/wk", glorot_uniform(dim, dim, rng_for(seed, f"init/{name}/wk")))
-        self.wv = ParamBlock(f"{name}/wv", glorot_uniform(dim, dim, rng_for(seed, f"init/{name}/wv")))
+        self.wq, self.wk, self.wv = (ParamBlock.glorot(f"{name}/{w}", dim, dim, seed, bias=False)
+                                     for w in ("wq", "wk", "wv"))
 
     def _split(self, z: Array, b: int, n: int) -> Array:
         return z.reshape(b, n, self.heads, self.dh).transpose(0, 2, 1, 3)
@@ -174,9 +171,7 @@ class AttentionPool:
 
     def __init__(self, name: str, dim: int, hidden: int, seed: int):
         self.proj = Linear(f"{name}/proj", dim, hidden, seed)
-        self.query = ParamBlock(
-            f"{name}/query", glorot_uniform(hidden, 1, rng_for(seed, f"init/{name}/query"))
-        )
+        self.query = ParamBlock.glorot(f"{name}/query", hidden, 1, seed, bias=False)
 
     def forward(self, x: Array) -> tuple[Array, tuple]:
         b, n, d = x.shape

@@ -19,8 +19,10 @@ ascent and descent) ask for parameter gradients only.
 An ``Adam`` owns the storage of the blocks it optimizes: one flat buffer each
 for the group's weights, gradients and two moments. Each block's ``w``,
 ``b``, ``gw`` and ``gb`` are views into those buffers, so a step is one pass
-over the group. Building a second ``Adam`` over the same blocks moves them
-into the new one's buffers.
+over the group. An ``Adam`` draws its group's initial weights straight into
+its store, and a block that no ``Adam`` adopts draws them on first read, so
+no weight is drawn into a temporary and copied. Building a second ``Adam``
+over the same blocks moves them into the new one's buffers.
 
 ``finite_difference_gradient`` is the independent oracle the test suite
 checks every analytic backward against.
@@ -52,10 +54,13 @@ def rng_for(seed: int, name: str) -> np.random.Generator:
 class ParamBlock:
     """A weight matrix plus optional bias vector with matching grad buffers.
 
-    The grad buffers are allocated on first use, so a block whose storage an
-    ``Adam`` takes over never allocates buffers of its own."""
+    ``ParamBlock.glorot`` makes a deferred block: it holds no weights until
+    an ``Adam`` adopts it and draws its initial weights into the store, or
+    until it is read first and draws them into arrays of its own. The grad
+    buffers are allocated on first use, so a block whose storage an ``Adam``
+    takes over never allocates buffers of its own."""
 
-    __slots__ = ("name", "w", "b", "gw", "gb")
+    __slots__ = ("name", "w", "b", "gw", "gb", "_glorot")
 
     def __init__(self, name: str, w: Array, b: Array | None = None):
         self.name = name
@@ -63,25 +68,71 @@ class ParamBlock:
         self.b = None if b is None else np.asarray(b, dtype=np.float64)
         if self.b is None:
             self.gb = None
+        self._glorot = None
+
+    @classmethod
+    def glorot(cls, name: str, fan_in: int, fan_out: int, seed: int,
+               bias: bool = True) -> "ParamBlock":
+        """A deferred (fan_in, fan_out) block: Glorot-uniform weights from the
+        ``init/{name}`` stream of ``seed`` and, if ``bias``, a zero bias."""
+        blk = cls.__new__(cls)
+        blk.name = name
+        if not bias:
+            blk.b = blk.gb = None
+        blk._glorot = (fan_in, fan_out, seed, bias)
+        return blk
+
+    def shapes(self) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
+        """The shapes of ``w`` and ``b`` (None without a bias), read without
+        drawing a deferred block."""
+        if self._glorot is not None:
+            fan_in, fan_out, _, bias = self._glorot
+            return (fan_in, fan_out), ((fan_out,) if bias else None)
+        return self.w.shape, None if self.b is None else self.b.shape
+
+    def place(self, w: Array, b: Array | None) -> None:
+        """Rebinds the block's weights to ``w`` and ``b``, arrays of its
+        shapes: a deferred block draws its initial weights into them, any
+        other copies its current weights in."""
+        if self._glorot is None:
+            w[...] = self.w
+            if b is not None:
+                b[...] = self.b
+        else:
+            fan_in, fan_out, seed, _ = self._glorot
+            glorot_uniform(fan_in, fan_out, rng_for(seed, f"init/{self.name}"), out=w)
+            if b is not None:
+                b.fill(0.0)
+            self._glorot = None
+        self.w, self.b = w, b
 
     def __getattr__(self, attr: str) -> Array:
-        # reached only while a grad slot is still unset
-        if attr not in ("gw", "gb"):
+        # reached only while a slot is still unset: the weights of a deferred
+        # block that no Adam has adopted, or a grad buffer
+        if attr not in ("w", "b", "gw", "gb"):
             raise AttributeError(attr)
-        grad = np.zeros((self.w if attr == "gw" else self.b).shape)
+        w_shape, b_shape = self.shapes()
+        if attr in ("w", "b"):
+            self.place(np.empty(w_shape), None if b_shape is None else np.empty(b_shape))
+            return getattr(self, attr)
+        grad = np.zeros(w_shape if attr == "gw" else b_shape)
         setattr(self, attr, grad)
         return grad
 
 
-def glorot_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> Array:
+def glorot_uniform(fan_in: int, fan_out: int, rng: np.random.Generator,
+                   out: Array | None = None) -> Array:
+    """Glorot-uniform (fan_in, fan_out) weights, drawn into ``out`` if given.
+
+    Bit for bit what ``rng.uniform(-limit, limit, shape)`` gives: numpy
+    computes ``low + (high - low) * u`` from the doubles ``random`` fills,
+    ``high - low = 2 limit`` is exact, and the two roundings are the same."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-
-def make_linear_block(name: str, fan_in: int, fan_out: int, seed: int, bias: bool = True) -> ParamBlock:
-    w = glorot_uniform(fan_in, fan_out, rng_for(seed, f"init/{name}"))
-    b = np.zeros(fan_out) if bias else None
-    return ParamBlock(name, w, b)
+    w = np.empty((fan_in, fan_out)) if out is None else out
+    rng.random(out=w)
+    w *= limit - -limit
+    w += -limit
+    return w
 
 
 _ADAM_TILE = 32768  # elements per Adam pass: 256 KiB per float64 temporary
@@ -93,11 +144,12 @@ class Adam:
     The optimizer owns its blocks' storage. ``params`` holds every block's
     ``w`` then ``b``, in ``blocks`` order; ``grads`` is laid out alike, and
     the blocks' ``w``/``b``/``gw``/``gb`` become views into the two buffers.
-    Construction keeps the weights and starts from zero gradients; the two
-    moment buffers come with the first step, so a model that is only
-    evaluated never holds them. Building a second ``Adam`` over the same
-    blocks moves them into the new store, and the first one no longer
-    reaches them.
+    Construction draws the initial weights of deferred blocks
+    (``ParamBlock.glorot``) into the store, copies in those of blocks that
+    already hold weights, and starts from zero gradients; the two moment
+    buffers come with the first step, so a model that is only evaluated
+    never holds them. Building a second ``Adam`` over the same blocks moves
+    them into the new store, and the first one no longer reaches them.
     """
 
     def __init__(self, blocks: Sequence[ParamBlock], lr: float = 1e-4,
@@ -105,15 +157,18 @@ class Adam:
         self.blocks = list(blocks)
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        arrays = [a for blk in self.blocks for a in (blk.w, blk.b) if a is not None]
-        self.params = np.concatenate([a.ravel() for a in arrays])
-        self.grads = np.zeros(self.params.size)
+        shapes = [blk.shapes() for blk in self.blocks]
+        size = sum(math.prod(s) for pair in shapes for s in pair if s is not None)
+        self.params = np.empty(size)
+        self.grads = np.zeros(size)
         self.m = self.v = None  # the first step allocates the moments
         off = 0
-        for blk in self.blocks:
-            blk.w, blk.gw, off = self._views(blk.w.shape, off)
-            if blk.b is not None:
-                blk.b, blk.gb, off = self._views(blk.b.shape, off)
+        for blk, (w_shape, b_shape) in zip(self.blocks, shapes):
+            w, blk.gw, off = self._views(w_shape, off)
+            b = blk.gb = None
+            if b_shape is not None:
+                b, blk.gb, off = self._views(b_shape, off)
+            blk.place(w, b)
 
     def _views(self, shape: tuple[int, ...], off: int) -> tuple[Array, Array, int]:
         end = off + math.prod(shape)
@@ -170,7 +225,7 @@ class Linear:
     """y = x @ W + b with cached input for the backward pass."""
 
     def __init__(self, name: str, fan_in: int, fan_out: int, seed: int, bias: bool = True):
-        self.block = make_linear_block(name, fan_in, fan_out, seed, bias)
+        self.block = ParamBlock.glorot(name, fan_in, fan_out, seed, bias)
 
     def forward(self, x: Array) -> tuple[Array, Array]:
         if x.ndim != 2 or x.shape[1] != self.block.w.shape[0]:
@@ -201,8 +256,7 @@ class Embedding:
     """Row lookup table for one categorical field."""
 
     def __init__(self, name: str, vocab_size: int, dim: int, seed: int):
-        w = glorot_uniform(vocab_size, dim, rng_for(seed, f"init/{name}"))
-        self.block = ParamBlock(name, w)
+        self.block = ParamBlock.glorot(name, vocab_size, dim, seed, bias=False)
 
     def forward(self, idx: Array) -> tuple[Array, Array]:
         if idx.min(initial=0) < 0 or idx.max(initial=-1) >= self.block.w.shape[0]:

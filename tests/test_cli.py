@@ -68,6 +68,13 @@ class TestPresets:
         with pytest.raises(ConfigError, match="must match"):
             cfg.validate()
 
+    @pytest.mark.parametrize("key, name", [("lam", "lambda"), ("gamma", "gamma")])
+    def test_negative_weight_is_config_error(self, key, name):
+        obj = preset("synthetic-smoke").to_dict()
+        obj[key] = {"attr": -1.0}
+        with pytest.raises(ConfigError, match=f"{name} weights must be >= 0"):
+            ExperimentConfig.from_dict(obj).validate()
+
 
 #: config files that once ended in a raw traceback, and the text the error names
 _BAD_CONFIGS = {
@@ -78,6 +85,7 @@ _BAD_CONFIGS = {
     "zero-heads": ('{"widths": {"attn_heads": 0}}', "attn_heads"),
     "seed-string": ('{"seed": "x"}', "seed"),
     "lam-int": ('{"lam": 3}', "lam"),
+    "lam-negative": ('{"lam": {"attr": -1.0}}', "lambda weights must be >= 0"),
     "n-samples-string": ('{"dataset": {"kind": "synthetic", "n_samples": "x"}}',
                          "dataset.n_samples"),
     "batch-size-float": ('{"batch_size": 2.5}', "batch_size"),

@@ -444,6 +444,35 @@ class TestCounterfactualInvariant:
         assert np.array_equal(p1, p2)
 
 
+class TestInitialStores:
+    @staticmethod
+    def _reference_stores(bundle, seed):
+        """Each group's store as a build that draws every block with
+        ``rng.uniform`` and concatenates the draws would hold it."""
+        stores = {}
+        for key, opt in bundle.optim.items():
+            parts = []
+            for blk in opt.blocks:
+                fan_in, fan_out = blk.w.shape
+                limit = np.sqrt(6.0 / (fan_in + fan_out))
+                rng = rng_for(seed, f"init/{blk.name}")
+                parts.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)).ravel())
+                if blk.b is not None:
+                    parts.append(np.zeros(fan_out))
+            stores[key] = np.concatenate(parts)
+        return stores
+
+    def test_paper_width_stores_equal_uniform_reference(self):
+        schema = PlatformSchema([("c0", 9), ("c1", 17)], ["x0", "x1"])
+        bundle = ModelBundle([schema] * 3, RepWidths(), 2, {"gender": 2, "age": 5}, seed=7)
+        ref = self._reference_stores(bundle, 7)
+        assert list(ref) == list(bundle.optim)
+        for key, opt in bundle.optim.items():
+            assert opt.params.tobytes() == ref[key].tobytes(), key
+            assert not opt.grads.any()
+        assert sum(o.params.size for o in bundle.optim.values()) > 1_000_000
+
+
 class TestCheckpoint:
     def _bundle(self, seed=0):
         schema = PlatformSchema([("f", 4)], ["x"])

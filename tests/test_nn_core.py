@@ -221,6 +221,57 @@ class TestAdam:
                 assert np.array_equal(blk.b, rblk.b)
 
 
+class TestGlorotInit:
+    SHAPES = [(1, 1), (37, 1), (1, 37), (7, 32), (400, 400)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=[f"{a}x{b}" for a, b in SHAPES])
+    def test_out_equals_uniform_bitwise(self, shape):
+        limit = np.sqrt(6.0 / sum(shape))
+        for seed in range(24):
+            ref = np.random.default_rng(seed).uniform(-limit, limit, shape)
+            out = np.full(shape, np.nan)
+            w = glorot_uniform(*shape, np.random.default_rng(seed), out=out)
+            assert w is out
+            assert out.tobytes() == ref.tobytes()
+            assert glorot_uniform(*shape, np.random.default_rng(seed)).tobytes() == ref.tobytes()
+
+    @staticmethod
+    def _deferred(seed):
+        return [ParamBlock.glorot("lin", 3, 4, seed), ParamBlock.glorot("nobias", 4, 2, seed, bias=False),
+                ParamBlock.glorot("wide", 190, 180, seed)]
+
+    def test_bare_read_equals_store_draw(self):
+        bare, adopted = self._deferred(5), self._deferred(5)
+        opt = Adam(adopted)
+        for a, b in zip(bare, adopted):
+            assert a.w.tobytes() == b.w.tobytes()
+            assert np.shares_memory(b.w, opt.params) and not np.shares_memory(a.w, opt.params)
+            assert (a.b is None) == (b.b is None)
+            if a.b is not None:
+                assert np.all(a.b == 0.0) and a.b.tobytes() == b.b.tobytes()
+
+    def test_grad_read_before_adoption(self):
+        """Reading a deferred block's grad buffer first gives it the block's
+        shapes and leaves the store's draw unchanged."""
+        blk = ParamBlock.glorot("lin", 3, 4, 0)
+        assert blk.gw.shape == (3, 4) and blk.gb.shape == (4,)
+        opt = Adam([blk])
+        assert np.shares_memory(blk.w, opt.params)
+        assert blk.w.tobytes() == ParamBlock.glorot("lin", 3, 4, 0).w.tobytes()
+
+    def test_second_adam_keeps_the_weights(self):
+        blocks = self._deferred(2) + [ParamBlock("given", np.arange(6.0).reshape(2, 3), np.ones(3))]
+        first = Adam(blocks)
+        for blk in blocks:
+            blk.gw[...] = 1.0
+        first.step()
+        before = first.params.copy()
+        second = Adam(blocks)
+        assert second.params.tobytes() == before.tobytes()
+        assert not np.shares_memory(second.params, first.params)
+        assert all(np.shares_memory(blk.w, second.params) for blk in blocks)
+
+
 class TestDropout:
     def test_degenerate_probability(self):
         x = np.random.default_rng(0).normal(size=(5, 5))
