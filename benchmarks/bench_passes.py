@@ -27,6 +27,10 @@ At both widths it also times building the model:
 - ``checkpoint_load``: ``load_checkpoint`` of a saved checkpoint into a
   built bundle.
 
+Each build case runs in a fresh interpreter of its own, so the heap and the
+caches the passes before it leave behind do not skew it, and two trees'
+builds can be compared.
+
 The script uses only public functions whose signatures predate the
 ``params``/``inputs`` backward flags, so it runs unchanged on older commits.
 Compare two commits on one machine by running it against each tree's
@@ -207,6 +211,31 @@ def build_functions(widths_name: str, tmp: Path):
             "checkpoint_load": lambda: load_checkpoint(bundle, path)}
 
 
+def time_build(widths_name: str, build: str, block_s: float, repeats: int) -> float:
+    """ms per call of one build case, timed in this process."""
+    with tempfile.TemporaryDirectory(prefix="bench_passes-") as tmp:
+        return ms_per_call(build_functions(widths_name, Path(tmp))[build], block_s, repeats)
+
+
+# ``time_build`` in a fresh interpreter. argv: the src/ directory, this
+# script's directory, then time_build's arguments.
+_BUILD_CHILD = """
+import sys
+sys.path[:0] = sys.argv[1:3]
+import bench_passes
+print(bench_passes.time_build(sys.argv[3], sys.argv[4], float(sys.argv[5]), int(sys.argv[6])))
+"""
+
+
+def time_build_fresh(src: Path, widths_name: str, build: str, block_s: float,
+                     repeats: int) -> float:
+    out = subprocess.run([sys.executable, "-c", _BUILD_CHILD, str(src.resolve()),
+                          str(Path(__file__).resolve().parent), widths_name, build,
+                          str(block_s), str(repeats)],
+                         stdout=subprocess.PIPE, text=True, check=True)
+    return float(out.stdout.strip().splitlines()[-1])
+
+
 def commit_of(src: Path) -> str | None:
     try:
         out = subprocess.run(["git", "-C", str(src), "describe", "--always", "--dirty"],
@@ -244,13 +273,13 @@ def main() -> int:
                  for case, fn in negatives_functions().items()}
     print("select_negatives", " ".join(f"{k}={v:.3f}ms" for k, v in negatives.items()))
     builds = {}
-    with tempfile.TemporaryDirectory(prefix="bench_passes-") as tmp:
-        for widths_name in ("paper", "c12"):
-            fns = build_functions(widths_name, Path(tmp))
-            builds[widths_name] = {name: round(ms_per_call(fns[name], args.block_s, args.repeats), 4)
-                                   for name in BUILDS}
-            print(f"{widths_name} builds",
-                  " ".join(f"{k}={v:.3f}ms" for k, v in builds[widths_name].items()))
+    for widths_name in ("paper", "c12"):
+        builds[widths_name] = {
+            name: round(time_build_fresh(args.src, widths_name, name, args.block_s,
+                                         args.repeats), 4)
+            for name in BUILDS}
+        print(f"{widths_name} builds",
+              " ".join(f"{k}={v:.3f}ms" for k, v in builds[widths_name].items()))
 
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.is_file() else {}
     doc[args.label] = {

@@ -44,10 +44,6 @@ class LossWeights:
             if bad:
                 raise ProtocolError(f"{name} weights must be >= 0, got {bad}")
 
-    @classmethod
-    def zeros(cls, features: list[str]) -> "LossWeights":
-        return cls({f: 0.0 for f in features}, {f: 0.0 for f in features})
-
 
 @dataclass
 class ContrastiveContext:

@@ -138,8 +138,13 @@ class ExperimentConfig:
         kind, path = self.dataset.get("kind"), self.dataset.get("path")
         if kind not in ("adult", "synthetic"):
             raise ConfigError(f"dataset.kind must be 'adult' or 'synthetic', got {kind!r}")
-        if kind == "adult" and not (path and isinstance(path, str)):
-            raise ConfigError("adult dataset requires a 'path'")
+        if kind == "adult":
+            if not (path and isinstance(path, str)):
+                raise ConfigError("adult dataset requires a 'path'")
+            sample_seed = self.dataset.get("sample_seed", 0)
+            if type(sample_seed) is not int or sample_seed < 0:  # bools too
+                raise ConfigError(f"dataset.sample_seed must be a non-negative int, "
+                                  f"got {sample_seed!r}")
         if kind == "synthetic":
             self.synthetic_spec().validate()
         if self.batch_size < 2:

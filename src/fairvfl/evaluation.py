@@ -67,6 +67,12 @@ def majority_macro_f1(hist: Array) -> float:
     return (2 * p / (1 + p)) / hist.shape[0]
 
 
+def random_baselines(labels: Array, n_classes: int) -> dict[str, float]:
+    """The shuffled-label and majority-class macro-F1 of a label column."""
+    hist = class_histogram(labels, n_classes)
+    return {"shuffled": shuffled_label_macro_f1(hist), "majority": majority_macro_f1(hist)}
+
+
 class AttackerNet:
     """Two-layer MLP probe with its own Adam state."""
 
@@ -223,19 +229,20 @@ class MetricsReport:
         """One flat table row for aggregation across runs."""
         row = {
             "fingerprint": self.config_fingerprint,
-            "task_acc": _fmt(self.task_accuracy),
-            "task_f1": _fmt(self.task_f1),
+            "task_acc": format_cell(self.task_accuracy),
+            "task_f1": format_cell(self.task_f1),
         }
         for f, d in sorted(self.fairness_f1.items()):
-            row[f"fair_f1/{f}"] = _fmt(d.get("mean"))
+            row[f"fair_f1/{f}"] = format_cell(d.get("mean"))
         for f, v in sorted(self.privacy_f1.items()):
-            row[f"priv_f1/{f}"] = _fmt(v)
+            row[f"priv_f1/{f}"] = format_cell(v)
         for key, v in sorted(self.comm.items()):
-            row[f"comm/{key}"] = _fmt(v)
+            row[f"comm/{key}"] = format_cell(v)
         return row
 
 
-def _fmt(v) -> str:
+def format_cell(v) -> str:
+    """A table cell: empty for None, six significant digits for a float."""
     if v is None:
         return ""
     return f"{v:.6g}" if isinstance(v, float) else str(v)

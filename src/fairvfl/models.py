@@ -1,6 +1,11 @@
 """Model components: local encoders, the self-attention aggregator, the task
 head, per-feature mappers, and both discriminator families.
 
+Every weight product and weight gradient goes through ``nn.Linear``. The
+encoders, the task head, the mappers and both discriminators are each a
+``TwoLayerMlp``: an encoder puts its embeddings in front, the encoders and
+the task head apply dropout between the layers, and the rest run without.
+
 Every component exposes ``forward(...) -> (out, cache)`` and
 ``backward(cache, grad_out)``; backward never mutates its cache, so a single
 forward pass supports several independent backward passes (needed for the
@@ -22,7 +27,6 @@ from .nn import (
     Array,
     Embedding,
     Linear,
-    Module,
     ParamBlock,
     dropout_apply,
     dropout_backward,
@@ -66,21 +70,52 @@ class PlatformSchema:
     numeric_fields: list[str]
 
 
-class LocalEncoder(Module):
+class TwoLayerMlp:
+    """fc1 -> ReLU -> dropout -> fc2, built from two ``Linear`` layers: the one
+    dense stack every component uses. With the default ``p_drop`` of 0 the
+    dropout is the identity and draws no random numbers, so the mappers, the
+    discriminators and the attackers stay deterministic."""
+
+    def __init__(self, name: str, fan_in: int, hidden: int, fan_out: int, seed: int,
+                 p_drop: float = 0.0):
+        self.p_drop = p_drop
+        self.fc1 = Linear(f"{name}/fc1", fan_in, hidden, seed)
+        self.fc2 = Linear(f"{name}/fc2", hidden, fan_out, seed)
+
+    def forward(self, x: Array, training: bool = False,
+                rng: np.random.Generator | None = None) -> tuple[Array, tuple]:
+        h1, c1 = self.fc1.forward(x)
+        a1 = relu(h1)
+        d1, mask = dropout_apply(a1, self.p_drop, rng, training)
+        y, c2 = self.fc2.forward(d1)
+        return y, (c1, h1, mask, c2)
+
+    def backward(self, cache: tuple, gy: Array, params: bool = True,
+                 inputs: bool = True) -> Array | None:
+        """Parameter gradients if ``params``; the input gradient if ``inputs``."""
+        c1, h1, mask, c2 = cache
+        gd1 = self.fc2.backward(c2, gy, params)
+        ga1 = dropout_backward(mask, gd1)
+        gh1 = relu_backward(h1, ga1)
+        return self.fc1.backward(c1, gh1, params, inputs)
+
+    def blocks(self) -> list[ParamBlock]:
+        return self.fc1.blocks() + self.fc2.blocks()
+
+
+class LocalEncoder(TwoLayerMlp):
     """Embeds categorical fields, concatenates standardized numerics, and maps
     the result through a two-layer network to the shared rep width."""
 
     def __init__(self, name: str, schema: PlatformSchema, widths: RepWidths,
                  seed: int, p_drop: float = 0.2):
+        in_width = widths.emb_dim * len(schema.cat_fields) + len(schema.numeric_fields)
+        super().__init__(name, in_width, widths.encoder_hidden, widths.rep, seed, p_drop)
         self.schema = schema
-        self.p_drop = p_drop
         self.embeddings = {
             fname: Embedding(f"{name}/emb/{fname}", rows, widths.emb_dim, seed)
             for fname, rows in schema.cat_fields
         }
-        in_width = widths.emb_dim * len(schema.cat_fields) + len(schema.numeric_fields)
-        self.fc1 = Linear(f"{name}/fc1", in_width, widths.encoder_hidden, seed)
-        self.fc2 = Linear(f"{name}/fc2", widths.encoder_hidden, widths.rep, seed)
 
     def forward(self, cols: dict[str, Array], training: bool,
                 rng: np.random.Generator | None) -> tuple[Array, tuple]:
@@ -92,20 +127,13 @@ class LocalEncoder(Module):
         if self.schema.numeric_fields:
             parts.append(np.column_stack([cols[f] for f in self.schema.numeric_fields]))
         x0 = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
-        h1, c1 = self.fc1.forward(x0)
-        a1 = relu(h1)
-        d1, mask = dropout_apply(a1, self.p_drop, rng, training)
-        y, c2 = self.fc2.forward(d1)
-        return y, (emb_caches, c1, h1, mask, c2)
+        y, cache = super().forward(x0, training, rng)
+        return y, (emb_caches,) + cache
 
     def backward(self, cache: tuple, gy: Array) -> None:
-        emb_caches, c1, h1, mask, c2 = cache
-        gd1 = self.fc2.backward(c2, gy)
-        ga1 = dropout_backward(mask, gd1)
-        gh1 = relu_backward(h1, ga1)
-        gx0 = self.fc1.backward(c1, gh1)
+        gx0 = super().backward(cache[1:], gy)
         off = 0
-        for fname, c in emb_caches:
+        for fname, c in cache[0]:
             emb = self.embeddings[fname]
             dim = emb.block.w.shape[1]
             emb.backward(c, gx0[:, off:off + dim])
@@ -113,9 +141,7 @@ class LocalEncoder(Module):
         # numeric inputs are data, not parameters: their slice of gx0 is dropped
 
     def blocks(self) -> list[ParamBlock]:
-        out = [e.block for _, e in sorted(self.embeddings.items())]
-        out += self.fc1.blocks() + self.fc2.blocks()
-        return out
+        return [e.block for _, e in sorted(self.embeddings.items())] + super().blocks()
 
 
 class MultiHeadSelfAttention:
@@ -126,7 +152,7 @@ class MultiHeadSelfAttention:
             raise ConfigError(f"dim {dim} not divisible by {heads} heads")
         self.heads = heads
         self.dh = dim // heads
-        self.wq, self.wk, self.wv = (ParamBlock.glorot(f"{name}/{w}", dim, dim, seed, bias=False)
+        self.wq, self.wk, self.wv = (Linear(f"{name}/{w}", dim, dim, seed, bias=False)
                                      for w in ("wq", "wk", "wv"))
 
     def _split(self, z: Array, b: int, n: int) -> Array:
@@ -135,9 +161,7 @@ class MultiHeadSelfAttention:
     def forward(self, x: Array) -> tuple[Array, tuple]:
         b, n, d = x.shape
         xf = x.reshape(b * n, d)
-        q = self._split(xf @ self.wq.w, b, n)
-        k = self._split(xf @ self.wk.w, b, n)
-        v = self._split(xf @ self.wv.w, b, n)
+        q, k, v = (self._split(lin.forward(xf)[0], b, n) for lin in (self.wq, self.wk, self.wv))
         scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(self.dh)
         attn = softmax(scores)
         out = (attn @ v).transpose(0, 2, 1, 3).reshape(b, n, d)
@@ -156,14 +180,12 @@ class MultiHeadSelfAttention:
 
         xf = x.reshape(b * n, d)
         gx = np.zeros_like(xf)
-        for g, blk in ((gq, self.wq), (gk, self.wk), (gv, self.wv)):
-            gf = g.transpose(0, 2, 1, 3).reshape(b * n, d)
-            np.matmul(xf.T, gf, out=blk.gw)
-            gx += gf @ blk.w.T
+        for g, lin in ((gq, self.wq), (gk, self.wk), (gv, self.wv)):
+            gx += lin.backward(xf, g.transpose(0, 2, 1, 3).reshape(b * n, d))
         return gx.reshape(b, n, d)
 
     def blocks(self) -> list[ParamBlock]:
-        return [self.wq, self.wk, self.wv]
+        return self.wq.blocks() + self.wk.blocks() + self.wv.blocks()
 
 
 class AttentionPool:
@@ -171,13 +193,13 @@ class AttentionPool:
 
     def __init__(self, name: str, dim: int, hidden: int, seed: int):
         self.proj = Linear(f"{name}/proj", dim, hidden, seed)
-        self.query = ParamBlock.glorot(f"{name}/query", hidden, 1, seed, bias=False)
+        self.query = Linear(f"{name}/query", hidden, 1, seed, bias=False)
 
     def forward(self, x: Array) -> tuple[Array, tuple]:
         b, n, d = x.shape
         z, cproj = self.proj.forward(x.reshape(b * n, d))
         u = np.tanh(z)
-        e = (u @ self.query.w).reshape(b, n)
+        e = self.query.forward(u)[0].reshape(b, n)
         alpha = softmax(e)
         pooled = np.einsum("bn,bnd->bd", alpha, x)
         return pooled, (x, cproj, u, alpha)
@@ -188,18 +210,16 @@ class AttentionPool:
         galpha = np.einsum("bd,bnd->bn", gpooled, x)
         gx = alpha[:, :, None] * gpooled[:, None, :]
         ge = alpha * (galpha - (galpha * alpha).sum(axis=1, keepdims=True))
-        gef = ge.reshape(b * n, 1)
-        np.matmul(u.T, gef, out=self.query.gw)
-        gu = gef @ self.query.w.T
+        gu = self.query.backward(u, ge.reshape(b * n, 1))
         gz = gu * (1.0 - u * u)
         gx += self.proj.backward(cproj, gz).reshape(b, n, d)
         return gx
 
     def blocks(self) -> list[ParamBlock]:
-        return self.proj.blocks() + [self.query]
+        return self.proj.blocks() + self.query.blocks()
 
 
-class Aggregator(Module):
+class Aggregator:
     """Self-attention over local reps followed by attention pooling."""
 
     def __init__(self, widths: RepWidths, seed: int, name: str = "aggregator"):
@@ -224,62 +244,16 @@ class Aggregator(Module):
         return self.attn.blocks() + self.pool.blocks()
 
 
-class TaskHead(Module):
+class TaskHead(TwoLayerMlp):
     """Two-layer classifier on the unified representation."""
 
     def __init__(self, widths: RepWidths, n_classes: int, seed: int,
                  p_drop: float = 0.2, name: str = "task_head"):
-        self.p_drop = p_drop
-        self.fc1 = Linear(f"{name}/fc1", widths.rep, widths.head_hidden, seed)
-        self.fc2 = Linear(f"{name}/fc2", widths.head_hidden, n_classes, seed)
-
-    def forward(self, s: Array, training: bool = False,
-                rng: np.random.Generator | None = None) -> tuple[Array, tuple]:
-        h1, c1 = self.fc1.forward(s)
-        a1 = relu(h1)
-        d1, mask = dropout_apply(a1, self.p_drop, rng, training)
-        logits, c2 = self.fc2.forward(d1)
-        return logits, (c1, h1, mask, c2)
-
-    def backward(self, cache: tuple, glogits: Array) -> Array:
-        c1, h1, mask, c2 = cache
-        gd1 = self.fc2.backward(c2, glogits)
-        ga1 = dropout_backward(mask, gd1)
-        gh1 = relu_backward(h1, ga1)
-        return self.fc1.backward(c1, gh1)
+        super().__init__(name, widths.rep, widths.head_hidden, n_classes, seed, p_drop)
 
     def predict(self, s: Array) -> Array:
         logits, _ = self.forward(s, training=False)
         return softmax(logits)
-
-    def blocks(self) -> list[ParamBlock]:
-        return self.fc1.blocks() + self.fc2.blocks()
-
-
-class TwoLayerMlp(Module):
-    """Deterministic two-layer ReLU network (no dropout); shared by mappers
-    and discriminators, whose exact-value contracts forbid stochastic layers."""
-
-    def __init__(self, name: str, fan_in: int, hidden: int, fan_out: int, seed: int):
-        self.fc1 = Linear(f"{name}/fc1", fan_in, hidden, seed)
-        self.fc2 = Linear(f"{name}/fc2", hidden, fan_out, seed)
-
-    def forward(self, x: Array) -> tuple[Array, tuple]:
-        h1, c1 = self.fc1.forward(x)
-        a1 = relu(h1)
-        y, c2 = self.fc2.forward(a1)
-        return y, (c1, h1, c2)
-
-    def backward(self, cache: tuple, gy: Array, params: bool = True,
-                 inputs: bool = True) -> Array | None:
-        """Parameter gradients if ``params``; the input gradient if ``inputs``."""
-        c1, h1, c2 = cache
-        ga1 = self.fc2.backward(c2, gy, params)
-        gh1 = relu_backward(h1, ga1)
-        return self.fc1.backward(c1, gh1, params, inputs)
-
-    def blocks(self) -> list[ParamBlock]:
-        return self.fc1.blocks() + self.fc2.blocks()
 
 
 class Mapper(TwoLayerMlp):
@@ -291,13 +265,13 @@ class Mapper(TwoLayerMlp):
         self.feature = feature
 
 
-class ContrastiveDiscriminator(Module):
+class ContrastiveDiscriminator(TwoLayerMlp):
     """Scores whether a candidate unified rep is the preimage of a protected rep."""
 
     def __init__(self, feature: str, widths: RepWidths, seed: int):
+        super().__init__(f"cdisc/{feature}", widths.protected[feature] + widths.rep,
+                         widths.cdisc_hidden, 1, seed)
         self.feature = feature
-        self.net = TwoLayerMlp(f"cdisc/{feature}", widths.protected[feature] + widths.rep,
-                               widths.cdisc_hidden, 1, seed)
 
     def forward(self, protected: Array, candidate: Array) -> tuple[Array, tuple]:
         if protected.shape[0] != candidate.shape[0]:
@@ -305,19 +279,16 @@ class ContrastiveDiscriminator(Module):
                 f"protected batch {protected.shape[0]} != candidate batch {candidate.shape[0]}"
             )
         x = np.concatenate([protected, candidate], axis=1)
-        scores, cache = self.net.forward(x)
+        scores, cache = super().forward(x)
         return scores[:, 0], (cache, protected.shape[1])
 
     def backward(self, cache: tuple, gscores: Array, params: bool = True,
                  inputs: bool = True) -> tuple[Array, Array] | None:
         """Parameter gradients if ``params``; the (protected, candidate)
         gradients if ``inputs``."""
-        net_cache, h = cache
-        gx = self.net.backward(net_cache, gscores[:, None], params, inputs)
+        mlp_cache, h = cache
+        gx = super().backward(mlp_cache, gscores[:, None], params, inputs)
         return (gx[:, :h], gx[:, h:]) if inputs else None
-
-    def blocks(self) -> list[ParamBlock]:
-        return self.net.blocks()
 
 
 class BiasDiscriminator(TwoLayerMlp):

@@ -209,13 +209,6 @@ class Adam:
             self.params[s] -= upd
 
 
-class Module:
-    """A model component whose parameters are the blocks ``blocks()`` lists."""
-
-    def blocks(self) -> list[ParamBlock]:
-        raise NotImplementedError
-
-
 # ---------------------------------------------------------------------------
 # Layers
 # ---------------------------------------------------------------------------

@@ -50,7 +50,6 @@ class FederationConfig:
     top_pool: int = 5  # negative-sampling pool size per query
     mode: str = "fairvfl"  # "fairvfl" | "vfl" (fairness machinery off)
     verify_updates: bool = False  # instrument rounds against the sign ledger
-    task_grad_scale: float = 1.0  # diagnostic hook used by isolation tests
     # Hash every payload into its transcript record. Only exported transcripts
     # read the digests; in-memory runs switch this off (records get None).
     payload_digests: bool = True
@@ -413,8 +412,6 @@ class Federation:
 
         # 5) overall gradient on the unified rep
         task_grad = self.server.task_grad
-        if self.config.task_grad_scale != 1.0:
-            task_grad = task_grad * self.config.task_grad_scale
         if self.config.mode == "fairvfl":
             grad_unified = combine_overall_grad(task_grad, self.server.adv_grads, weights)
         else:
@@ -424,7 +421,7 @@ class Federation:
         agg, agg_opt = self.server.aggregator, self.server.opts["aggregator"]
         agg_contribs, piece_stacks = [], []
         if self.events is not None:
-            terms = [("task", self.config.task_grad_scale, self.server.task_grad)]
+            terms = [("task", 1.0, task_grad)]
             if self.config.mode == "fairvfl":
                 terms += [(f"adversarial/{f}", -weights.lam[f], self.server.adv_grads[f])
                           for f in self.bundle.features]

@@ -31,10 +31,9 @@ from .errors import ConfigError, EvaluationError
 from .evaluation import (
     MetricsReport,
     attack_f1,
-    class_histogram,
-    majority_macro_f1,
+    format_cell,
     privacy_inference_attack,
-    shuffled_label_macro_f1,
+    random_baselines,
     task_metrics,
     train_attacker_ensemble,
 )
@@ -259,14 +258,10 @@ def cmd_attack(cfg: ExperimentConfig, checkpoint_path: str | Path,
                                       seed=cfg.seed, tag=f"fairness/{feature}",
                                       **attacker_kw)
         res = attack_f1(ens, s_test, col.values[test_ids])
-        hist = class_histogram(col.values[test_ids], col.n_classes)
         report.fairness_f1[feature] = {
             "mean": res.mean_f1, "std": res.std_f1, "per_attacker": res.per_attacker,
         }
-        report.baselines[feature] = {
-            "shuffled": shuffled_label_macro_f1(hist),
-            "majority": majority_macro_f1(hist),
-        }
+        report.baselines[feature] = random_baselines(col.values[test_ids], col.n_classes)
 
     probe_train, probe_test = {}, {}
     for fname in atk.privacy_fields:
@@ -283,12 +278,9 @@ def cmd_attack(cfg: ExperimentConfig, checkpoint_path: str | Path,
             {f: prot_train[f] for f in bundle.features},
             {f: prot_test[f] for f in bundle.features},
             probe_train, probe_test, k=atk.k, seed=cfg.seed, **attacker_kw)
-        for fname in probe_train:
-            hist = class_histogram(probe_test[fname], int(probe_test[fname].max()) + 1)
-            report.baselines[f"privacy/{fname}"] = {
-                "shuffled": shuffled_label_macro_f1(hist),
-                "majority": majority_macro_f1(hist),
-            }
+        for fname, labels in probe_test.items():
+            report.baselines[f"privacy/{fname}"] = random_baselines(
+                labels, int(labels.max()) + 1)
 
     if out_dir is not None:
         out = Path(out_dir)
@@ -409,7 +401,7 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list[float],
 
     (out / "sweep.json").write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n",
                                     encoding="utf-8")
-    _write_tsv(out / "sweep.tsv", rows)
+    _write_table(out / "sweep.tsv", rows, "\t")
     return rows
 
 
@@ -426,37 +418,24 @@ def _guarded_worker(job) -> dict:
 
 
 def _write_loss_curves(path: Path, rows: list[dict]) -> None:
-    if not rows:
-        path.write_text("", encoding="utf-8")
-        return
-    keys = sorted({k for row in rows for k in row}, key=lambda k: (k != "epoch", k))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(keys) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(row.get(k)) for k in keys) + "\n")
+    _write_table(path, rows, ",", first="epoch")
 
 
 def _write_metrics_table(path: Path, reports: list[MetricsReport]) -> None:
-    _write_tsv(path, [r.flat_row() for r in reports])
+    _write_table(path, [r.flat_row() for r in reports], "\t")
 
 
-def _write_tsv(path: Path, rows: list[dict]) -> None:
+def _write_table(path: Path, rows: list[dict], sep: str, first: str | None = None) -> None:
+    """One column per key of any row, sorted with ``first`` leading; a
+    missing value writes an empty cell."""
     if not rows:
         path.write_text("", encoding="utf-8")
         return
-    keys = sorted({k for row in rows for k in row})
+    keys = sorted({k for row in rows for k in row}, key=lambda k: (k != first, k))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(keys) + "\n")
+        fh.write(sep.join(keys) + "\n")
         for row in rows:
-            fh.write("\t".join(_cell(row.get(k)) for k in keys) + "\n")
-
-
-def _cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return f"{v:.6g}"
-    return str(v)
+            fh.write(sep.join(format_cell(row.get(k)) for k in keys) + "\n")
 
 
 def _write_result_summary(path: Path, result: RunResult, best_epoch: int) -> None:

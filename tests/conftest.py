@@ -76,7 +76,7 @@ def tiny_dataset():
 
 def make_federation(ds, pa, *, lam=2.0, gamma=0.25, seed=11, mode="fairvfl",
                     ldp=None, verify=False, widths=None, top_pool=5,
-                    task_grad_scale=1.0, lr=1e-3, payload_digests=True):
+                    lr=1e-3, payload_digests=True):
     from fairvfl.models import OptimParams
 
     widths = widths or small_widths()
@@ -87,7 +87,6 @@ def make_federation(ds, pa, *, lam=2.0, gamma=0.25, seed=11, mode="fairvfl",
         top_pool=top_pool,
         mode=mode,
         verify_updates=verify,
-        task_grad_scale=task_grad_scale,
         payload_digests=payload_digests,
     )
     return build_federation(ds, pa, widths, cfg, seed, optim=OptimParams(lr=lr))

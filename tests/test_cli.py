@@ -90,6 +90,9 @@ _BAD_CONFIGS = {
                          "dataset.n_samples"),
     "batch-size-float": ('{"batch_size": 2.5}', "batch_size"),
     "lr-string": ('{"optim": {"lr": "x"}}', "optim.lr"),
+    "adult-sample-seed-string": (
+        '{"dataset": {"kind": "adult", "path": "nowhere", "sample_seed": "x"}}',
+        "dataset.sample_seed"),
     "non-utf8": (b'{"seed": "\xff\xfe"}', "cannot read config"),
     "missing": (None, "cannot read config"),
 }

@@ -1,6 +1,7 @@
 """Model components: encoder/aggregator/head/mapper/discriminator contracts,
 gradient checks against the oracle, purity, and checkpoint round-trips."""
 
+import hashlib
 import json
 import struct
 
@@ -25,6 +26,7 @@ from fairvfl.checkpoint import (
     read_checkpoint,
     save_checkpoint,
 )
+from fairvfl.config import preset
 from fairvfl.errors import CheckpointError, ConfigError
 from fairvfl.models import (
     Aggregator,
@@ -50,6 +52,7 @@ from fairvfl.nn import (
     rng_for,
     softmax_cross_entropy,
 )
+from fairvfl.runner import build_run_federation, make_dataset
 
 
 class TestLocalEncoder:
@@ -471,6 +474,19 @@ class TestInitialStores:
             assert opt.params.tobytes() == ref[key].tobytes(), key
             assert not opt.grads.any()
         assert sum(o.params.size for o in bundle.optim.values()) > 1_000_000
+
+    def test_smoke_initial_checkpoint_is_pinned(self, tmp_path):
+        """The untrained synthetic-smoke bundle saves to fixed bytes, so a
+        renamed, reordered or redrawn block changes the hash. Trained bytes
+        are not pinned: GEMM rounding may differ across BLAS builds."""
+        cfg = preset("synthetic-smoke")
+        fed = build_run_federation(cfg, *make_dataset(cfg))
+        path = tmp_path / "init.fvfl"
+        save_checkpoint(fed.bundle, path)
+        raw = path.read_bytes()
+        assert len(raw) == 220_409
+        assert hashlib.sha256(raw).hexdigest() == (
+            "a13505c48e31815255243ade01c7c17a1cbd9d97023081d268a6fdfe7bf9bac3")
 
 
 class TestCheckpoint:
