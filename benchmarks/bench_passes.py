@@ -1,4 +1,4 @@
-"""Per-pass timings of the fairness games, the attacker step and the model build.
+"""Per-pass timings of the fairness games, attacker training and the model build.
 
 Measures ms per call, at the paper widths (rep 400, gender H=32, age H=64)
 and at the C12 widths (rep 64, one H=4 feature), of:
@@ -12,9 +12,7 @@ and at the C12 widths (rep 64, one H=4 feature), of:
 - ``mapper_descent``: the server handling ``BIAS_DISC_GRAD_DOWN`` (backward,
   Adam step, protected-rep recompute);
 - ``mapper_frozen``: the server handling ``ADV_GRAD_DOWN`` (the frozen
-  mapper's gradient on the unified rep);
-- ``attacker_step``: one ``AttackerNet.train_step`` on a batch of 128
-  rep-wide inputs (hidden 128, two classes).
+  mapper's gradient on the unified rep).
 
 It also times ``select_negatives`` alone at batch sizes 32, 500 and 1000
 (top pool 5, protected width 8), on distinct relevances, on rounded,
@@ -27,9 +25,17 @@ At both widths it also times building the model:
 - ``checkpoint_load``: ``load_checkpoint`` of a saved checkpoint into a
   built bundle.
 
-Each build case runs in a fresh interpreter of its own, so the heap and the
-caches the passes before it leave behind do not skew it, and two trees'
-builds can be compared.
+And it times ``train_attacker_ensemble`` at the synthetic-smoke preset's
+attack settings (k = 5, hidden 128, batch 128, lr 1e-3) on its 1,200 train
+rows, for a fixed 10 epochs (patience 10, so no probe stops early), on
+random reps and labels:
+
+- ``fairness``: rep width 64, two classes, as on the unified rep;
+- ``privacy``: width 16, four classes, as on a protected rep.
+
+Each build and ensemble case runs in a fresh interpreter of its own, so the
+heap and the caches the passes before it leave behind do not skew it, and
+two trees' builds can be compared.
 
 The script uses only public functions whose signatures predate the
 ``params``/``inputs`` backward flags, so it runs unchanged on older commits.
@@ -60,9 +66,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 ROOT = Path(__file__).resolve().parent.parent
 PASSES = ("cdisc_step", "cdisc_frozen", "mapper_ascent", "mapper_descent",
-          "mapper_frozen", "attacker_step")
+          "mapper_frozen")
 NEGATIVE_BATCHES = (32, 500, 1000)
 BUILDS = ("bundle_build", "checkpoint_load")
+# (rep width, classes) of the attacker ensembles
+ENSEMBLES = {"fairness": (64, 2), "privacy": (16, 4)}
 
 
 def widths_config(name: str):
@@ -126,7 +134,6 @@ def pass_functions(widths_name: str):
         select_negatives,
     )
     from fairvfl.data import iterate_batches
-    from fairvfl.evaluation import AttackerNet
     from fairvfl.protocol.messages import Kind, Message
     from fairvfl.runner import build_run_federation, make_dataset
 
@@ -158,9 +165,6 @@ def pass_functions(widths_name: str):
             server.mapper_caches[feature] = mcache
             server.handle(Message(0, sender, server.name, kind, g), fed)
 
-        attacker = AttackerNet(f"bench/{feature}", unified.shape[1], 2, 128, 1e-3, seed=0)
-        x = rng.normal(size=(128, unified.shape[1]))
-        y = rng.integers(0, 2, size=128)
         yield f"{widths_name}/{feature}", {
             "cdisc_step": lambda c=cdisc, o=cdisc_opt, p=protected, q=neg_idx:
                 contrastive_discriminator_step(c, o, p, unified, q),
@@ -169,7 +173,6 @@ def pass_functions(widths_name: str):
             "mapper_ascent": mapper_ascent,
             "mapper_descent": lambda h=handle: h(Kind.BIAS_DISC_GRAD_DOWN),
             "mapper_frozen": lambda h=handle: h(Kind.ADV_GRAD_DOWN),
-            "attacker_step": lambda a=attacker, x=x, y=y: a.train_step(x, y),
         }
 
 
@@ -217,20 +220,38 @@ def time_build(widths_name: str, build: str, block_s: float, repeats: int) -> fl
         return ms_per_call(build_functions(widths_name, Path(tmp))[build], block_s, repeats)
 
 
-# ``time_build`` in a fresh interpreter. argv: the src/ directory, this
-# script's directory, then time_build's arguments.
-_BUILD_CHILD = """
+def time_ensemble(probe: str, block_s: float, repeats: int) -> float:
+    """ms per ``train_attacker_ensemble`` call of one ``ENSEMBLES`` case,
+    timed in this process."""
+    import numpy as np
+
+    from fairvfl.evaluation import train_attacker_ensemble
+
+    width, n_classes = ENSEMBLES[probe]
+    rng = np.random.default_rng(0)
+    reps = rng.normal(size=(1200, width))
+    labels = rng.integers(0, n_classes, size=1200)
+    return ms_per_call(lambda: train_attacker_ensemble(
+        reps, labels, k=5, seed=0, tag=f"bench/{probe}", hidden=128, lr=1e-3, batch=128,
+        max_epochs=10, patience=10), block_s, repeats)
+
+
+# A ``time_build`` or ``time_ensemble`` call in a fresh interpreter. argv: the
+# src/ directory, this script's directory, the function's name, then its
+# arguments, the last two being the block seconds and the repeats.
+_CHILD = """
 import sys
 sys.path[:0] = sys.argv[1:3]
 import bench_passes
-print(bench_passes.time_build(sys.argv[3], sys.argv[4], float(sys.argv[5]), int(sys.argv[6])))
+fn = getattr(bench_passes, sys.argv[3])
+print(fn(*sys.argv[4:-2], float(sys.argv[-2]), int(sys.argv[-1])))
 """
 
 
-def time_build_fresh(src: Path, widths_name: str, build: str, block_s: float,
-                     repeats: int) -> float:
-    out = subprocess.run([sys.executable, "-c", _BUILD_CHILD, str(src.resolve()),
-                          str(Path(__file__).resolve().parent), widths_name, build,
+def time_fresh(src: Path, fn: str, args: tuple[str, ...], block_s: float,
+               repeats: int) -> float:
+    out = subprocess.run([sys.executable, "-c", _CHILD, str(src.resolve()),
+                          str(Path(__file__).resolve().parent), fn, *args,
                           str(block_s), str(repeats)],
                          stdout=subprocess.PIPE, text=True, check=True)
     return float(out.stdout.strip().splitlines()[-1])
@@ -275,11 +296,15 @@ def main() -> int:
     builds = {}
     for widths_name in ("paper", "c12"):
         builds[widths_name] = {
-            name: round(time_build_fresh(args.src, widths_name, name, args.block_s,
-                                         args.repeats), 4)
+            name: round(time_fresh(args.src, "time_build", (widths_name, name),
+                                   args.block_s, args.repeats), 4)
             for name in BUILDS}
         print(f"{widths_name} builds",
               " ".join(f"{k}={v:.3f}ms" for k, v in builds[widths_name].items()))
+    ensembles = {probe: round(time_fresh(args.src, "time_ensemble", (probe,), args.block_s,
+                                         args.repeats), 4)
+                 for probe in ENSEMBLES}
+    print("attacker ensembles", " ".join(f"{k}={v:.3f}ms" for k, v in ensembles.items()))
 
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.is_file() else {}
     doc[args.label] = {
@@ -290,6 +315,7 @@ def main() -> int:
         "passes": cases,
         "select_negatives": negatives,
         "builds": builds,
+        "attacker_ensembles": ensembles,
     }
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0

@@ -4,6 +4,15 @@ and the analytic random baselines they are compared against.
 
 Attackers only ever see detached representation snapshots; nothing here can
 reach back into the probed model.
+
+An attacker ensemble is k two-layer MLP probes, each with its own seed, its
+own holdout split and batch order, and its own early stop. The k probes train
+in lockstep as one stacked model (``AttackerNet``): each step does every
+layer product as one ``np.matmul`` over a (k, b, d) stack of the probes'
+batches and one Adam step over all their weights, and a probe that stops
+leaves the stack. Stacking changes no arithmetic, so every probe ends on the
+weights it would reach trained alone, bit for bit; it saves the per-probe
+call overhead, which at these widths is most of a probe step.
 """
 
 from __future__ import annotations
@@ -14,9 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EvaluationError
+from .errors import EvaluationError, LabelError
 from .models import TwoLayerMlp
-from .nn import Adam, Array, rng_for, softmax_cross_entropy_grad
+from .nn import Adam, Array, rng_for
 
 
 def accuracy(pred: Array, labels: Array) -> float:
@@ -73,67 +82,121 @@ def random_baselines(labels: Array, n_classes: int) -> dict[str, float]:
     return {"shuffled": shuffled_label_macro_f1(hist), "majority": majority_macro_f1(hist)}
 
 
-class AttackerNet:
-    """Two-layer MLP probe with its own Adam state."""
+_PREDICT_ROWS = 4096  # input rows per forward pass when predicting
 
-    def __init__(self, tag: str, in_width: int, n_classes: int, hidden: int,
-                 lr: float, seed: int):
-        self.net = TwoLayerMlp(tag, in_width, hidden, n_classes, seed)
-        self.opt = Adam(self.net.blocks(), lr=lr)
+
+def _probe_layers(rows: Array, in_width: int, hidden: int, n_classes: int
+                  ) -> tuple[Array, Array, Array, Array]:
+    """Every probe's fc1 weights and bias and fc2 weights and bias, as
+    (k, d, h), (k, h), (k, h, c) and (k, c) views of ``rows``: one probe per
+    row, laid out as an ``Adam`` over the probe's two ``Linear`` blocks.
+    (Splitting the contiguous part of each row is always a view.)"""
+    k, d, h, c = rows.shape[0], in_width, hidden, n_classes
+    o1, o2, o3 = d * h, d * h + h, d * h + h + h * c
+    return (rows[:, :o1].reshape(k, d, h), rows[:, o1:o2],
+            rows[:, o2:o3].reshape(k, h, c), rows[:, o3:])
+
+
+def _forward(layers: tuple[Array, ...], x: Array, h1: Array | None = None,
+             logits: Array | None = None) -> tuple[Array, Array]:
+    """fc1 -> ReLU -> fc2 of every probe, as ``TwoLayerMlp.forward`` computes
+    it, into ``h1`` and ``logits`` if given. ``x`` is (k, n, d), a batch per
+    probe, or (n, d), one batch every probe sees."""
+    w1, b1, w2, b2 = layers
+    h1 = np.matmul(x, w1, out=h1)
+    h1 += b1[:, None]
+    np.maximum(h1, 0.0, out=h1)
+    logits = np.matmul(h1, w2, out=logits)
+    logits += b2[:, None]
+    return h1, logits
+
+
+def _predict(layers: tuple[Array, ...], x: Array) -> Array:
+    """(k, n) classes: each probe's prediction for its rows of ``x``."""
+    return np.concatenate([np.argmax(_forward(layers, x[..., i:i + _PREDICT_ROWS, :])[1], axis=2)
+                           for i in range(0, x.shape[-2], _PREDICT_ROWS)], axis=1)
+
+
+class AttackerNet:
+    """The k probes of one attacker ensemble, trained in lockstep.
+
+    Probe i is ``TwoLayerMlp(f"attacker/{tag}/{i}", d, h, c, seed + i)``, so
+    it draws from its own ``init/attacker/{tag}/{i}/...`` streams. One
+    ``Adam`` holds the probes' blocks, probe after probe: its store reads as a
+    (k, P) matrix with one probe per row, and the layers are views of it
+    (``_probe_layers``). Each layer product is one ``np.matmul`` over the
+    stack, bit for bit the probe-by-probe products, and Adam is elementwise,
+    so one step over the store is k probe steps.
+    """
+
+    def __init__(self, tag: str, k: int, in_width: int, hidden: int, n_classes: int,
+                 lr: float, seed: int, batch: int):
+        nets = [TwoLayerMlp(f"attacker/{tag}/{i}", in_width, hidden, n_classes, seed + i)
+                for i in range(k)]
+        self.opt = Adam([blk for net in nets for blk in net.blocks()], lr=lr)
+        self.widths = (in_width, hidden, n_classes)
+        # a step's activations, their gradients and its logits, viewed at the
+        # current stack and batch size
+        self._h1, self._gh1 = np.empty(k * batch * hidden), np.empty(k * batch * hidden)
+        self._logits = np.empty(k * batch * n_classes)
+        self._bind(k)
+
+    def _bind(self, k: int) -> None:
+        self.params = self.opt.params.reshape(k, -1)
+        self.layers = _probe_layers(self.params, *self.widths)
+        self.grads = _probe_layers(self.opt.grads.reshape(k, -1), *self.widths)
 
     def train_step(self, x: Array, y: Array) -> None:
-        logits, cache = self.net.forward(x)
-        glogits = softmax_cross_entropy_grad(logits, y)  # nobody reads the loss
-        self.net.backward(cache, glogits, inputs=False)  # inputs are data
+        """One Adam step of every probe on its own batch: ``x`` (k, b, d),
+        ``y`` (k, b). The loss gradient is ``softmax_cross_entropy_grad``'s."""
+        k, b = y.shape
+        _, h, c = self.widths
+        h1, logits = _forward(self.layers, x, self._h1[:k * b * h].reshape(k, b, h),
+                              self._logits[:k * b * c].reshape(k, b, c))
+        g = logits  # softmax, less one at the target, over the batch size
+        g -= g.max(axis=2, keepdims=True)
+        np.exp(g, out=g)
+        g /= g.sum(axis=2, keepdims=True)
+        g.reshape(-1, c)[np.arange(k * b), y.ravel()] -= 1.0
+        g /= b
+        gw1, gb1, gw2, gb2 = self.grads
+        np.matmul(h1.transpose(0, 2, 1), g, out=gw2)
+        np.sum(g, axis=1, out=gb2)
+        gh1 = np.matmul(g, self.layers[2].transpose(0, 2, 1),
+                        out=self._gh1[:k * b * h].reshape(k, b, h))
+        gh1 *= h1 > 0.0
+        np.matmul(x.transpose(0, 2, 1), gh1, out=gw1)
+        np.sum(gh1, axis=1, out=gb1)
         self.opt.step()
 
-    def predict(self, x: Array, batch: int = 4096) -> Array:
-        out = []
-        for i in range(0, x.shape[0], batch):
-            logits, _ = self.net.forward(x[i:i + batch])
-            out.append(np.argmax(logits, axis=1))
-        return np.concatenate(out)
-
-    def snapshot(self) -> Array:
-        return self.opt.params.copy()
-
-    def restore(self, snap: Array) -> None:
-        self.opt.params[...] = snap
+    def retire(self, keep: Array) -> None:
+        """Keeps only the probes the boolean mask ``keep`` selects: the
+        others' weights, gradients and moments leave the store, and the step
+        count stays. Adam's step reads only its flat buffers, so the blocks'
+        stale views go unread."""
+        k = keep.shape[0]
+        for name in ("params", "grads", "m", "v"):
+            buf = getattr(self.opt, name)
+            if buf is not None:
+                setattr(self.opt, name, buf.reshape(k, -1)[keep].ravel())
+        self._bind(int(keep.sum()))
 
 
 @dataclass
 class AttackerEnsemble:
-    """k independently seeded probes over one representation/label pairing."""
+    """k independently seeded probes over one representation/label pairing,
+    each on its best-validation weights: one row of ``params`` per probe,
+    laid out as in ``AttackerNet``."""
 
-    attackers: list[AttackerNet]
+    params: Array
     n_classes: int
     in_width: int
+    hidden: int
 
-
-def _train_one_attacker(net: AttackerNet, reps: Array, labels: Array,
-                        rng: np.random.Generator, batch: int, max_epochs: int,
-                        patience: int, holdout: float) -> None:
-    n = reps.shape[0]
-    n_val = max(1, int(round(n * holdout)))
-    perm = rng.permutation(n)
-    val_idx, tr_idx = perm[:n_val], perm[n_val:]
-    val_reps, val_labels = reps[val_idx], labels[val_idx]
-    n_classes = int(labels.max()) + 1
-    best_f1, best_snap, stale = -1.0, None, 0
-    for _ in range(max_epochs):
-        order = tr_idx[rng.permutation(tr_idx.shape[0])]
-        for i in range(0, order.shape[0], batch):
-            sel = order[i:i + batch]
-            net.train_step(reps[sel], labels[sel])
-        val_f1 = macro_f1(net.predict(val_reps), val_labels, n_classes)
-        if val_f1 > best_f1 + 1e-4:
-            best_f1, best_snap, stale = val_f1, net.snapshot(), 0
-        else:
-            stale += 1
-            if stale >= patience:
-                break
-    if best_snap is not None:
-        net.restore(best_snap)
+    @property
+    def attackers(self) -> list[Array]:
+        """Each probe's flat weights: fc1's weights and bias, then fc2's."""
+        return list(self.params)
 
 
 def train_attacker_ensemble(reps: Array, labels: Array, k: int = 5, seed: int = 0,
@@ -142,20 +205,48 @@ def train_attacker_ensemble(reps: Array, labels: Array, k: int = 5, seed: int = 
                             patience: int = 3, holdout: float = 0.1
                             ) -> AttackerEnsemble:
     """Trains k probes on frozen representations, each early-stopped on its
-    own 10% holdout of the attack train set."""
+    own 10% holdout of the attack train set.
+
+    Probe i draws its holdout split and its epochs' batch orders from its own
+    ``attacker/{tag}/{i}`` stream, and all k step in lockstep
+    (``AttackerNet``). A probe whose holdout F1 has not risen for
+    ``patience`` epochs leaves the stack; every probe ends on the weights of
+    its best holdout epoch."""
     labels = np.asarray(labels, dtype=np.int64)
     classes = np.unique(labels)
     if classes.shape[0] < 2:
         raise EvaluationError(f"degenerate labels for {tag}: single class {classes}")
+    if classes[0] < 0:
+        raise LabelError(f"negative label for {tag}: {classes[0]}")
     n_classes = int(labels.max()) + 1
-    attackers = []
-    for i in range(k):
-        net = AttackerNet(f"attacker/{tag}/{i}", reps.shape[1], n_classes, hidden,
-                          lr, seed=seed + i)
-        _train_one_attacker(net, reps, labels, rng_for(seed, f"attacker/{tag}/{i}"),
-                            batch, max_epochs, patience, holdout)
-        attackers.append(net)
-    return AttackerEnsemble(attackers, n_classes, reps.shape[1])
+    n, in_width = reps.shape
+    n_val = max(1, int(round(n * holdout)))
+    rngs = [rng_for(seed, f"attacker/{tag}/{i}") for i in range(k)]
+    perms = np.stack([rng.permutation(n) for rng in rngs])
+    val_idx, tr_idx = perms[:, :n_val], perms[:, n_val:]
+    val_reps, val_labels = reps[val_idx], labels[val_idx]
+    n_tr = tr_idx.shape[1]
+    net = AttackerNet(tag, k, in_width, hidden, n_classes, lr, seed, max(1, min(batch, n_tr)))
+    best, best_f1, stale = net.params.copy(), np.full(k, -1.0), np.zeros(k, dtype=np.int64)
+    live = np.arange(k)  # the probes in the stack, in stack order
+    for _ in range(max_epochs):
+        order = np.stack([tr_idx[i, rngs[i].permutation(n_tr)] for i in live])
+        for lo in range(0, n_tr, batch):
+            sel = order[:, lo:lo + batch]
+            net.train_step(reps[sel], labels[sel])
+        pred = _predict(net.layers, val_reps[live])
+        val_f1 = np.array([macro_f1(p, val_labels[i], n_classes) for p, i in zip(pred, live)])
+        gain = val_f1 > best_f1[live] + 1e-4
+        best[live[gain]] = net.params[gain]
+        best_f1[live[gain]] = val_f1[gain]
+        stale[live] = np.where(gain, 0, stale[live] + 1)
+        done = ~gain & (stale[live] >= patience)
+        if done.all():
+            break
+        if done.any():
+            net.retire(~done)
+            live = live[~done]
+    return AttackerEnsemble(best, n_classes, in_width, hidden)
 
 
 @dataclass
@@ -169,7 +260,8 @@ def attack_f1(ens: AttackerEnsemble, reps: Array, labels: Array) -> AttackResult
     if reps.shape[1] != ens.in_width:
         raise EvaluationError(f"rep width {reps.shape[1]} != ensemble width {ens.in_width}")
     labels = np.asarray(labels, dtype=np.int64)
-    scores = [macro_f1(net.predict(reps), labels, ens.n_classes) for net in ens.attackers]
+    pred = _predict(_probe_layers(ens.params, ens.in_width, ens.hidden, ens.n_classes), reps)
+    scores = [macro_f1(p, labels, ens.n_classes) for p in pred]
     return AttackResult(float(np.mean(scores)), float(np.std(scores)), scores)
 
 

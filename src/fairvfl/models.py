@@ -31,7 +31,6 @@ from .nn import (
     dropout_apply,
     dropout_backward,
     relu,
-    relu_backward,
     softmax,
 )
 
@@ -95,9 +94,9 @@ class TwoLayerMlp:
         """Parameter gradients if ``params``; the input gradient if ``inputs``."""
         c1, h1, mask, c2 = cache
         gd1 = self.fc2.backward(c2, gy, params)
-        ga1 = dropout_backward(mask, gd1)
-        gh1 = relu_backward(h1, ga1)
-        return self.fc1.backward(c1, gh1, params, inputs)
+        ga1 = dropout_backward(mask, gd1)  # a fresh array: the ReLU mask goes in place
+        ga1 *= h1 > 0.0
+        return self.fc1.backward(c1, ga1, params, inputs)
 
     def blocks(self) -> list[ParamBlock]:
         return self.fc1.blocks() + self.fc2.blocks()

@@ -228,7 +228,7 @@ class Linear:
             )
         y = x @ self.block.w
         if self.block.b is not None:
-            y = y + self.block.b
+            y += self.block.b
         return y, x
 
     def backward(self, cache: Array, gy: Array, params: bool = True,

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from fairvfl.errors import EvaluationError
+from fairvfl.errors import LabelError
 from fairvfl.evaluation import (
+    AttackerNet,
     AttackResult,
     attack_f1,
     class_histogram,
@@ -16,6 +18,8 @@ from fairvfl.evaluation import (
     task_metrics,
     train_attacker_ensemble,
 )
+from fairvfl.models import TwoLayerMlp
+from fairvfl.nn import Adam, rng_for, softmax_cross_entropy_grad
 
 
 class TestTaskMetrics:
@@ -117,6 +121,92 @@ class TestAttackers:
         ra = attack_f1(a, reps, labels)
         rb = attack_f1(b, reps, labels)
         assert ra.per_attacker == rb.per_attacker
+
+
+def reference_ensemble(reps, labels, k, seed, tag, hidden, lr, batch, max_epochs,
+                       patience, holdout=0.1):
+    """The per-probe trainer the lockstep one must equal: one ``TwoLayerMlp``
+    and one ``Adam`` per probe, trained one probe after another. Returns each
+    probe's final flat weights and the epochs it trained."""
+    n, n_classes = reps.shape[0], int(labels.max()) + 1
+    out = []
+    for i in range(k):
+        net = TwoLayerMlp(f"attacker/{tag}/{i}", reps.shape[1], hidden, n_classes, seed + i)
+        opt = Adam(net.blocks(), lr=lr)
+        rng = rng_for(seed, f"attacker/{tag}/{i}")
+        perm = rng.permutation(n)
+        n_val = max(1, int(round(n * holdout)))
+        val_idx, tr_idx = perm[:n_val], perm[n_val:]
+        best_f1, best_snap, stale, epochs = -1.0, None, 0, 0
+        for epochs in range(1, max_epochs + 1):
+            order = tr_idx[rng.permutation(tr_idx.shape[0])]
+            for lo in range(0, order.shape[0], batch):
+                sel = order[lo:lo + batch]
+                logits, cache = net.forward(reps[sel])
+                net.backward(cache, softmax_cross_entropy_grad(logits, labels[sel]),
+                             inputs=False)
+                opt.step()
+            pred = np.argmax(net.forward(reps[val_idx])[0], axis=1)
+            val_f1 = macro_f1(pred, labels[val_idx], n_classes)
+            if val_f1 > best_f1 + 1e-4:
+                best_f1, best_snap, stale = val_f1, opt.params.copy(), 0
+            else:
+                stale += 1
+                if stale >= patience:
+                    break
+        if best_snap is not None:
+            opt.params[...] = best_snap
+        out.append((opt.params, epochs))
+    return out
+
+
+class TestLockstepTrainer:
+    """The lockstep trainer against the per-probe reference: every probe's
+    final weights bitwise equal."""
+
+    @pytest.mark.parametrize("k,d,n_classes,batch,max_epochs,patience", [
+        (1, 4, 2, 32, 4, 4),
+        (5, 4, 3, 32, 4, 4),
+        (1, 64, 3, 16, 3, 3),
+        (5, 64, 2, 32, 3, 3),
+        (5, 4, 2, 1, 2, 2),  # one-row batches
+    ])
+    def test_matches_per_probe_reference(self, k, d, n_classes, batch, max_epochs, patience):
+        rng = np.random.default_rng(d + n_classes)
+        labels = rng.integers(0, n_classes, size=150)  # 135 train rows: a partial last batch
+        reps = rng.normal(size=(150, d)) + labels[:, None]
+        kw = dict(k=k, seed=7, tag="ref", hidden=16, lr=1e-2, batch=batch,
+                  max_epochs=max_epochs, patience=patience)
+        ens = train_attacker_ensemble(reps, labels, **kw)
+        ref = reference_ensemble(reps, labels, **kw)
+        assert len(ens.attackers) == k
+        for got, (want, _) in zip(ens.attackers, ref):
+            assert np.array_equal(got, want)
+
+    def test_retired_probes_match_reference(self, monkeypatch):
+        """Patience 1 over 30 epochs retires the probes in different epochs.
+        Each probe takes exactly the reference's steps: one too few changes
+        its weights, and a retired probe costs no step at all."""
+        stack_sizes = []
+        step = AttackerNet.train_step
+        monkeypatch.setattr(AttackerNet, "train_step", lambda net, x, y: (
+            stack_sizes.append(y.shape[0]), step(net, x, y)))
+        rng = np.random.default_rng(11)
+        labels = rng.integers(0, 3, size=300)
+        reps = rng.normal(size=(300, 4)) + 0.3 * labels[:, None]
+        kw = dict(k=5, seed=3, tag="retire", hidden=8, lr=3e-2, batch=32,
+                  max_epochs=30, patience=1)
+        ens = train_attacker_ensemble(reps, labels, **kw)
+        ref = reference_ensemble(reps, labels, **kw)
+        assert len({epochs for _, epochs in ref}) > 1
+        assert all(epochs < 30 for _, epochs in ref)
+        assert sum(stack_sizes) == sum(epochs for _, epochs in ref) * 9  # 270 rows, batch 32
+        for got, (want, _) in zip(ens.attackers, ref):
+            assert np.array_equal(got, want)
+
+    def test_negative_label_rejected(self):
+        with pytest.raises(LabelError, match="negative"):
+            train_attacker_ensemble(np.zeros((10, 4)), np.arange(10) % 2 - 1)
 
 
 class TestPrivacyProbe:
