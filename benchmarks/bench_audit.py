@@ -11,7 +11,12 @@ Measures, with one BLAS thread:
 - ``write_us_per_record``: ``TranscriptRecord.to_line`` over that
   transcript's records, the lines ``fairvfl train`` writes;
 - ``audit_command_ms``: ``runner.cmd_audit`` on that transcript (read,
-  audit, traffic accounting), what ``fairvfl audit`` runs.
+  audit, traffic accounting), what ``fairvfl audit`` runs;
+- ``scale_read``: ``Transcript.read`` of that transcript concatenated
+  ``SCALE_COPIES`` times (about 30k lines): ``us_per_line``, and from one more
+  read under ``tracemalloc`` the ``records_mb`` the result holds and the
+  ``peak_mb`` of the read, which exceeds ``records_mb`` by what the reader
+  holds on the side (a line-by-line read: one line; a chunked read: a chunk).
 
 Every figure is the median over timed blocks. Compare two commits on one
 machine by running the script against each tree's ``src/`` with its own
@@ -29,6 +34,7 @@ import os
 import platform
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 # One BLAS thread, set before numpy loads, so every commit runs alike.
@@ -38,6 +44,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 from bench_passes import commit_of, ms_per_call, widths_config  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
+SCALE_COPIES = 20
 
 
 def epoch_rounds(widths_name: str):
@@ -101,8 +108,22 @@ def main() -> int:
         read_us = round(timed(lambda: Transcript.read(path)) * 1e3 / n_lines, 4)
         write_us = round(timed(lambda: [rec.to_line() for rec in records]) * 1e3 / n_lines, 4)
         command_ms = round(timed(lambda: cmd_audit(path, cfg)), 4)
+
+        big = Path(tmp) / "scaled.ndjson"
+        big.write_text(path.read_text(encoding="utf-8") * SCALE_COPIES, encoding="utf-8")
+        n_big = n_lines * SCALE_COPIES
+        scale_us = round(timed(lambda: Transcript.read(big)) * 1e3 / n_big, 4)
+        tracemalloc.start()
+        held = Transcript.read(big)
+        records_b, peak_b = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        del held
     print(f"read: {n_lines} lines, {read_us:.3f} us/line; write {write_us:.3f} us/record; "
           f"cmd_audit {command_ms:.3f} ms")
+    scale = {"lines": n_big, "us_per_line": scale_us,
+             "records_mb": round(records_b / 1e6, 3), "peak_mb": round(peak_b / 1e6, 3)}
+    print(f"read x{SCALE_COPIES}: {n_big} lines, {scale_us:.3f} us/line; records "
+          f"{scale['records_mb']:.1f} MB, peak {scale['peak_mb']:.1f} MB (tracemalloc)")
 
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.is_file() else {}
     doc[args.label] = {
@@ -114,7 +135,8 @@ def main() -> int:
         "read_lines": n_lines,
         "write_us_per_record": write_us,
         "audit_command_ms": command_ms,
-        "unit": "median over timed blocks",
+        "scale_read": scale,
+        "unit": "median over timed blocks; scale_read MB from tracemalloc",
     }
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0

@@ -18,10 +18,22 @@ keys ``round``, ``sender``, ``receiver``, ``kind``, ``shape``,
 spaces, strings escaped to ASCII as ``json.dumps`` escapes them, and the
 digest as ``"0x"`` plus 16 lowercase hex digits, or ``null``. This is
 ``json.dumps(..., separators=(",", ":"))`` of the record, byte for byte,
-built by one format string. The reader matches that form with one pattern
-and sends every other line to the json module's scanner, so it accepts any
-JSON object with those keys, as ``json.loads`` would read it. Records are
-hashable and compare by value, but are not frozen.
+built by one format string. Records are hashable and compare by value, but
+are not frozen.
+
+``Transcript.read`` reads the file in chunks of whole lines, about 256k
+characters each, and parses a chunk with one ``findall`` of the canonical
+pattern: one C-level pass for all its records, and each distinct shape string
+converted once. A chunk with any line that pass misses (a line in another
+JSON form, a blank or padded line, a BOM) or a number ``int()`` refuses is
+parsed line by line with ``TranscriptRecord.from_line``, which matches the
+same pattern and sends every other line to the json module's scanner, so the
+reader accepts any JSON object with those keys, as ``json.loads`` would read
+it. Lines are split as text-mode iteration splits them: universal newlines,
+then a break only at a line feed, never at U+2028 or the other breaks
+``str.splitlines`` knows, which a JSON string may hold raw. A file that
+fails is read once more line by line, so which error it reports (a bad
+record, or bytes that are not UTF-8) is what a line-by-line read meets first.
 """
 
 from __future__ import annotations
@@ -99,6 +111,12 @@ _CANONICAL = re.compile(
     rf'\{{"round":({_INT}),"sender":{_STR},"receiver":{_STR},"kind":{_STR},'
     rf'"shape":\[({_INT}(?:,{_INT})*)?\],"float_count":({_INT}),'
     rf'"payload_digest":(?:null|"0x([0-9a-f]{{16}})")\}}')
+#: the canonical form as a whole line of a chunk, from its start to its line feed
+_CANONICAL_LINE = re.compile(rf"^{_CANONICAL.pattern}\n", re.MULTILINE)
+#: characters ``Transcript.read`` reads per chunk, before cutting to whole
+#: lines. A chunk's pattern pass holds about 4x its size in row tuples; larger
+#: chunks read no faster.
+_CHUNK_CHARS = 1 << 18
 
 
 @dataclass(unsafe_hash=True)
@@ -201,16 +219,63 @@ class Transcript:
     def read(cls, path: str | Path) -> "Transcript":
         """Parses an exported transcript; an unreadable file, bytes that are
         not UTF-8 or a malformed record raise ``ParseError``."""
-        records = []
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    line = line.strip()
-                    if line:
-                        records.append(TranscriptRecord.from_line(line, lineno))
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    return cls(_parse_chunks(fh))
+            except (ParseError, UnicodeDecodeError):
+                # a bad file: report the error a line-by-line read meets first
+                with open(path, "r", encoding="utf-8") as fh:
+                    return cls(_parse_lines(fh, 1))
         except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read transcript {path}: {exc}") from exc
-        return cls(records)
+
+
+def _parse_chunks(fh) -> list[TranscriptRecord]:
+    """The records of a text-mode file, one pattern pass per chunk of lines."""
+    records: list[TranscriptRecord] = []
+    lineno = 1
+    for chunk in _line_chunks(fh):
+        records += _parse_canonical(chunk) or _parse_lines(chunk.split("\n"), lineno)
+        lineno += chunk.count("\n")
+    return records
+
+
+def _line_chunks(fh):
+    """The text of ``fh`` in chunks of whole lines, each ending in a line
+    feed; a last line without one gets one."""
+    tail = ""
+    while block := fh.read(_CHUNK_CHARS):
+        cut = block.rfind("\n") + 1
+        if cut:
+            yield tail + block[:cut]
+            tail = block[cut:]
+        else:
+            tail += block
+    if tail:
+        yield tail + "\n"
+
+
+def _parse_canonical(chunk: str) -> list[TranscriptRecord] | None:
+    """The records of ``chunk`` if every line of it is canonical, with
+    numbers ``int()`` takes; else None."""
+    rows = _CANONICAL_LINE.findall(chunk)
+    if len(rows) != chunk.count("\n"):
+        return None
+    try:
+        shapes = {s: tuple(map(int, s.split(","))) if s else () for s in {r[4] for r in rows}}
+        return [TranscriptRecord(int(rid), sender, receiver, kind, shapes[shape],
+                                 int(count), int(digest, 16) if digest else None)
+                for rid, sender, receiver, kind, shape, count, digest in rows]
+    except ValueError:  # a number past int()'s digit limit
+        return None
+
+
+def _parse_lines(lines, lineno: int) -> list[TranscriptRecord]:
+    """The records of the non-blank ``lines``, numbered from ``lineno``."""
+    stripped = (line.strip() for line in lines)
+    return [TranscriptRecord.from_line(line, n)
+            for n, line in enumerate(stripped, start=lineno) if line]
 
 
 def write_records(fh, records: list[TranscriptRecord]) -> None:

@@ -235,6 +235,20 @@ def cmd_attack(cfg: ExperimentConfig, checkpoint_path: str | Path,
     pin_blas_threads()
     atk: AttackConfig = cfg.attack_config()
     ds, pa = make_dataset(cfg)
+    train_ids = ds.split_ids("train")
+    test_ids = ds.split_ids("test")
+    # every privacy field is checked before any probe trains
+    probe_train, probe_test = {}, {}
+    for fname in atk.privacy_fields:
+        if fname not in ds.columns:
+            raise EvaluationError(f"privacy field {fname!r} not in the dataset")
+        col = ds.columns[fname]
+        if col.kind != "cat":
+            raise EvaluationError(f"privacy field {fname!r} is numeric; probes are "
+                                  "classification only")
+        probe_train[fname] = col.values[train_ids]
+        probe_test[fname] = col.values[test_ids]
+
     feature_shards, _, _ = partition_vertical(ds, pa)
     schemas = [s.schema() for s in feature_shards]
     bundle = ModelBundle(schemas, cfg.rep_widths(), ds.n_task_classes,
@@ -242,8 +256,6 @@ def cmd_attack(cfg: ExperimentConfig, checkpoint_path: str | Path,
                          cfg.seed, cfg.optim_params(), cfg.p_drop)
     load_checkpoint(bundle, checkpoint_path)
 
-    train_ids = ds.split_ids("train")
-    test_ids = ds.split_ids("test")
     s_train, prot_train = representations(bundle, feature_shards, train_ids)
     s_test, prot_test = representations(bundle, feature_shards, test_ids)
 
@@ -263,16 +275,6 @@ def cmd_attack(cfg: ExperimentConfig, checkpoint_path: str | Path,
         }
         report.baselines[feature] = random_baselines(col.values[test_ids], col.n_classes)
 
-    probe_train, probe_test = {}, {}
-    for fname in atk.privacy_fields:
-        if fname not in ds.columns:
-            raise EvaluationError(f"privacy field {fname!r} not in the dataset")
-        col = ds.columns[fname]
-        if col.kind != "cat":
-            raise EvaluationError(f"privacy field {fname!r} is numeric; probes are "
-                                  "classification only")
-        probe_train[fname] = col.values[train_ids]
-        probe_test[fname] = col.values[test_ids]
     if probe_train:
         report.privacy_f1 = privacy_inference_attack(
             {f: prot_train[f] for f in bundle.features},
@@ -384,9 +386,9 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list[float],
     pin_blas_threads()
     for v in values:
         apply_axis(cfg, axis, v)  # fail fast on bad axis/values
+    workers = _sweep_workers()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    workers = max(1, int(os.environ.get("FAIRVFL_THREADS", "1")))
     jobs = [(cfg.to_dict(), axis, v, str(out / f"{axis.replace(':', '_')}={v:g}"))
             for v in values]
 
@@ -403,6 +405,18 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list[float],
                                     encoding="utf-8")
     _write_table(out / "sweep.tsv", rows, "\t")
     return rows
+
+
+def _sweep_workers() -> int:
+    """The sweep's process count from ``FAIRVFL_THREADS`` (default 1)."""
+    raw = os.environ.get("FAIRVFL_THREADS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"FAIRVFL_THREADS must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 def _guarded_worker(job) -> dict:

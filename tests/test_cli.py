@@ -241,6 +241,31 @@ class TestCliCommands:
         assert rc == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("field, message", [
+        ("nope", "not in the dataset"), ("num0_0", "is numeric"),
+    ])
+    def test_bad_privacy_field_fails_before_any_probe_trains(self, tmp_path, capsys,
+                                                            monkeypatch, field, message):
+        from fairvfl.evaluation import AttackerNet
+
+        out = tmp_path / "run"
+        assert main(["train", "--preset", "synthetic-smoke", "--config",
+                     str(_smoke_overrides(tmp_path)), "--out", str(out)]) == EXIT_OK
+        steps = []
+        real_step = AttackerNet.train_step
+        monkeypatch.setattr(AttackerNet, "train_step",
+                            lambda net, x, y: steps.append(1) or real_step(net, x, y))
+        cfg_path = _smoke_overrides(tmp_path, attack={
+            "k": 1, "hidden": 8, "max_epochs": 3, "privacy_fields": ["cat0_0", field]})
+        rc = main(["attack", "--preset", "synthetic-smoke", "--config", str(cfg_path),
+                   "--checkpoint", str(out / "checkpoint.fvfl"),
+                   "--out", str(out / "attack")])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"privacy field {field!r} {message}" in err
+        assert steps == []
+        assert not (out / "attack").exists()
+
     def test_missing_config_is_validation_error(self, capsys):
         assert main(["train"]) == EXIT_VALIDATION
 
@@ -335,6 +360,23 @@ class TestSweep:
         rows = json.loads((tmp_path / "psw" / "sweep.json").read_text())
         assert [r["value"] for r in rows] == [0.0, 0.5]
         assert all(not r["error"] for r in rows)
+
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", ""])
+    def test_bad_thread_count_is_validation_error(self, tmp_path, monkeypatch, capsys,
+                                                  value):
+        import fairvfl.runner as runner_mod
+
+        monkeypatch.setenv("FAIRVFL_THREADS", value)
+        runs = []
+        monkeypatch.setattr(runner_mod, "_guarded_worker", runs.append)
+        rc = main(["sweep", "--preset", "synthetic-smoke", "--axis", "gamma_c",
+                   "--values", "0.0,0.5", "--out", str(tmp_path / "sw")])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "FAIRVFL_THREADS" in err
+        assert runs == []
+        assert not (tmp_path / "sw").exists()
 
 
 class TestPresetRuns:

@@ -35,6 +35,7 @@ from fairvfl.protocol import (
     build_federation,
     fairness_comm_cost,
     ldp_perturb,
+    messages,
 )
 from fairvfl.protocol.audit import ViolationKind, _classify, per_round_fairness_cost
 from fairvfl.protocol.messages import (
@@ -834,3 +835,141 @@ class TestTranscriptCodec:
         with open(again, "w", encoding="utf-8") as fh:
             write_records(fh, records)
         assert again.read_bytes() == path.read_bytes()
+
+
+def _per_line_read(path):
+    """``Transcript.read`` as one ``from_line`` per stripped text-mode line:
+    the reference the chunked reader must match, records and errors alike."""
+    records = []
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line:
+                    records.append(TranscriptRecord.from_line(line, lineno))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read transcript {path}: {exc}") from exc
+    return records
+
+
+def _outcome(read, path):
+    """The records ``read`` gives, or the line and message of its ParseError."""
+    try:
+        return read(path), None
+    except ParseError as exc:
+        return None, (exc.line, str(exc))
+
+
+def _raw_line(rec):
+    """A record's canonical line with non-ASCII characters left raw."""
+    return json.dumps(json.loads(rec.to_line()), ensure_ascii=False, separators=(",", ":"))
+
+
+def _huge(field):
+    big = "9" * 5000  # past int()'s 4300-digit limit
+    return _canonical(**{field: "X"}).replace('"X"', f"[2,{big}]" if field == "shape" else big)
+
+
+#: characters str.splitlines breaks at that a JSON string may hold raw
+_RAW_BREAKS = ["\u2028", "\u2029", "\x85"]
+#: a line of a file the reader must read as the per-line reference does
+_LINES = st.one_of(
+    _RECORDS.map(TranscriptRecord.to_line),
+    _RECORDS.map(_raw_line),
+    st.sampled_from(_RAW_BREAKS).map(lambda c: _canonical(sender=f"a{c}b")),
+    # two records on one line, apart at a break str.splitlines knows
+    st.sampled_from(_RAW_BREAKS + ["\x0b", "\x1c"]).map(
+        lambda c: _canonical() + c + _canonical()),
+    st.sampled_from(list(_NEAR_CANONICAL.values())),
+    st.sampled_from(["", "  ", "\t", "\u3000", " " + _canonical(), _canonical() + "\x0b",
+                     "not json", "{", "[1]", "\ufeff" + _canonical()]),
+    st.sampled_from(["round", "float_count", "shape"]).map(_huge),
+)
+#: chunk sizes from one character to the default
+_CHUNKS = st.sampled_from([1, 2, 3, 7, 64, 200, 1000, 1 << 18])
+
+
+class TestChunkedRead:
+    """``Transcript.read`` against ``_per_line_read``: the same records, or a
+    ParseError with the same line number and message, at any chunk size."""
+
+    @staticmethod
+    def _check(path, chunk):
+        want = _outcome(_per_line_read, path)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(messages, "_CHUNK_CHARS", chunk)
+            got = _outcome(lambda p: Transcript.read(p).records, path)
+        assert got == want
+        return want
+
+    @settings(max_examples=150, deadline=None)
+    @given(records=st.lists(_RECORDS, max_size=30), chunk=_CHUNKS)
+    def test_canonical_records_read_back(self, tmp_path_factory, records, chunk):
+        path = tmp_path_factory.getbasetemp() / "canonical.ndjson"
+        with open(path, "w", encoding="utf-8") as fh:
+            write_records(fh, records)
+        assert self._check(path, chunk) == (records, None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(_LINES, min_size=1, max_size=12), data=st.data(), chunk=_CHUNKS)
+    def test_mixed_lines_read_like_per_line(self, tmp_path_factory, lines, data, chunk):
+        ends = data.draw(st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r"]),
+                                  min_size=len(lines), max_size=len(lines)))
+        if data.draw(st.booleans()):
+            ends[-1] = ""  # no final newline
+        raw = [(line + end).encode("utf-8") for line, end in zip(lines, ends)]
+        if data.draw(st.booleans()):
+            raw[0] = "\ufeff".encode("utf-8") + raw[0]
+        if data.draw(st.booleans()):  # bytes that are not UTF-8
+            raw.insert(data.draw(st.integers(0, len(raw))), b"\xff\n")
+        path = tmp_path_factory.getbasetemp() / "mixed.ndjson"
+        path.write_bytes(b"".join(raw))
+        self._check(path, chunk)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), chunk=_CHUNKS)
+    def test_mutated_line_reads_like_per_line(self, tmp_path_factory, exported_transcript,
+                                              data, chunk):
+        lines, _ = exported_transcript
+        path = _write_mutated(tmp_path_factory.getbasetemp() / "mutated.ndjson", lines, data)
+        self._check(path, chunk)
+
+    @pytest.mark.parametrize("text, n_records, bad_line", [
+        (_canonical() + "\n\n  \n" + _canonical() + "\n", 2, None),
+        (_canonical() + "\r\n" + _canonical() + "\r\n", 2, None),
+        (_canonical() + "\n" + _canonical(), 2, None),
+        ("\ufeff" + _canonical() + "\n", 0, 1),
+        (_canonical(sender="a\u2028b") + "\n" + _canonical() + "\n", 2, None),
+        (_canonical() + "\n" + _huge("round") + "\n", 0, 2),
+    ], ids=["blank-lines", "crlf", "no-final-newline", "bom", "u2028-in-sender",
+            "huge-round"])
+    @pytest.mark.parametrize("chunk", [5, 1 << 18])
+    def test_edge_files(self, tmp_path, text, n_records, bad_line, chunk):
+        path = tmp_path / "t.ndjson"
+        path.write_text(text, encoding="utf-8", newline="")
+        records, error = self._check(path, chunk)
+        if bad_line is None:
+            assert error is None and len(records) == n_records
+        else:
+            assert error[0] == bad_line
+
+    def test_many_chunks_with_a_bad_line_late(self, tmp_path, exported_transcript):
+        lines, _ = exported_transcript
+        path = tmp_path / "t.ndjson"
+        path.write_text("\n".join(lines * 8 + ["not json"] + lines) + "\n", encoding="utf-8")
+        assert self._check(path, 1000)[1][0] == 8 * len(lines) + 1
+        assert self._check(path, 1 << 18)[1][0] == 8 * len(lines) + 1
+
+    @pytest.mark.parametrize("gap", [1, 200], ids=["bad-bytes-near", "bad-bytes-far"])
+    def test_bad_line_then_bad_bytes_reports_what_per_line_meets_first(
+            self, tmp_path, exported_transcript, gap):
+        """A line-by-line read decodes ahead of the line it parses, so bytes
+        that are not UTF-8 a few lines after a bad record are the error it
+        reports; far enough after, the bad record is."""
+        lines, _ = exported_transcript
+        good = "\n".join(lines[:1] * gap).encode("utf-8")
+        path = tmp_path / "t.ndjson"
+        path.write_bytes(b"not json\n" + good + b"\n\xff\n")
+        want = self._check(path, 1 << 18)
+        assert want[1][0] == (None if gap == 1 else 1)
+        self._check(path, 16)
