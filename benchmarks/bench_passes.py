@@ -25,6 +25,14 @@ At both widths it also times building the model:
 - ``checkpoint_load``: ``load_checkpoint`` of a saved checkpoint into a
   built bundle.
 
+At both widths it also measures memory, after building a federation and
+training it one epoch (``stores``): the process's peak RSS and the MB held
+by the bundle's distinct store buffers, one figure each for the parameters,
+the gradients and the two Adam moments. A buffer that several optimizer
+groups share counts once. The peak is Linux's ``VmHWM``, which a new program
+starts afresh: ``ru_maxrss`` of a child starts at the spawning process's own
+peak, so in a child of this script it reads the passes' peak at either width.
+
 And it times ``train_attacker_ensemble`` at the synthetic-smoke preset's
 attack settings (k = 5, hidden 128, batch 128, lr 1e-3) on its 1,200 train
 rows, for a fixed 10 epochs (patience 10, so no probe stops early), on
@@ -33,9 +41,9 @@ random reps and labels:
 - ``fairness``: rep width 64, two classes, as on the unified rep;
 - ``privacy``: width 16, four classes, as on a protected rep.
 
-Each build and ensemble case runs in a fresh interpreter of its own, so the
-heap and the caches the passes before it leave behind do not skew it, and
-two trees' builds can be compared.
+Each build, stores and ensemble case runs in a fresh interpreter of its own,
+so the heap and the caches the passes before it leave behind do not skew it,
+and two trees' builds can be compared.
 
 The script uses only public functions whose signatures predate the
 ``params``/``inputs`` backward flags, so it runs unchanged on older commits.
@@ -69,6 +77,7 @@ PASSES = ("cdisc_step", "cdisc_frozen", "mapper_ascent", "mapper_descent",
           "mapper_frozen")
 NEGATIVE_BATCHES = (32, 500, 1000)
 BUILDS = ("bundle_build", "checkpoint_load")
+STORES = ("params", "grads", "m", "v")
 # (rep width, classes) of the attacker ensembles
 ENSEMBLES = {"fairness": (64, 2), "privacy": (16, 4)}
 
@@ -220,6 +229,32 @@ def time_build(widths_name: str, build: str, block_s: float, repeats: int) -> fl
         return ms_per_call(build_functions(widths_name, Path(tmp))[build], block_s, repeats)
 
 
+def measure_stores(widths_name: str, block_s: float, repeats: int) -> dict[str, float]:
+    """Peak RSS and the MB of the bundle's distinct store buffers after one
+    training epoch at the widths' config, in this process (``block_s`` and
+    ``repeats`` are unused: ``fresh`` passes every case both)."""
+    from fairvfl.data import iterate_batches
+    from fairvfl.runner import build_run_federation, make_dataset
+
+    cfg = widths_config(widths_name)
+    ds, pa = make_dataset(cfg)
+    fed = build_run_federation(cfg, ds, pa)
+    for ids in iterate_batches(ds, "train", cfg.batch_size, 0):
+        fed.run_training_round(ids)
+    with open("/proc/self/status", encoding="ascii") as fh:
+        hwm_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+    out = {"peak_rss_mb": hwm_kb / 1024.0}
+    for store in STORES:
+        buffers = {}
+        for opt in fed.bundle.optim.values():
+            arr = getattr(opt, store)
+            while arr.base is not None:  # a view: count the buffer it is cut from
+                arr = arr.base
+            buffers[id(arr)] = arr.nbytes
+        out[f"{store}_mb"] = sum(buffers.values()) / 1e6
+    return out
+
+
 def time_ensemble(probe: str, block_s: float, repeats: int) -> float:
     """ms per ``train_attacker_ensemble`` call of one ``ENSEMBLES`` case,
     timed in this process."""
@@ -236,25 +271,25 @@ def time_ensemble(probe: str, block_s: float, repeats: int) -> float:
         max_epochs=10, patience=10), block_s, repeats)
 
 
-# A ``time_build`` or ``time_ensemble`` call in a fresh interpreter. argv: the
-# src/ directory, this script's directory, the function's name, then its
-# arguments, the last two being the block seconds and the repeats.
+# A ``time_build``, ``measure_stores`` or ``time_ensemble`` call in a fresh
+# interpreter, its result printed as JSON. argv: the src/ directory, this
+# script's directory, the function's name, then its arguments, the last two
+# being the block seconds and the repeats.
 _CHILD = """
-import sys
+import json, sys
 sys.path[:0] = sys.argv[1:3]
 import bench_passes
 fn = getattr(bench_passes, sys.argv[3])
-print(fn(*sys.argv[4:-2], float(sys.argv[-2]), int(sys.argv[-1])))
+print(json.dumps(fn(*sys.argv[4:-2], float(sys.argv[-2]), int(sys.argv[-1]))))
 """
 
 
-def time_fresh(src: Path, fn: str, args: tuple[str, ...], block_s: float,
-               repeats: int) -> float:
+def fresh(src: Path, fn: str, args: tuple[str, ...], block_s: float, repeats: int):
     out = subprocess.run([sys.executable, "-c", _CHILD, str(src.resolve()),
                           str(Path(__file__).resolve().parent), fn, *args,
                           str(block_s), str(repeats)],
                          stdout=subprocess.PIPE, text=True, check=True)
-    return float(out.stdout.strip().splitlines()[-1])
+    return json.loads(out.stdout.strip().splitlines()[-1])
 
 
 def commit_of(src: Path) -> str | None:
@@ -296,13 +331,19 @@ def main() -> int:
     builds = {}
     for widths_name in ("paper", "c12"):
         builds[widths_name] = {
-            name: round(time_fresh(args.src, "time_build", (widths_name, name),
-                                   args.block_s, args.repeats), 4)
+            name: round(fresh(args.src, "time_build", (widths_name, name),
+                              args.block_s, args.repeats), 4)
             for name in BUILDS}
         print(f"{widths_name} builds",
               " ".join(f"{k}={v:.3f}ms" for k, v in builds[widths_name].items()))
-    ensembles = {probe: round(time_fresh(args.src, "time_ensemble", (probe,), args.block_s,
-                                         args.repeats), 4)
+    stores = {}
+    for widths_name in ("paper", "c12"):
+        stores[widths_name] = {k: round(v, 4) for k, v in fresh(
+            args.src, "measure_stores", (widths_name,), args.block_s, args.repeats).items()}
+        print(f"{widths_name} stores",
+              " ".join(f"{k}={v:.2f}" for k, v in stores[widths_name].items()))
+    ensembles = {probe: round(fresh(args.src, "time_ensemble", (probe,), args.block_s,
+                                    args.repeats), 4)
                  for probe in ENSEMBLES}
     print("attacker ensembles", " ".join(f"{k}={v:.3f}ms" for k, v in ensembles.items()))
 
@@ -311,10 +352,11 @@ def main() -> int:
         "commit": commit_of(args.src),
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__, "blas_threads_env": os.environ["OPENBLAS_NUM_THREADS"]},
-        "unit": "ms per call, median of timed blocks",
+        "unit": "ms per call, median of timed blocks; stores in MB",
         "passes": cases,
         "select_negatives": negatives,
         "builds": builds,
+        "stores": stores,
         "attacker_ensembles": ensembles,
     }
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")

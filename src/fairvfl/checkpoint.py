@@ -19,10 +19,6 @@ MAGIC = b"FVFLCKPT"
 VERSION = 1
 
 
-def _le_bytes(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
-
-
 def save_checkpoint(bundle: ModelBundle, path: str | Path) -> None:
     manifest = []
     for blk in bundle.named_blocks():
@@ -42,9 +38,10 @@ def save_checkpoint(bundle: ModelBundle, path: str | Path) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(head)))
         fh.write(head)
-        # each group's store is its blocks' w then b, in manifest order
+        # each group's store is its blocks' w then b, in manifest order; on a
+        # little-endian host the array written is the store itself, no copy
         for opt in bundle.optim.values():
-            fh.write(_le_bytes(opt.params))
+            fh.write(np.ascontiguousarray(opt.params, dtype="<f8"))
 
 
 def _take(raw: bytes, off: int, shape: tuple[int, ...]) -> tuple[np.ndarray, int]:
@@ -69,7 +66,8 @@ def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, tuple[np.ndarray,
 
 def parse_checkpoint(raw: bytes, path: str | Path = "checkpoint") -> tuple[dict, dict]:
     """``read_checkpoint`` on the file's bytes; any malformed or truncated
-    input raises ``CheckpointError`` naming ``path``."""
+    input, or a header whose ``version`` is missing or not ``VERSION``,
+    raises ``CheckpointError`` naming ``path``."""
     if raw[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
     off = len(MAGIC) + 4
@@ -88,6 +86,11 @@ def parse_checkpoint(raw: bytes, path: str | Path = "checkpoint") -> tuple[dict,
     try:
         if not isinstance(header, dict) or not isinstance(header["protected_widths"], dict):
             raise TypeError("header is not a checkpoint manifest")
+        if "version" not in header:
+            raise CheckpointError(f"{path}: checkpoint header has no version")
+        if type(header["version"]) is not int or header["version"] != VERSION:
+            raise CheckpointError(f"{path}: unsupported checkpoint version "
+                                  f"{header['version']!r} (this reader takes {VERSION})")
         int(header["rep_width"])
         for entry in header["blocks"]:
             w, off = _take(raw, off, tuple(int(d) for d in entry["w_shape"]))

@@ -32,6 +32,7 @@ from .nn import (
     dropout_backward,
     relu,
     softmax,
+    store_size,
 )
 
 
@@ -310,7 +311,15 @@ class OptimParams:
 
 class ModelBundle:
     """All trainable components plus one Adam optimizer per component group;
-    each ``Adam`` holds its group's parameters in one flat store."""
+    each ``Adam`` holds its group's parameters in one flat store.
+
+    The groups share one zeroed gradient buffer, as long as the largest
+    group's store, and each group's ``grads`` is a prefix of it. That is safe
+    because each group's step follows its only parameter backward before any
+    other group writes, and the sign ledger copies a gradient when it records
+    it (``nn`` module docstring). So a trained bundle's state is each group's
+    ``params``, ``m``, ``v`` and ``t`` alone; its gradient stores hold
+    whatever the last backward left."""
 
     def __init__(self, schemas: list[PlatformSchema], widths: RepWidths,
                  task_classes: int, sensitive_classes: dict[str, int],
@@ -339,16 +348,17 @@ class ModelBundle:
             for f in self.features
         }
 
-        hp = (optim.lr, optim.beta1, optim.beta2, optim.eps)
-        self.optim: dict[str, Adam] = {}
-        for i, enc in enumerate(self.encoders):
-            self.optim[f"encoder/{i}"] = Adam(enc.blocks(), *hp)
-        self.optim["aggregator"] = Adam(self.aggregator.blocks(), *hp)
-        self.optim["task_head"] = Adam(self.task_head.blocks(), *hp)
+        groups = {f"encoder/{i}": enc.blocks() for i, enc in enumerate(self.encoders)}
+        groups["aggregator"] = self.aggregator.blocks()
+        groups["task_head"] = self.task_head.blocks()
         for f in self.features:
-            self.optim[f"mapper/{f}"] = Adam(self.mappers[f].blocks(), *hp)
-            self.optim[f"cdisc/{f}"] = Adam(self.cdiscs[f].blocks(), *hp)
-            self.optim[f"bdisc/{f}"] = Adam(self.bdiscs[f].blocks(), *hp)
+            groups[f"mapper/{f}"] = self.mappers[f].blocks()
+            groups[f"cdisc/{f}"] = self.cdiscs[f].blocks()
+            groups[f"bdisc/{f}"] = self.bdiscs[f].blocks()
+        grads = np.zeros(max(store_size(blocks) for blocks in groups.values()))
+        self.optim = {key: Adam(blocks, optim.lr, optim.beta1, optim.beta2, optim.eps,
+                                grads=grads)
+                      for key, blocks in groups.items()}
 
     def mapper(self, feature: str) -> Mapper:
         if feature not in self.mappers:

@@ -6,7 +6,13 @@ backward passes; there is no autodiff tape.
 A parameter backward sets its group's gradient: each layer writes its
 parameter gradients over whatever the store held, and ``Adam.step`` reads
 them. Every update of a group comes from one parameter backward, so nothing
-ever zeroes a store.
+ever zeroes a store. A gradient is thus live only from that backward to the
+step right after it, and no two groups' gradients are live at once: the
+groups of a ``models.ModelBundle`` share one gradient buffer, each group's
+store a prefix of it. The sign ledger copies a store when it records it, so
+its extra per-term backward passes keep that order too. Between steps a
+store holds whatever the last backward wrote into the buffer, so a model's
+training state is each group's ``params``, ``m``, ``v`` and ``t`` alone.
 
 A backward pass computes only what its caller reads: ``params=False`` skips
 the parameter gradients, ``inputs=False`` the input gradient (both default
@@ -17,11 +23,12 @@ gradient nobody reads (the discriminator and attacker steps, the mapper's
 ascent and descent) ask for parameter gradients only.
 
 An ``Adam`` owns the storage of the blocks it optimizes: one flat buffer each
-for the group's weights, gradients and two moments. Each block's ``w``,
-``b``, ``gw`` and ``gb`` are views into those buffers, so a step is one pass
-over the group. An ``Adam`` draws its group's initial weights straight into
-its store, and a block that no ``Adam`` adopts draws them on first read, so
-no weight is drawn into a temporary and copied. Building a second ``Adam``
+for the group's weights and two moments, and one for its gradients unless it
+is handed a buffer to share. Each block's ``w``, ``b``, ``gw`` and ``gb`` are
+views into those buffers, so a step is one pass over the group. An ``Adam``
+draws its group's initial weights straight into its store, and a block that
+no ``Adam`` adopts draws them on first read, so no weight is drawn into a
+temporary and copied. Building a second ``Adam``
 over the same blocks moves them into the new one's buffers.
 
 ``finite_difference_gradient`` is the independent oracle the test suite
@@ -135,6 +142,11 @@ def glorot_uniform(fan_in: int, fan_out: int, rng: np.random.Generator,
     return w
 
 
+def store_size(blocks: Sequence[ParamBlock]) -> int:
+    """Floats in the flat store of an ``Adam`` over ``blocks``."""
+    return sum(math.prod(s) for blk in blocks for s in blk.shapes() if s is not None)
+
+
 _ADAM_TILE = 32768  # elements per Adam pass: 256 KiB per float64 temporary
 
 
@@ -146,21 +158,27 @@ class Adam:
     the blocks' ``w``/``b``/``gw``/``gb`` become views into the two buffers.
     Construction draws the initial weights of deferred blocks
     (``ParamBlock.glorot``) into the store, copies in those of blocks that
-    already hold weights, and starts from zero gradients; the two moment
-    buffers come with the first step, so a model that is only evaluated
-    never holds them. Building a second ``Adam`` over the same blocks moves
+    already hold weights, and, unless handed ``grads``, starts from zero
+    gradients; the two moment buffers come with the first step, so a model
+    that is only evaluated never holds them. Building a second ``Adam`` over the same blocks moves
     them into the new store, and the first one no longer reaches them.
+
+    ``grads``, if given, is a buffer of at least ``store_size(blocks)``
+    floats whose prefix becomes the gradient store, as it is: optimizers
+    that share it must each step right after their own parameter backward,
+    before another writes the buffer (see the module docstring).
     """
 
     def __init__(self, blocks: Sequence[ParamBlock], lr: float = 1e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
+                 grads: Array | None = None):
         self.blocks = list(blocks)
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
         shapes = [blk.shapes() for blk in self.blocks]
-        size = sum(math.prod(s) for pair in shapes for s in pair if s is not None)
+        size = store_size(self.blocks)
         self.params = np.empty(size)
-        self.grads = np.zeros(size)
+        self.grads = np.zeros(size) if grads is None else grads[:size]
         self.m = self.v = None  # the first step allocates the moments
         off = 0
         for blk, (w_shape, b_shape) in zip(self.blocks, shapes):

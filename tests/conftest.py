@@ -1,8 +1,12 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from fairvfl.adversarial import LossWeights
+from fairvfl.checkpoint import MAGIC
 from fairvfl.data import SyntheticSpec, generate_synthetic, iterate_batches, synthetic_partition
 from fairvfl.models import RepWidths
 from fairvfl.protocol import FederationConfig, LdpConfig, build_federation
@@ -60,6 +64,18 @@ def zero_grads(blocks):
         blk.gw[...] = 0.0
         if blk.gb is not None:
             blk.gb[...] = 0.0
+
+
+def split_checkpoint(raw: bytes) -> tuple[dict, bytes]:
+    """(header, body) of a checkpoint file's bytes."""
+    (head_len,) = struct.unpack_from("<I", raw, len(MAGIC))
+    start = len(MAGIC) + 4
+    return json.loads(raw[start:start + head_len]), raw[start + head_len:]
+
+
+def join_checkpoint(header: dict, body: bytes) -> bytes:
+    head = json.dumps(header).encode("utf-8")
+    return MAGIC + struct.pack("<I", len(head)) + head + body
 
 
 def small_widths(feature="attr", h=8):

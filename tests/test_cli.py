@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import JSON_VALUES
+from conftest import JSON_VALUES, join_checkpoint, split_checkpoint
 
 from fairvfl.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 from fairvfl.config import ExperimentConfig, preset
@@ -265,6 +265,27 @@ class TestCliCommands:
         assert err.startswith("error:") and f"privacy field {field!r} {message}" in err
         assert steps == []
         assert not (out / "attack").exists()
+
+    @pytest.mark.parametrize("version", [99, None], ids=["v99", "no-version"])
+    def test_attack_rejects_unknown_checkpoint_version(self, tmp_path, capsys, version):
+        cfg_path = _smoke_overrides(tmp_path)
+        out = tmp_path / "run"
+        assert main(["train", "--preset", "synthetic-smoke", "--config", str(cfg_path),
+                     "--out", str(out)]) == EXIT_OK
+        ckpt = out / "checkpoint.fvfl"
+        header, body = split_checkpoint(ckpt.read_bytes())
+        if version is None:
+            del header["version"]
+        else:
+            header["version"] = version
+        ckpt.write_bytes(join_checkpoint(header, body))
+        capsys.readouterr()
+        rc = main(["attack", "--preset", "synthetic-smoke", "--config", str(cfg_path),
+                   "--checkpoint", str(ckpt), "--out", str(out / "attack")])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert ("version 99" if version else "no version") in err
 
     def test_missing_config_is_validation_error(self, capsys):
         assert main(["train"]) == EXIT_VALIDATION

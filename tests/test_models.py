@@ -2,8 +2,7 @@
 gradient checks against the oracle, purity, and checkpoint round-trips."""
 
 import hashlib
-import json
-import struct
+import re
 
 import numpy as np
 import pytest
@@ -12,10 +11,12 @@ from hypothesis import strategies as st
 
 from conftest import (
     JSON_VALUES,
+    join_checkpoint,
     pack_blocks,
     pack_grads,
     relative_error,
     small_widths,
+    split_checkpoint,
     unpack_blocks,
     zero_grads,
 )
@@ -189,12 +190,15 @@ class TestTaskHead:
                 logits, hcache = bundle.task_head.forward(unified, training=True,
                                                           rng=np.random.default_rng(steps))
                 _, glogits = softmax_cross_entropy(logits, ds.task_labels[ids])
+                # each group steps right after its own backward: the bundle's
+                # groups share one gradient buffer
                 gs = bundle.task_head.backward(hcache, glogits)
+                bundle.optim["task_head"].step()
                 gstack = bundle.aggregator.backward(agg_cache, gs)
+                bundle.optim["aggregator"].step()
                 for i, enc in enumerate(bundle.encoders):
                     enc.backward(enc_caches[i], gstack[:, i, :])
-                for key in ("task_head", "aggregator", "encoder/0", "encoder/1"):
-                    bundle.optim[key].step()
+                    bundle.optim[f"encoder/{i}"].step()
                 steps += 1
             test_ids = ds.split_ids("test")
             unified, _ = forward_unified(bundle, [s.take(test_ids) for s in shards])
@@ -543,22 +547,31 @@ class TestCheckpoint:
             read_checkpoint(path)
 
     def test_header_only_file_rejected(self, saved_checkpoint):
-        header, _ = _split_checkpoint(saved_checkpoint[1])
+        header, _ = split_checkpoint(saved_checkpoint[1])
         with pytest.raises(CheckpointError, match="truncated body"):
-            parse_checkpoint(_join_checkpoint(header, b""))
+            parse_checkpoint(join_checkpoint(header, b""))
 
     @pytest.mark.parametrize("key", ["blocks", "w_shape", "b_shape", "name",
-                                     "rep_width", "protected_widths"])
+                                     "rep_width", "protected_widths", "version"])
     def test_header_missing_key_rejected(self, tmp_path, saved_checkpoint, key):
         bundle, raw = saved_checkpoint
-        header, body = _split_checkpoint(raw)
+        header, body = split_checkpoint(raw)
         header.pop(key, None)
         for entry in header.get("blocks", []):
             entry.pop(key, None)
         path = tmp_path / "bad.fvfl"
-        path.write_bytes(_join_checkpoint(header, body))
+        path.write_bytes(join_checkpoint(header, body))
         with pytest.raises(CheckpointError):
             load_checkpoint(bundle, path)
+
+    @pytest.mark.parametrize("version", [99, 0, "1", 1.0, True, None])
+    def test_wrong_version_rejected(self, saved_checkpoint, version):
+        header, body = split_checkpoint(saved_checkpoint[1])
+        assert header["version"] == 1
+        header["version"] = version
+        message = re.escape(f"unsupported checkpoint version {version!r}")
+        with pytest.raises(CheckpointError, match=message):
+            parse_checkpoint(join_checkpoint(header, body))
 
     def test_every_truncation_rejected(self, saved_checkpoint):
         _, raw = saved_checkpoint
@@ -571,7 +584,7 @@ class TestCheckpoint:
     def test_corrupted_file_raises_only_checkpoint_error(self, tmp_path_factory,
                                                          saved_checkpoint, data):
         bundle, raw = saved_checkpoint
-        header_end = len(raw) - len(_split_checkpoint(raw)[1])
+        header_end = len(raw) - len(split_checkpoint(raw)[1])
         # most flips land in the header, where they change the parse
         offsets = st.one_of(st.integers(0, header_end - 1), st.integers(0, len(raw) - 1))
         flips = data.draw(st.lists(st.tuples(offsets, st.integers(1, 255)),
@@ -592,7 +605,7 @@ class TestCheckpoint:
     def test_header_field_replaced_raises_only_checkpoint_error(
             self, tmp_path_factory, saved_checkpoint, data, value):
         bundle, raw = saved_checkpoint
-        header, body = _split_checkpoint(raw)
+        header, body = split_checkpoint(raw)
         if data.draw(st.booleans()):
             target = header
             key = data.draw(st.sampled_from(sorted(header)))
@@ -601,7 +614,7 @@ class TestCheckpoint:
             key = data.draw(st.sampled_from(["name", "w_shape", "b_shape"]))
         target[key] = value
         path = tmp_path_factory.getbasetemp() / "edited.fvfl"
-        path.write_bytes(_join_checkpoint(header, body))
+        path.write_bytes(join_checkpoint(header, body))
         try:
             load_checkpoint(bundle, path)
         except CheckpointError:
@@ -616,15 +629,3 @@ def saved_checkpoint(tmp_path_factory):
     path = tmp_path_factory.mktemp("ckpt") / "model.fvfl"
     save_checkpoint(bundle, path)
     return bundle, path.read_bytes()
-
-
-def _split_checkpoint(raw: bytes) -> tuple[dict, bytes]:
-    """(header, body) of a checkpoint file's bytes."""
-    (head_len,) = struct.unpack_from("<I", raw, len(MAGIC))
-    start = len(MAGIC) + 4
-    return json.loads(raw[start:start + head_len]), raw[start + head_len:]
-
-
-def _join_checkpoint(header: dict, body: bytes) -> bytes:
-    head = json.dumps(header).encode("utf-8")
-    return MAGIC + struct.pack("<I", len(head)) + head + body

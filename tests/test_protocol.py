@@ -23,9 +23,10 @@ from fairvfl.data import (
 )
 from fairvfl.errors import ConfigError, ParseError, ProtocolError, SampleLookupError
 from fairvfl.models import ModelBundle, OptimParams, forward_unified
-from fairvfl.nn import rng_for, softmax_cross_entropy
+from fairvfl.nn import Adam, rng_for, softmax_cross_entropy
 from fairvfl.protocol import (
     AuditPolicy,
+    Federation,
     FederationConfig,
     Kind,
     LdpConfig,
@@ -297,14 +298,15 @@ class TestTrainingRound:
 class TestGradientsAtRest:
     def test_instrumented_rounds_train_alike_and_leave_grads_zero(self, tiny_dataset):
         """The ledger's extra per-term backward passes change no loss, no
-        parameter bit and no gradient bit: each group's store holds the
-        gradient of its last update, the same with and without the ledger,
-        after each round and after serving.
+        parameter bit and no gradient bit: each group's store, a prefix of
+        the bundle's shared gradient buffer, holds the same bytes with and
+        without the ledger, after each round and after serving.
 
-        The name is kept from the earlier contract, under which every store
-        was zeroed after use; backward passes now set the gradient, so the
-        test checks that the stores are equal and that serving leaves them
-        unchanged."""
+        The name is kept from earlier contracts: every store was once zeroed
+        after use, and later held its own group's last gradient. The groups
+        now share one buffer, which holds whatever the last backward wrote,
+        so the test checks that the stores are equal and not all zero, and
+        that serving leaves them unchanged."""
         ds, pa = tiny_dataset
         feds = [make_federation(ds, pa, lam=3.0, gamma=0.5, verify=verify, seed=23)
                 for verify in (True, False)]
@@ -329,6 +331,63 @@ class TestGradientsAtRest:
         check_grads_equal()
         for before, opt in zip(stores, feds[0].bundle.optim.values()):
             assert opt.grads.tobytes() == before.tobytes()
+
+
+class TestSharedGradientBuffer:
+    """A bundle's optimizer groups share one gradient buffer. Training with it
+    is, bit for bit, training with a private gradient store per group."""
+
+    @staticmethod
+    def _private_reference(ds, pa, **kwargs):
+        """A same-seed federation whose groups each own a gradient store: its
+        bundle's ``Adam``s are built again over the same blocks before any
+        round, and the platforms are wired to the new ones."""
+        fed = make_federation(ds, pa, **kwargs)
+        bundle = fed.bundle
+        for key, opt in bundle.optim.items():
+            bundle.optim[key] = Adam(opt.blocks, opt.lr, opt.beta1, opt.beta2, opt.eps)
+        ref = Federation(bundle, *partition_vertical(ds, pa), fed.config, fed.seed)
+        stores = [opt.grads for opt in bundle.optim.values()]
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(stores, 2))
+        return ref
+
+    @pytest.mark.parametrize("mode, verify", [("fairvfl", False), ("fairvfl", True),
+                                              ("vfl", False)])
+    def test_trains_like_private_stores(self, tiny_dataset, mode, verify):
+        ds, pa = tiny_dataset
+        kwargs = dict(lam=3.0, gamma=0.5, seed=29, mode=mode, verify=verify)
+        shared = make_federation(ds, pa, **kwargs)
+        private = self._private_reference(ds, pa, **kwargs)
+        assert list(shared.bundle.optim) == list(private.bundle.optim)
+        for rounds, ids in enumerate(train_batches(ds)[:6], 1):
+            results = [fed.run_training_round(ids) for fed in (shared, private)]
+            losses = [r.losses.flat() for r in results]
+            assert list(losses[0]) == list(losses[1])
+            assert np.array(list(losses[0].values())).tobytes() == \
+                np.array(list(losses[1].values())).tobytes()
+            assert results[0].ledger_max_dev == results[1].ledger_max_dev
+            for key, opt in shared.bundle.optim.items():
+                ref = private.bundle.optim[key]
+                assert opt.t == ref.t, key
+                for name in ("params", "m", "v"):  # the moments are None until a step
+                    a, b = getattr(opt, name), getattr(ref, name)
+                    assert (a is None) == (b is None), (key, name)
+                    assert a is None or a.tobytes() == b.tobytes(), (key, name)
+            assert shared.bundle.optim["aggregator"].t == rounds
+            assert (shared.bundle.optim["mapper/attr"].t == 2 * rounds) == (mode == "fairvfl")
+
+    def test_groups_share_one_buffer_of_the_largest_size(self, tiny_dataset):
+        ds, pa = tiny_dataset
+        opts = list(make_federation(ds, pa).bundle.optim.values())
+        buffer = opts[0].grads.base
+        assert buffer is not None and not buffer.any()
+        assert buffer.size == max(opt.params.size for opt in opts)
+        for opt in opts:
+            assert opt.grads.base is buffer and opt.grads.size == opt.params.size
+            assert opt.grads.ctypes.data == buffer.ctypes.data  # a prefix
+            for blk in opt.blocks:
+                for grad in (blk.gw, blk.gb):
+                    assert grad is None or grad.base is buffer
 
 
 class TestMapperAdamSharing:
