@@ -170,17 +170,12 @@ def contrastive_loss_value(disc: ContrastiveDiscriminator, protected: Array,
 
 
 def contrastive_discriminator_step(disc: ContrastiveDiscriminator, opt: Adam,
-                                   protected: Array, unified: Array,
-                                   neg_idx: Array, grad_observer=None) -> float:
-    """One descent step on the discriminator; representations receive nothing.
-    ``grad_observer()``, if given, is called with ``opt.grads`` holding the
-    gradient about to be applied."""
+                                   protected: Array, unified: Array, neg_idx: Array) -> float:
+    """One descent step on the discriminator; representations receive nothing."""
     pos, neg, cache = _contrastive_forward(disc, protected, unified, neg_idx)
     _check_pairwise_finite(pos, neg)
     loss, gpos, gneg = pairwise_contrastive_loss(pos, neg)
     disc.backward(cache, np.concatenate([gpos, gneg]), inputs=False)
-    if grad_observer is not None:
-        grad_observer()
     opt.step()
     return loss
 
@@ -212,16 +207,13 @@ def cal_mapper_gradient(mapper: Mapper, mapper_cache, grad_protected: Array,
 
 
 def bias_discriminator_step(disc: BiasDiscriminator, opt: Adam, protected: Array,
-                            labels: Array, grad_observer=None) -> tuple[float, Array]:
+                            labels: Array) -> tuple[float, Array]:
     """One descent step on the bias discriminator from a single forward pass;
     returns the loss and its gradient on the protected reps (both computed
-    at the pre-update parameters). ``grad_observer()`` is called as in
-    ``contrastive_discriminator_step``."""
+    at the pre-update parameters)."""
     logits, cache = disc.forward(protected)
     loss, glogits = softmax_cross_entropy(logits, labels)
     grad_protected = disc.backward(cache, glogits)
-    if grad_observer is not None:
-        grad_observer()
     opt.step()
     return loss, grad_protected
 

@@ -146,7 +146,8 @@ class ExperimentConfig:
                 raise ConfigError(f"dataset.sample_seed must be a non-negative int, "
                                   f"got {sample_seed!r}")
         if kind == "synthetic":
-            self.synthetic_spec().validate()
+            spec = self.synthetic_spec()
+            spec.validate()
         if self.batch_size < 2:
             raise ConfigError("batch size must be >= 2 (contrastive requirement)")
         if self.epochs < 1 or self.n_platforms < 1 or self.top_pool < 1:
@@ -156,6 +157,10 @@ class ExperimentConfig:
         widths = self.rep_widths()
         widths.validate()
         features = set(widths.protected)
+        sensitive = set(spec.sensitive_classes) if kind == "synthetic" else {"gender", "age"}
+        if sensitive != features:
+            raise ConfigError(f"widths.protected {sorted(features)} must match the "
+                              f"dataset's sensitive features {sorted(sensitive)}")
         if set(self.lam) != features or set(self.gamma) != features:
             raise ConfigError(
                 f"lambda/gamma keys {sorted(set(self.lam) | set(self.gamma))} "

@@ -36,6 +36,9 @@ class SyntheticSpec:
             raise ConfigError("need at least one numeric field per platform for the task rule")
         if not self.sensitive_classes:
             raise ConfigError("need at least one sensitive feature")
+        few = {f: k for f, k in self.sensitive_classes.items() if k < 2}
+        if few:
+            raise ConfigError(f"sensitive_classes needs >= 2 classes per feature, got {few}")
         if abs(sum(self.split_fractions) - 1.0) > 1e-9:
             raise ConfigError("split fractions must sum to 1")
 

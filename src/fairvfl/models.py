@@ -315,11 +315,11 @@ class ModelBundle:
 
     The groups share one zeroed gradient buffer, as long as the largest
     group's store, and each group's ``grads`` is a prefix of it. That is safe
-    because each group's step follows its only parameter backward before any
-    other group writes, and the sign ledger copies a gradient when it records
-    it (``nn`` module docstring). So a trained bundle's state is each group's
-    ``params``, ``m``, ``v`` and ``t`` alone; its gradient stores hold
-    whatever the last backward left."""
+    because each group steps right after its only parameter backward, and the
+    sign ledger copies the gradient right after the step, having run all its
+    per-term passes before the aggregator's real backward (see ``nn``).
+    So a trained bundle's state is each group's ``params``, ``m``, ``v`` and
+    ``t`` alone; its gradient stores hold whatever the last backward left."""
 
     def __init__(self, schemas: list[PlatformSchema], widths: RepWidths,
                  task_classes: int, sensitive_classes: dict[str, int],

@@ -3,16 +3,16 @@
 Everything runs in float64 with explicit forward caches and hand-written
 backward passes; there is no autodiff tape.
 
-A parameter backward sets its group's gradient: each layer writes its
-parameter gradients over whatever the store held, and ``Adam.step`` reads
-them. Every update of a group comes from one parameter backward, so nothing
-ever zeroes a store. A gradient is thus live only from that backward to the
-step right after it, and no two groups' gradients are live at once: the
-groups of a ``models.ModelBundle`` share one gradient buffer, each group's
-store a prefix of it. The sign ledger copies a store when it records it, so
-its extra per-term backward passes keep that order too. Between steps a
-store holds whatever the last backward wrote into the buffer, so a model's
-training state is each group's ``params``, ``m``, ``v`` and ``t`` alone.
+A parameter backward sets its group's gradient, writing over whatever the
+store held; ``Adam.step`` reads it and leaves it as it was. Every update of
+a group comes from one parameter backward, so nothing ever zeroes a store,
+and a gradient is live only from that backward to its step. No two groups'
+gradients are live at once, so the groups of a ``models.ModelBundle`` share
+one gradient buffer, each group's store a prefix of it. The sign ledger
+copies each update right after its step, and its per-term backward passes
+all run before the aggregator's real backward. Between steps a store holds
+whatever the last backward wrote into the buffer, so a model's training
+state is each group's ``params``, ``m``, ``v`` and ``t`` alone.
 
 A backward pass computes only what its caller reads: ``params=False`` skips
 the parameter gradients, ``inputs=False`` the input gradient (both default

@@ -18,6 +18,7 @@ forward pass (the update lands after both are taken).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,8 +124,8 @@ class TaskPlatform(PlatformBase):
         labels = self.shard.take(self.round_ids)
         loss, glogits = softmax_cross_entropy(logits, labels)
         grad_unified = self.head.backward(cache, glogits)
-        fed.record_update("task_head", self.opt, "task")
         self.opt.step()
+        fed.record_update("task_head", self.opt, "task")
         self.last_loss = loss
         # gradient at the perturbed upload is treated as the gradient at s
         return [Message(msg.round_id, self.name, fed.server.name,
@@ -152,13 +153,7 @@ class InsensitivePlatform(PlatformBase):
             return [Message(msg.round_id, self.name, fed.server.name,
                             Kind.LOCAL_REP_UPLOAD, rep)]
         if msg.kind is Kind.LOCAL_REP_GRAD_DOWN:
-            contributions = []
-            if fed.events is not None:
-                for term, coeff, gpiece in fed.encoder_pieces.get(self.name, []):
-                    self.encoder.backward(self.cache, gpiece)
-                    contributions.append((term, coeff, self.opt.grads.copy()))
             self.encoder.backward(self.cache, msg.payload)
-            fed.record_update(f"encoder/{self.index}", self.opt, contributions)
             self.opt.step()
             return []
         raise ProtocolError(f"{self.name} cannot handle {msg.kind}")
@@ -188,9 +183,8 @@ class SensitivePlatform(PlatformBase):
             self.uploads_this_round += 1
             if self.uploads_this_round == 1:
                 loss, grad_protected = bias_discriminator_step(
-                    self.bdisc, self.opt, msg.payload, labels,
-                    grad_observer=lambda: fed.record_update(
-                        f"bdisc/{self.feature}", self.opt, f"bias/{self.feature}"))
+                    self.bdisc, self.opt, msg.payload, labels)
+                fed.record_update(f"bdisc/{self.feature}", self.opt, f"bias/{self.feature}")
                 self.last_bias_loss = loss
                 return [Message(msg.round_id, self.name, fed.server.name,
                                 Kind.BIAS_DISC_GRAD_DOWN, grad_protected)]
@@ -243,8 +237,8 @@ class ServerPlatform(PlatformBase):
             feature = fed.feature_of(msg.sender)
             mapper, opt = self.mappers[feature], self.opts[f"mapper/{feature}"]
             mapper.backward(self.mapper_caches[feature], msg.payload, inputs=False)
-            fed.record_update(f"mapper/{feature}", opt, f"bias/{feature}")
             opt.step()
+            fed.record_update(f"mapper/{feature}", opt, f"bias/{feature}")
             # recompute the protected rep with the just-updated mapper
             protected, self.mapper_caches[feature] = mapper.forward(self.unified)
             return [Message(msg.round_id, self.name, msg.sender,
@@ -274,7 +268,6 @@ class Federation:
         self.phase = "idle"
         self.transcript = Transcript()
         self.events: list[UpdateEvent] | None = None
-        self.encoder_pieces: dict[str, list] = {}
         self.ledger = SignLedger.default(bundle.features)
         self._round_counter = 0
 
@@ -318,10 +311,11 @@ class Federation:
         return {name: p.role for name, p in self._platforms.items()}
 
     def record_update(self, component: str, opt: Adam, terms: str | list) -> None:
-        """On instrumented rounds, logs the update ``opt`` is about to apply:
-        a copy of its flat gradient store, checked against ``terms``, either
-        the (loss term, coefficient, flat gradient) pieces it must be the
-        signed sum of, or the name of the one loss term that made it alone."""
+        """On instrumented rounds, right after ``opt.step()``, logs the update
+        it applied: a copy of the gradient store, which the step leaves as it
+        was, checked against ``terms``: the (loss term, coefficient, flat
+        gradient) pieces, all computed before the aggregator's real backward,
+        that it must be the signed sum of, or the one loss term that made it."""
         if self.events is None:
             return
         applied = opt.grads.copy()
@@ -385,7 +379,6 @@ class Federation:
         self._round_counter += 1
         start_mark = len(self.transcript)
         self.events = [] if self.config.verify_updates else None
-        self.encoder_pieces = {}
         self.server.reset_round_state()
         weights = self.config.weights
 
@@ -417,31 +410,30 @@ class Federation:
         else:
             grad_unified = task_grad
 
-        # 6) aggregator update
+        # 6) aggregator update. An instrumented round first passes each loss term
+        # alone through the aggregator and each encoder's cached forward.
         agg, agg_opt = self.server.aggregator, self.server.opts["aggregator"]
-        agg_contribs, piece_stacks = [], []
+        pieces = defaultdict(list)
         if self.events is not None:
             terms = [("task", 1.0, task_grad)]
             if self.config.mode == "fairvfl":
                 terms += [(f"adversarial/{f}", -weights.lam[f], self.server.adv_grads[f])
                           for f in self.bundle.features]
             for term, coeff, gout in terms:
-                gstack_piece = agg.backward(self.server.agg_cache, gout)
-                agg_contribs.append((term, coeff, agg_opt.grads.copy()))
-                piece_stacks.append((term, coeff, gstack_piece))
+                gstack = agg.backward(self.server.agg_cache, gout)
+                pieces["aggregator"].append((term, coeff, agg_opt.grads.copy()))
+                for p in self.insensitive:
+                    p.encoder.backward(p.cache, gstack[:, p.index, :])
+                    pieces[p.name].append((term, coeff, p.opt.grads.copy()))
         grad_stacked = agg.backward(self.server.agg_cache, grad_unified)
-        self.record_update("aggregator", agg_opt, agg_contribs)
-        if self.events is not None:
-            for p in self.insensitive:
-                self.encoder_pieces[p.name] = [
-                    (term, coeff, piece[:, p.index, :]) for term, coeff, piece in piece_stacks
-                ]
         agg_opt.step()
+        self.record_update("aggregator", agg_opt, pieces["aggregator"])
 
         # 7) distribute local-rep gradients; encoders update on receipt
         for p in self.insensitive:
             self.send(Message(round_id, self.server.name, p.name,
                               Kind.LOCAL_REP_GRAD_DOWN, grad_stacked[:, p.index, :]))
+            self.record_update(f"encoder/{p.index}", p.opt, pieces[p.name])
 
         losses = RoundLosses(self.task.last_loss, lp, lc, ld, la)
         if not losses.all_finite():
@@ -467,10 +459,8 @@ class Federation:
                                  server.neg_rngs[feature])
         neg_idx = select_negatives(ctx)
         cdisc_opt = server.opts[f"cdisc/{feature}"]
-        lp[feature] = contrastive_discriminator_step(
-            cdisc, cdisc_opt, protected, unified, neg_idx,
-            grad_observer=lambda: self.record_update(f"cdisc/{feature}", cdisc_opt,
-                                                     f"contrastive/{feature}"))
+        lp[feature] = contrastive_discriminator_step(cdisc, cdisc_opt, protected, unified, neg_idx)
+        self.record_update(f"cdisc/{feature}", cdisc_opt, f"contrastive/{feature}")
 
         # mapper ascent under the frozen, just-updated discriminator
         gamma = weights.gamma[feature]
@@ -481,8 +471,8 @@ class Federation:
             mapper.backward(mcache, grad_protected, inputs=False)
             contribs = [(f"contrastive_adv/{feature}", -gamma, mapper_opt.grads.copy())]
         cal_mapper_gradient(mapper, mcache, grad_protected, gamma)
-        self.record_update(f"mapper/{feature}", mapper_opt, contribs)
         mapper_opt.step()
+        self.record_update(f"mapper/{feature}", mapper_opt, contribs)
 
         # recompute and share the protected rep; the cascade runs the bias
         # game (discriminator step, mapper descent, frozen adversarial pass)

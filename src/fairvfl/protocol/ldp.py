@@ -12,6 +12,12 @@ from ..errors import ConfigError
 
 @dataclass
 class LdpConfig:
+    """``epsilon`` is per coordinate: each coordinate of an upload is
+    clipped to [-clip, clip] and gets Laplace noise of scale 2 clip/epsilon.
+    One release of a unified rep of width ``rep`` (L1 sensitivity
+    2 clip rep) is thus (rep * epsilon)-LDP by basic composition: 3,200 at
+    rep 400 and epsilon 8."""
+
     enabled: bool = False
     clip: float = 1.0
     epsilon: float = 8.0

@@ -93,6 +93,16 @@ _BAD_CONFIGS = {
     "adult-sample-seed-string": (
         '{"dataset": {"kind": "adult", "path": "nowhere", "sample_seed": "x"}}',
         "dataset.sample_seed"),
+    "protected-width-without-feature": (
+        '{"widths": {"protected": {"attr": 16, "zzz": 4}}, "lam": {"attr": 1.0, "zzz": 1.0},'
+        ' "gamma": {"attr": 0.25, "zzz": 0.25}}', "widths.protected"),
+    "feature-without-protected-width": (
+        '{"dataset": {"kind": "synthetic", "sensitive_classes": {"attr": 2, "extra": 3}}}',
+        "widths.protected"),
+    "one-class-feature": ('{"dataset": {"kind": "synthetic", "sensitive_classes": {"attr": 1}}}',
+                          "sensitive_classes"),
+    "adult-other-feature": ('{"dataset": {"kind": "adult", "path": "nowhere"}}',
+                            "widths.protected"),
     "non-utf8": (b'{"seed": "\xff\xfe"}', "cannot read config"),
     "missing": (None, "cannot read config"),
 }

@@ -153,6 +153,14 @@ class TestAdam:
         block.gw[...] = 3.0
         opt.step()
         assert np.all(block.gw == 3.0)
+        # a store of several tiles: the sign ledger copies ``grads`` after
+        # the step, so every tile's gradients must come out as they went in
+        opt = Adam(self._mixed_blocks(3))
+        opt.grads[...] = np.random.default_rng(4).normal(size=opt.grads.size)
+        before = opt.grads.tobytes()
+        for _ in range(2):
+            opt.step()
+            assert opt.grads.tobytes() == before
 
     def test_optimizer_wrapper(self):
         blocks = [ParamBlock("a", np.ones((2, 2))), ParamBlock("b", np.ones((1, 3)), np.zeros(3))]

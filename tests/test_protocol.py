@@ -38,6 +38,7 @@ from fairvfl.protocol import (
     ldp_perturb,
     messages,
 )
+from fairvfl.protocol import federation as federation_mod
 from fairvfl.protocol.audit import ViolationKind, _classify, per_round_fairness_cost
 from fairvfl.protocol.messages import (
     _CANONICAL,
@@ -293,6 +294,68 @@ class TestTrainingRound:
         for p in fed.insensitive:
             assert not hasattr(p.shard, "labels")
             assert set(p.shard.columns) <= set(ds.columns)
+
+
+class TestRoundLedger:
+    """An instrumented round records every update, in protocol order, and
+    a sign flipped anywhere in the round makes the ledger reject it."""
+
+    _ADV = ["task", "adversarial/attr"]
+    EVENTS = {
+        "fairvfl": [("task_head", ["task"]), ("cdisc/attr", ["contrastive/attr"]),
+                    ("mapper/attr", ["contrastive_adv/attr"]), ("bdisc/attr", ["bias/attr"]),
+                    ("mapper/attr", ["bias/attr"]), ("aggregator", _ADV),
+                    ("encoder/0", _ADV), ("encoder/1", _ADV)],
+        "vfl": [("task_head", ["task"]), ("aggregator", ["task"]),
+                ("encoder/0", ["task"]), ("encoder/1", ["task"])],
+    }
+
+    @staticmethod
+    def _round(dataset, mode="fairvfl"):
+        ds, pa = dataset
+        fed = make_federation(ds, pa, verify=True, lam=3.0, gamma=0.5, mode=mode)
+        result = fed.run_training_round(train_batches(ds)[0])
+        return fed, result
+
+    @pytest.mark.parametrize("mode", ["fairvfl", "vfl"])
+    def test_event_list(self, tiny_dataset, mode):
+        fed, result = self._round(tiny_dataset, mode)
+        events = [(e.component, [term for term, _, _ in e.contributions]) for e in fed.events]
+        assert events == self.EVENTS[mode]
+        assert result.ledger_max_dev < 1e-9
+
+    def test_aggregator_adding_the_adversarial_gradient_is_rejected(self, tiny_dataset,
+                                                                     monkeypatch):
+        def plus_lam(task_grad, adv_grads, weights):
+            out = task_grad.copy()
+            for feature, lam in weights.lam.items():
+                out += lam * adv_grads[feature]
+            return out
+
+        monkeypatch.setattr(federation_mod, "combine_overall_grad", plus_lam)
+        with pytest.raises(ProtocolError, match="^aggregator: "):
+            self._round(tiny_dataset)
+
+    def test_mapper_descending_the_contrastive_loss_is_rejected(self, tiny_dataset,
+                                                                 monkeypatch):
+        def plus_gamma(mapper, mapper_cache, grad_protected, gamma):
+            mapper.backward(mapper_cache, grad_protected * gamma, inputs=False)
+
+        monkeypatch.setattr(federation_mod, "cal_mapper_gradient", plus_gamma)
+        with pytest.raises(ProtocolError, match="^mapper/attr: "):
+            self._round(tiny_dataset)
+
+    def test_encoder_taking_a_scaled_gradient_is_rejected(self, tiny_dataset, monkeypatch):
+        send = Federation.send
+
+        def scaled(self, msg):
+            if msg.kind is Kind.LOCAL_REP_GRAD_DOWN:
+                msg = dataclasses.replace(msg, payload=msg.payload * 1.5)
+            send(self, msg)
+
+        monkeypatch.setattr(Federation, "send", scaled)
+        with pytest.raises(ProtocolError, match="^encoder/0: "):
+            self._round(tiny_dataset)
 
 
 class TestGradientsAtRest:
