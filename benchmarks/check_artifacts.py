@@ -5,12 +5,15 @@ preset for seeds 1-3, once with this repository's ``src/`` and once with the
 ``src/`` given by ``--src``, each command in its own subprocess and output
 directory under a temporary directory. It compares the SHA-256 of the
 transcript, the checkpoint, the training ``metrics.json`` and ``losses.csv``,
-and the attack ``metrics.json``. It also reads each tree's transcript with
-that tree's ``Transcript.read`` and writes the records back with its
-``write_records``, which must give the file's bytes again. It prints one row
-per seed and artifact, and for a transcript that differs, the first line
-that does: its round, sender and kind, and which fields differ. It exits 1
-on any mismatch, failed round trip or failed command:
+and the attack ``metrics.json``. It runs ``fairvfl audit`` with each tree on
+that tree's own transcript and compares the exit code and the stdout bytes
+(the ``audit report`` row, shown as the exit code and the stdout's SHA-256).
+It also reads each tree's transcript with that tree's ``Transcript.read``
+and writes the records back with its ``write_records``, which must give the
+file's bytes again. It prints one row per seed and artifact, and for a
+transcript that differs, the first line that does: its round, sender and
+kind, and which fields differ. It exits 1 on any mismatch, failed round trip
+or failed command:
 
     python benchmarks/check_artifacts.py --src OTHER_TREE/src
 """
@@ -35,6 +38,8 @@ ARTIFACTS = (("transcript", "train", "transcript.ndjson"),
              ("train metrics", "train", "metrics.json"),
              ("losses", "train", "losses.csv"),
              ("attack metrics", "attack", "metrics.json"))
+# one row per artifact, then the audit report's exit code and stdout
+LABELS = [label for label, _, _ in ARTIFACTS] + ["audit report"]
 # Imports fairvfl from the tree whose src/ is argv[1], and refuses to run one
 # imported from anywhere else.
 PRELUDE = """
@@ -71,6 +76,18 @@ def run_tree(src: Path, seed: int, out: Path) -> None:
         if proc.returncode != 0:
             raise RuntimeError(f"{src}: fairvfl {cmd[0]} --seed {seed} exited "
                                f"{proc.returncode}:\n{proc.stderr}")
+
+
+def audit_report(src: Path, seed: int, transcript: Path) -> str:
+    """``fairvfl audit`` of ``transcript`` with the tree at ``src``: its exit
+    code (1 means violations) and the SHA-256 of its stdout."""
+    proc = subprocess.run([sys.executable, "-c", LAUNCH, str(src), "audit", "--preset",
+                           PRESET, "--seed", str(seed), "--transcript", str(transcript)],
+                          capture_output=True)
+    if proc.returncode not in (0, 1) or proc.stderr:
+        raise RuntimeError(f"{src}: fairvfl audit --seed {seed} exited "
+                           f"{proc.returncode}:\n{proc.stderr.decode(errors='replace')}")
+    return f"exit {proc.returncode} {hashlib.sha256(proc.stdout).hexdigest()[:9]}"
 
 
 def round_trips(src: Path, transcript: Path) -> bool:
@@ -122,14 +139,16 @@ def main() -> int:
             outs = {name: Path(tmp) / f"{name}-seed{seed}" for name in trees}
             for name, src in trees.items():
                 out = outs[name]
+                transcript = out / "train" / "transcript.ndjson"
                 try:
                     run_tree(src, seed, out)
-                    trips[name] = round_trips(src, out / "train" / "transcript.ndjson")
+                    trips[name] = round_trips(src, transcript)
+                    report = audit_report(src, seed, transcript)
                 except RuntimeError as exc:
                     print(exc, file=sys.stderr)
                     return 1
-                digests[name] = [sha256(out / d / f) for _, d, f in ARTIFACTS]
-            for (label, _, _), a, b in zip(ARTIFACTS, digests["this"], digests["other"]):
+                digests[name] = [sha256(out / d / f) for _, d, f in ARTIFACTS] + [report]
+            for label, a, b in zip(LABELS, digests["this"], digests["other"]):
                 mismatches += a != b
                 print(f"{seed:>4}  {label:<15} {a[:16]} {b[:16]} "
                       f"{'same' if a == b else 'DIFFERENT'}")

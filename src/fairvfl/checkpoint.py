@@ -66,8 +66,9 @@ def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, tuple[np.ndarray,
 
 def parse_checkpoint(raw: bytes, path: str | Path = "checkpoint") -> tuple[dict, dict]:
     """``read_checkpoint`` on the file's bytes; any malformed or truncated
-    input, or a header whose ``version`` is missing or not ``VERSION``,
-    raises ``CheckpointError`` naming ``path``."""
+    input, a header whose ``version`` is missing or not ``VERSION``, or a
+    manifest that names a block twice raises ``CheckpointError`` naming
+    ``path``."""
     if raw[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
     off = len(MAGIC) + 4
@@ -97,7 +98,10 @@ def parse_checkpoint(raw: bytes, path: str | Path = "checkpoint") -> tuple[dict,
             b = None
             if entry["b_shape"]:
                 b, off = _take(raw, off, tuple(int(d) for d in entry["b_shape"]))
-            params[str(entry["name"])] = (w, b)
+            name = str(entry["name"])
+            if name in params:
+                raise CheckpointError(f"{path}: block {name!r} appears twice in the manifest")
+            params[name] = (w, b)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"{path}: malformed checkpoint: {exc!r}") from exc
     if off != len(raw):

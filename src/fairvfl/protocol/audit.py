@@ -61,18 +61,22 @@ class AuditPolicy:
     require_ldp_training: bool = False
 
     @classmethod
+    def for_run(cls, n_platforms: int, widths, ldp) -> "AuditPolicy":
+        """The policy of a run with ``n_platforms`` insensitive platforms, its
+        ``RepWidths`` and its ``LdpConfig``, under the protocol's platform
+        names. It is built from these values, never from a federation's own
+        platform table, so live and exported transcripts get the same policy."""
+        protected = {f"sensitive/{f}": h for f, h in widths.protected.items()}
+        roles = {"task": Role.TASK, "server": Role.SERVER,
+                 **{f"insensitive/{i}": Role.INSENSITIVE for i in range(n_platforms)},
+                 **dict.fromkeys(protected, Role.SENSITIVE)}
+        return cls(roles=roles, rep_width=widths.rep, protected_widths=protected,
+                   require_ldp_serving=ldp.enabled,
+                   require_ldp_training=ldp.enabled and ldp.perturb_training)
+
+    @classmethod
     def from_federation(cls, fed) -> "AuditPolicy":
-        ldp = fed.config.ldp
-        return cls(
-            roles=fed.roles(),
-            rep_width=fed.bundle.widths.rep,
-            protected_widths={
-                p.name: fed.bundle.widths.protected[f]
-                for f, p in fed.sensitive.items()
-            },
-            require_ldp_serving=ldp.enabled,
-            require_ldp_training=ldp.enabled and ldp.perturb_training,
-        )
+        return cls.for_run(len(fed.insensitive), fed.bundle.widths, fed.config.ldp)
 
     def role(self, name: str) -> Role | None:
         return self.roles.get(name)
@@ -155,9 +159,8 @@ def _classify(rec: TranscriptRecord, policy: AuditPolicy) -> Violation | None:
 
 def audit_transcript(transcript: Transcript | list[TranscriptRecord],
                      policy: AuditPolicy) -> list[Violation]:
-    records = transcript.records if isinstance(transcript, Transcript) else transcript
     out = []
-    for rec in records:
+    for rec in transcript:
         v = _classify(rec, policy)
         if v is not None:
             out.append(v)
@@ -167,18 +170,16 @@ def audit_transcript(transcript: Transcript | list[TranscriptRecord],
 def fairness_comm_cost(transcript: Transcript | list[TranscriptRecord]) -> int:
     """Total float count of fairness-machinery traffic (protected-rep uploads
     and their two gradient returns)."""
-    records = transcript.records if isinstance(transcript, Transcript) else transcript
-    return sum(r.float_count for r in records if r.kind in _FAIRNESS)
+    return sum(r.float_count for r in transcript if r.kind in _FAIRNESS)
 
 
 def per_round_fairness_cost(transcript: Transcript | list[TranscriptRecord]
                             ) -> dict[int, dict[str, int]]:
     """Per round: actual fairness traffic, the 4*E*sum(H_i) prediction from the
     observed batch size, and the batch size itself."""
-    records = transcript.records if isinstance(transcript, Transcript) else transcript
     rounds: dict[int, dict[str, int]] = {}
     widths: dict[int, dict[str, int]] = {}
-    for rec in records:
+    for rec in transcript:
         if rec.kind not in _FAIRNESS:
             continue
         slot = rounds.setdefault(rec.round_id, {"actual": 0, "batch": 0})

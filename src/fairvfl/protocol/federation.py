@@ -36,9 +36,9 @@ from ..adversarial import (
     contrastive_discriminator_step,
     select_negatives,
 )
-from ..data.dataset import FeatureShard, LabelShard, TaskShard
+from ..data.dataset import FeatureShard, LabelShard, TaskShard, partition_vertical
 from ..errors import NumericError, ProtocolError
-from ..models import ModelBundle
+from ..models import ModelBundle, OptimParams
 from ..nn import Adam, Array, rng_for, softmax_cross_entropy
 from .ldp import LdpConfig, ldp_perturb
 from .messages import Kind, LEGAL_EDGES, Message, Role, Transcript, record_of
@@ -228,13 +228,13 @@ class ServerPlatform(PlatformBase):
 
     def handle(self, msg: Message, fed: "Federation") -> list[Message]:
         if msg.kind is Kind.LOCAL_REP_UPLOAD:
-            self.local_reps[fed.platform_index(msg.sender)] = msg.payload
+            self.local_reps[fed.platforms[msg.sender].index] = msg.payload
             return []
         if msg.kind is Kind.TASK_GRAD_DOWN:
             self.task_grad = msg.payload
             return []
         if msg.kind is Kind.BIAS_DISC_GRAD_DOWN:
-            feature = fed.feature_of(msg.sender)
+            feature = fed.platforms[msg.sender].feature
             mapper, opt = self.mappers[feature], self.opts[f"mapper/{feature}"]
             mapper.backward(self.mapper_caches[feature], msg.payload, inputs=False)
             opt.step()
@@ -244,7 +244,7 @@ class ServerPlatform(PlatformBase):
             return [Message(msg.round_id, self.name, msg.sender,
                             Kind.PROTECTED_REP_UPLOAD, protected)]
         if msg.kind is Kind.ADV_GRAD_DOWN:
-            feature = fed.feature_of(msg.sender)
+            feature = fed.platforms[msg.sender].feature
             # the mapper is frozen on this pass: input gradient only
             self.adv_grads[feature] = self.mappers[feature].backward(
                 self.mapper_caches[feature], msg.payload, params=False)
@@ -290,25 +290,13 @@ class Federation:
             for f in bundle.features
         }
 
-        self._platforms: dict[str, PlatformBase] = {self.task.name: self.task,
-                                                    self.server.name: self.server}
-        for p in self.insensitive:
-            self._platforms[p.name] = p
-        for p in self.sensitive.values():
-            self._platforms[p.name] = p
-        self._index_of = {p.name: p.index for p in self.insensitive}
-        self._feature_of = {p.name: p.feature for p in self.sensitive.values()}
+        #: every platform by name; each carries its role, and an insensitive
+        #: platform its ``index``, a sensitive one its ``feature``
+        self.platforms: dict[str, PlatformBase] = {
+            p.name: p for p in (self.task, self.server, *self.insensitive,
+                                *self.sensitive.values())}
 
     # -- plumbing ---------------------------------------------------------
-
-    def platform_index(self, name: str) -> int:
-        return self._index_of[name]
-
-    def feature_of(self, name: str) -> str:
-        return self._feature_of[name]
-
-    def roles(self) -> dict[str, Role]:
-        return {name: p.role for name, p in self._platforms.items()}
 
     def record_update(self, component: str, opt: Adam, terms: str | list) -> None:
         """On instrumented rounds, right after ``opt.step()``, logs the update
@@ -328,8 +316,8 @@ class Federation:
         receiver's replies before returning."""
         self.transcript.append(record_of(msg, phase=self.phase,
                                          digest=self.config.payload_digests))
-        sender = self._platforms.get(msg.sender)
-        receiver = self._platforms.get(msg.receiver)
+        sender = self.platforms.get(msg.sender)
+        receiver = self.platforms.get(msg.receiver)
         if sender is None or receiver is None:
             raise ProtocolError(f"unknown platform in edge {msg.sender} -> {msg.receiver}")
         if (sender.role, receiver.role) not in LEGAL_EDGES[msg.kind]:
@@ -488,10 +476,8 @@ class Federation:
 def build_federation(dataset, partition, widths, config: FederationConfig,
                      seed: int, optim=None, p_drop: float = 0.2) -> Federation:
     """Wires a dataset, its vertical partition, and a fresh model bundle into
-    a federation."""
-    from ..data.dataset import partition_vertical
-    from ..models import ModelBundle, OptimParams
-
+    a federation: the only place that partitions a run's dataset and builds
+    its ``ModelBundle``. Each insensitive platform keeps its ``shard``."""
     feature_shards, label_shards, task_shard = partition_vertical(dataset, partition)
     schemas = [shard.schema() for shard in feature_shards]
     sensitive_classes = {f: dataset.sensitive[f].n_classes for f in dataset.sensitive}

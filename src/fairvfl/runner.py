@@ -23,7 +23,6 @@ from .data import (
     generate_synthetic,
     iterate_batches,
     load_adult,
-    partition_vertical,
     synthetic_partition,
     write_shard_manifest,
 )
@@ -46,7 +45,7 @@ from .protocol import (
     audit_transcript,
 )
 from .protocol.audit import fairness_comm_cost, per_round_fairness_cost
-from .protocol.messages import Role, write_records
+from .protocol.messages import write_records
 
 
 def make_dataset(cfg: ExperimentConfig):
@@ -97,8 +96,9 @@ def pin_blas_threads() -> None:
 
 def build_run_federation(cfg: ExperimentConfig, ds: VerticalDataset, pa,
                          payload_digests: bool = False):
-    """The federation of a run. Payload digests are off by default: only an
-    exported transcript (``cmd_train``) reads them."""
+    """The federation of a run, built with the OpenBLAS pinned to one thread:
+    every command that runs a model builds it here. Payload digests are off
+    by default: only an exported transcript (``cmd_train``) reads them."""
     pin_blas_threads()
     fed_cfg = FederationConfig(
         weights=cfg.loss_weights(),
@@ -162,7 +162,6 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
     checkpoints the best-by-validation-accuracy parameters, and reports task
     metrics of the selected checkpoint."""
     cfg.validate()
-    pin_blas_threads()
     t0 = time.perf_counter()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -171,7 +170,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
     ds, pa = make_dataset(cfg)
     write_shard_manifest(pa, ds, out / "manifest.json")
     fed = build_run_federation(cfg, ds, pa, payload_digests=True)
-    feature_shards, _, _ = partition_vertical(ds, pa)
+    feature_shards = [p.shard for p in fed.insensitive]
 
     val_ids = ds.split_ids("val")
     val_labels = ds.task_labels[val_ids]
@@ -232,7 +231,6 @@ def cmd_attack(cfg: ExperimentConfig, checkpoint_path: str | Path,
     """Regenerates representations with a frozen checkpoint and runs the
     fairness and privacy probes plus task metrics."""
     cfg.validate()
-    pin_blas_threads()
     atk: AttackConfig = cfg.attack_config()
     ds, pa = make_dataset(cfg)
     train_ids = ds.split_ids("train")
@@ -249,11 +247,9 @@ def cmd_attack(cfg: ExperimentConfig, checkpoint_path: str | Path,
         probe_train[fname] = col.values[train_ids]
         probe_test[fname] = col.values[test_ids]
 
-    feature_shards, _, _ = partition_vertical(ds, pa)
-    schemas = [s.schema() for s in feature_shards]
-    bundle = ModelBundle(schemas, cfg.rep_widths(), ds.n_task_classes,
-                         {f: ds.sensitive[f].n_classes for f in ds.sensitive},
-                         cfg.seed, cfg.optim_params(), cfg.p_drop)
+    fed = build_run_federation(cfg, ds, pa)
+    bundle = fed.bundle
+    feature_shards = [p.shard for p in fed.insensitive]
     load_checkpoint(bundle, checkpoint_path)
 
     s_train, prot_train = representations(bundle, feature_shards, train_ids)
@@ -305,27 +301,14 @@ class AuditReport:
 
 
 def audit_policy_from_config(cfg: ExperimentConfig) -> AuditPolicy:
-    widths = cfg.rep_widths()
-    kind = cfg.dataset.get("kind")
     n_platforms = cfg.n_platforms
-    if kind == "synthetic":
+    if cfg.dataset.get("kind") == "synthetic":
         n_platforms = int(cfg.dataset.get("n_platforms", n_platforms))
-    roles = {"task": Role.TASK, "server": Role.SERVER}
-    for i in range(n_platforms):
-        roles[f"insensitive/{i}"] = Role.INSENSITIVE
-    protected = {}
-    for f, h in widths.protected.items():
-        roles[f"sensitive/{f}"] = Role.SENSITIVE
-        protected[f"sensitive/{f}"] = h
-    ldp = cfg.ldp_config()
-    return AuditPolicy(roles=roles, rep_width=widths.rep, protected_widths=protected,
-                       require_ldp_serving=ldp.enabled,
-                       require_ldp_training=ldp.enabled and ldp.perturb_training)
+    return AuditPolicy.for_run(n_platforms, cfg.rep_widths(), cfg.ldp_config())
 
 
 def cmd_audit(transcript_path: str | Path, cfg: ExperimentConfig) -> AuditReport:
     cfg.validate()
-    pin_blas_threads()
     transcript = Transcript.read(transcript_path)
     policy = audit_policy_from_config(cfg)
     violations = audit_transcript(transcript, policy)
@@ -383,7 +366,6 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list[float],
     """One full train+attack per axis value; per-run failures are recorded
     and the sweep continues. FAIRVFL_THREADS caps process parallelism."""
     cfg.validate()
-    pin_blas_threads()
     for v in values:
         apply_axis(cfg, axis, v)  # fail fast on bad axis/values
     workers = _sweep_workers()

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import numpy as np
@@ -76,6 +77,17 @@ def split_checkpoint(raw: bytes) -> tuple[dict, bytes]:
 def join_checkpoint(header: dict, body: bytes) -> bytes:
     head = json.dumps(header).encode("utf-8")
     return MAGIC + struct.pack("<I", len(head)) + head + body
+
+
+def duplicate_last_block(raw: bytes, fill: float) -> bytes:
+    """A checkpoint's bytes with its last manifest entry named a second time
+    and that block's bytes, filled with ``fill``, appended: the body length
+    still matches the manifest."""
+    header, body = split_checkpoint(raw)
+    entry = header["blocks"][-1]
+    header["blocks"].append(dict(entry))
+    n = math.prod(entry["w_shape"]) + (math.prod(entry["b_shape"]) if entry["b_shape"] else 0)
+    return join_checkpoint(header, body + np.full(n, fill, dtype="<f8").tobytes())
 
 
 def small_widths(feature="attr", h=8):

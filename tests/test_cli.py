@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import JSON_VALUES, join_checkpoint, split_checkpoint
+from conftest import JSON_VALUES, duplicate_last_block, join_checkpoint, split_checkpoint
 
 from fairvfl.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 from fairvfl.config import ExperimentConfig, preset
@@ -296,6 +296,21 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert ("version 99" if version else "no version") in err
+
+    def test_attack_rejects_block_named_twice(self, tmp_path, capsys):
+        cfg_path = _smoke_overrides(tmp_path)
+        out = tmp_path / "run"
+        assert main(["train", "--preset", "synthetic-smoke", "--config", str(cfg_path),
+                     "--out", str(out)]) == EXIT_OK
+        ckpt = out / "checkpoint.fvfl"
+        ckpt.write_bytes(duplicate_last_block(ckpt.read_bytes(), 7.0))
+        capsys.readouterr()
+        rc = main(["attack", "--preset", "synthetic-smoke", "--config", str(cfg_path),
+                   "--checkpoint", str(ckpt), "--out", str(out / "attack")])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "appears twice in the manifest" in err
+        assert not (out / "attack").exists()
 
     def test_missing_config_is_validation_error(self, capsys):
         assert main(["train"]) == EXIT_VALIDATION

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     JSON_VALUES,
+    duplicate_last_block,
     join_checkpoint,
     pack_blocks,
     pack_grads,
@@ -562,6 +563,14 @@ class TestCheckpoint:
         path = tmp_path / "bad.fvfl"
         path.write_bytes(join_checkpoint(header, body))
         with pytest.raises(CheckpointError):
+            load_checkpoint(bundle, path)
+
+    def test_block_named_twice_rejected(self, tmp_path, saved_checkpoint):
+        bundle, raw = saved_checkpoint
+        name = split_checkpoint(raw)[0]["blocks"][-1]["name"]
+        path = tmp_path / "twice.fvfl"
+        path.write_bytes(duplicate_last_block(raw, 7.0))
+        with pytest.raises(CheckpointError, match=re.escape(f"block {name!r} appears twice")):
             load_checkpoint(bundle, path)
 
     @pytest.mark.parametrize("version", [99, 0, "1", 1.0, True, None])

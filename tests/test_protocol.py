@@ -47,7 +47,12 @@ from fairvfl.protocol.messages import (
     record_of,
     write_records,
 )
-from fairvfl.runner import cmd_train
+from fairvfl.runner import (
+    audit_policy_from_config,
+    build_run_federation,
+    cmd_train,
+    make_dataset,
+)
 
 
 def _policy(fed):
@@ -524,6 +529,42 @@ class TestAudit:
         violations = audit_transcript(fed.transcript, _policy(fed))
         assert len(violations) == 1
         assert violations[0].kind == ViolationKind.UNIFIED_TO_SENSITIVE
+
+
+def _smoke(**overrides):
+    return preset("synthetic-smoke").with_overrides(**overrides)
+
+
+def _two_feature_config():
+    base = preset("synthetic-smoke")
+    dataset = dict(base.dataset, n_platforms=3, sensitive_classes={"attr": 2, "age": 5})
+    widths = dict(base.widths, protected={"attr": 4, "age": 8})
+    return base.with_overrides(dataset=dataset, n_platforms=3, widths=widths,
+                               lam={"attr": 100.0, "age": 10.0},
+                               gamma={"attr": 0.25, "age": 0.25})
+
+
+POLICY_CONFIGS = {
+    "smoke": _smoke,
+    "vfl": lambda: _smoke(mode="vfl"),
+    "ldp": lambda: _smoke(ldp={"enabled": True}),
+    "ldp-serve-only": lambda: _smoke(ldp={"enabled": True, "perturb_training": False}),
+    "3-platforms-2-features": _two_feature_config,
+    # the top-level count disagrees with the dataset's n_platforms = 2
+    "top-level-n-platforms": lambda: _smoke(n_platforms=3),
+}
+
+
+class TestAuditPolicyBuilders:
+    """``fairvfl audit`` builds its policy from the config alone; it must be
+    the policy of the federation that the same config runs."""
+
+    @pytest.mark.parametrize("name", list(POLICY_CONFIGS))
+    def test_config_policy_is_the_federation_policy(self, name):
+        cfg = POLICY_CONFIGS[name]()
+        cfg.validate()
+        fed = build_run_federation(cfg, *make_dataset(cfg))
+        assert audit_policy_from_config(cfg) == AuditPolicy.from_federation(fed)
 
 
 def _reference_classify(rec, policy):
