@@ -13,14 +13,18 @@ from .digest import digest_text
 from .errors import ConfigError, ProtocolError
 from .models import OptimParams, RepWidths
 from .protocol.ldp import LdpConfig
+from .data.adult import AdultSpec
 from .data.synthetic import SyntheticSpec
 
 
 def _is_a(value, hint) -> bool:
     """Whether a JSON value fits a field annotation. ``float`` takes ints
-    too; ``dict[K, V]``, ``list[T]`` and fixed-length ``tuple[...]`` take
-    lists or tuples and are checked item by item."""
+    too, but neither ``int`` nor ``float`` takes a bool; ``dict[K, V]``,
+    ``list[T]`` and fixed-length ``tuple[...]`` take lists or tuples and are
+    checked item by item."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint in (int, float) and isinstance(value, bool):
+        return False
     if hint is float:
         return isinstance(value, (int, float))
     if origin is dict:
@@ -89,6 +93,8 @@ class AttackConfig:
 class ExperimentConfig:
     mode: str = "fairvfl"  # "fairvfl" | "vfl"
     dataset: dict = field(default_factory=dict)  # {"kind": "adult"|"synthetic", ...}
+    # insensitive platforms of an ADULT run; a synthetic run has its
+    # dataset's n_platforms (default 2) and does not read this one
     n_platforms: int = 3
     partition_seed: int = 0
     widths: dict = field(default_factory=dict)
@@ -120,13 +126,21 @@ class ExperimentConfig:
     def attack_config(self) -> AttackConfig:
         return _section(AttackConfig, self.attack, "attack")
 
-    def synthetic_spec(self) -> SyntheticSpec:
-        if self.dataset.get("kind") != "synthetic":
-            raise ConfigError("not a synthetic-dataset config")
-        spec = _section(SyntheticSpec,
+    def dataset_spec(self) -> AdultSpec | SyntheticSpec:
+        """The dataset section as the validated spec of its ``kind``, or
+        ConfigError naming an unknown kind or key or a value of the wrong type."""
+        kind = self.dataset.get("kind")
+        if not (isinstance(kind, str) and kind in _DATASET_SPECS):
+            raise ConfigError(f"dataset.kind must be 'adult' or 'synthetic', got {kind!r}")
+        spec = _section(_DATASET_SPECS[kind],
                         {k: v for k, v in self.dataset.items() if k != "kind"}, "dataset")
-        spec.sensitive_classes = dict(spec.sensitive_classes)
-        spec.split_fractions = tuple(spec.split_fractions)
+        spec.validate()
+        return spec
+
+    def synthetic_spec(self) -> SyntheticSpec:
+        spec = self.dataset_spec()
+        if not isinstance(spec, SyntheticSpec):
+            raise ConfigError("not a synthetic-dataset config")
         return spec
 
     # -- validation / serialization ----------------------------------------
@@ -135,19 +149,7 @@ class ExperimentConfig:
         _check_fields(self, "")
         if self.mode not in ("fairvfl", "vfl"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        kind, path = self.dataset.get("kind"), self.dataset.get("path")
-        if kind not in ("adult", "synthetic"):
-            raise ConfigError(f"dataset.kind must be 'adult' or 'synthetic', got {kind!r}")
-        if kind == "adult":
-            if not (path and isinstance(path, str)):
-                raise ConfigError("adult dataset requires a 'path'")
-            sample_seed = self.dataset.get("sample_seed", 0)
-            if type(sample_seed) is not int or sample_seed < 0:  # bools too
-                raise ConfigError(f"dataset.sample_seed must be a non-negative int, "
-                                  f"got {sample_seed!r}")
-        if kind == "synthetic":
-            spec = self.synthetic_spec()
-            spec.validate()
+        spec = self.dataset_spec()
         if self.batch_size < 2:
             raise ConfigError("batch size must be >= 2 (contrastive requirement)")
         if self.epochs < 1 or self.n_platforms < 1 or self.top_pool < 1:
@@ -157,7 +159,7 @@ class ExperimentConfig:
         widths = self.rep_widths()
         widths.validate()
         features = set(widths.protected)
-        sensitive = set(spec.sensitive_classes) if kind == "synthetic" else {"gender", "age"}
+        sensitive = set(spec.sensitive_features)
         if sensitive != features:
             raise ConfigError(f"widths.protected {sorted(features)} must match the "
                               f"dataset's sensitive features {sorted(sensitive)}")
@@ -254,6 +256,8 @@ def preset(name: str) -> ExperimentConfig:
 
 PRESET_NAMES = ("adult-fairvfl", "adult-vfl", "synthetic-smoke")
 
+_DATASET_SPECS = {"adult": AdultSpec, "synthetic": SyntheticSpec}
+
 #: each config section's field annotations, resolved once at import
 _HINTS = {cls: typing.get_type_hints(cls) for cls in (
-    ExperimentConfig, AttackConfig, RepWidths, LdpConfig, OptimParams, SyntheticSpec)}
+    ExperimentConfig, AttackConfig, RepWidths, LdpConfig, OptimParams, AdultSpec, SyntheticSpec)}

@@ -8,6 +8,7 @@ pair or a single comma-separated file in the same 15-column layout.
 from __future__ import annotations
 
 import csv
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,8 @@ ADULT_FIELDS = [
 ]
 
 SENSITIVE_FIELDS = ("sex", "age")
+#: the sensitive features ``load_adult`` makes of ``SENSITIVE_FIELDS``, in order
+SENSITIVE_FEATURES = ("gender", "age")
 
 #: half-open age buckets; the final bucket is closed at 90 and absorbs older ages
 AGE_BUCKET_EDGES = (17, 31, 45, 59, 73, 90)
@@ -50,6 +53,25 @@ def bucketize_age(age) -> np.ndarray | int:
     buckets = np.clip((arr - 17) // 14, 0, N_AGE_BUCKETS - 1).astype(np.int64)
     buckets[arr >= 73] = N_AGE_BUCKETS - 1
     return int(buckets[0]) if scalar else buckets
+
+
+@dataclass
+class AdultSpec:
+    """An ADULT config's dataset section: where the data is and the seed of
+    its 20k/10k sample."""
+
+    path: str = ""
+    sample_seed: int = 0
+
+    @property
+    def sensitive_features(self) -> tuple[str, ...]:
+        return SENSITIVE_FEATURES
+
+    def validate(self) -> None:
+        if not self.path:
+            raise ConfigError("adult dataset requires a 'path'")
+        if self.sample_seed < 0:
+            raise ConfigError(f"dataset.sample_seed must be >= 0, got {self.sample_seed}")
 
 
 def _parse_rows(path: Path) -> list[list[str]]:
@@ -137,11 +159,11 @@ def load_adult(path: str | Path, seed: int = 0, n_trainval: int = 20000,
     sex_raw = [r[col_idx["sex"]] for r in rows]
     sex_vocab = sorted(set(sex_raw))
     sex_codes = np.array([sex_vocab.index(v) for v in sex_raw], dtype=np.int64)
-    sensitive = {
-        "gender": SensitiveColumn(sex_codes, len(sex_vocab), sex_vocab),
-        "age": SensitiveColumn(bucketize_age(ages), N_AGE_BUCKETS,
-                               [f"[{a},{b})" for a, b in zip(AGE_BUCKET_EDGES, AGE_BUCKET_EDGES[1:])]),
-    }
+    sensitive = dict(zip(SENSITIVE_FEATURES, (
+        SensitiveColumn(sex_codes, len(sex_vocab), sex_vocab),
+        SensitiveColumn(bucketize_age(ages), N_AGE_BUCKETS,
+                        [f"[{a},{b})" for a, b in zip(AGE_BUCKET_EDGES, AGE_BUCKET_EDGES[1:])]),
+    )))
 
     columns: dict[str, Column] = {}
     for fname, kind in ADULT_FIELDS:

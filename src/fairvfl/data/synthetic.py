@@ -42,6 +42,10 @@ class SyntheticSpec:
         if abs(sum(self.split_fractions) - 1.0) > 1e-9:
             raise ConfigError("split fractions must sum to 1")
 
+    @property
+    def sensitive_features(self) -> tuple[str, ...]:
+        return tuple(self.sensitive_classes)
+
     def proxy_field(self, feature: str) -> str:
         return f"proxy_{feature}"
 

@@ -18,6 +18,7 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import AttackConfig, ExperimentConfig
 from .data import (
+    SyntheticSpec,
     VerticalDataset,
     default_partition,
     generate_synthetic,
@@ -49,14 +50,11 @@ from .protocol.messages import write_records
 
 
 def make_dataset(cfg: ExperimentConfig):
-    kind = cfg.dataset.get("kind")
-    if kind == "synthetic":
-        spec = cfg.synthetic_spec()
+    spec = cfg.dataset_spec()
+    if isinstance(spec, SyntheticSpec):
         return generate_synthetic(spec), synthetic_partition(spec)
-    if kind == "adult":
-        ds = load_adult(cfg.dataset["path"], seed=int(cfg.dataset.get("sample_seed", 0)))
-        return ds, default_partition(ds, cfg.n_platforms, cfg.partition_seed)
-    raise ConfigError(f"unknown dataset kind {kind!r}")
+    ds = load_adult(spec.path, seed=spec.sample_seed)
+    return ds, default_partition(ds, cfg.n_platforms, cfg.partition_seed)
 
 
 _OPENBLAS_SET_THREADS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
@@ -301,9 +299,10 @@ class AuditReport:
 
 
 def audit_policy_from_config(cfg: ExperimentConfig) -> AuditPolicy:
-    n_platforms = cfg.n_platforms
-    if cfg.dataset.get("kind") == "synthetic":
-        n_platforms = int(cfg.dataset.get("n_platforms", n_platforms))
+    """The policy of the federation ``make_dataset`` lays out: a synthetic
+    dataset's platform count, else the top-level ``n_platforms``."""
+    spec = cfg.dataset_spec()
+    n_platforms = spec.n_platforms if isinstance(spec, SyntheticSpec) else cfg.n_platforms
     return AuditPolicy.for_run(n_platforms, cfg.rep_widths(), cfg.ldp_config())
 
 
@@ -336,11 +335,9 @@ def apply_axis(cfg: ExperimentConfig, axis: str, value: float) -> ExperimentConf
         lam[feature] = value
         return cfg.with_overrides(lam=lam)
     if axis == "rho":
-        if cfg.dataset.get("kind") != "synthetic":
+        if not isinstance(cfg.dataset_spec(), SyntheticSpec):
             raise ConfigError("rho sweeps require a synthetic dataset")
-        dataset = dict(cfg.dataset)
-        dataset["rho"] = value
-        return cfg.with_overrides(dataset=dataset)
+        return cfg.with_overrides(dataset=dict(cfg.dataset, rho=value))
     raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
 
 

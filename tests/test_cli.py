@@ -80,10 +80,13 @@ class TestPresets:
 _BAD_CONFIGS = {
     "list": ("[1,2]", "JSON object"),
     "dataset-int": ('{"dataset": 5}', "dataset"),
+    "dataset-kind-list": ('{"dataset": {"kind": ["adult"]}}', "dataset.kind"),
     "attack-unknown-key": ('{"attack": {"bogus": 1}}', "bogus"),
     "width-string": ('{"widths": {"rep": "abc"}}', "widths.rep"),
     "zero-heads": ('{"widths": {"attn_heads": 0}}', "attn_heads"),
     "seed-string": ('{"seed": "x"}', "seed"),
+    "seed-bool": ('{"seed": true}', "seed"),
+    "p-drop-bool": ('{"p_drop": false}', "p_drop"),
     "lam-int": ('{"lam": 3}', "lam"),
     "lam-negative": ('{"lam": {"attr": -1.0}}', "lambda weights must be >= 0"),
     "n-samples-string": ('{"dataset": {"kind": "synthetic", "n_samples": "x"}}',
@@ -93,6 +96,12 @@ _BAD_CONFIGS = {
     "adult-sample-seed-string": (
         '{"dataset": {"kind": "adult", "path": "nowhere", "sample_seed": "x"}}',
         "dataset.sample_seed"),
+    "adult-negative-sample-seed": (
+        '{"dataset": {"kind": "adult", "path": "nowhere", "sample_seed": -1}}',
+        "dataset.sample_seed"),
+    "adult-no-path": ('{"dataset": {"kind": "adult"}}', "'path'"),
+    "adult-unknown-key": (
+        '{"dataset": {"kind": "adult", "path": "nowhere", "samle_seed": 3}}', "samle_seed"),
     "protected-width-without-feature": (
         '{"widths": {"protected": {"attr": 16, "zzz": 4}}, "lam": {"attr": 1.0, "zzz": 1.0},'
         ' "gamma": {"attr": 0.25, "zzz": 0.25}}', "widths.protected"),
@@ -127,9 +136,6 @@ def _value_paths(obj, prefix=()):
             yield from _value_paths(value, prefix + (key,))
 
 
-_SMOKE = preset("synthetic-smoke").to_dict()
-
-
 class TestMalformedConfigs:
     @pytest.mark.parametrize("name, with_preset", _BAD_CASES,
                              ids=[f"{n}-{'preset' if p else 'bare'}" for n, p in _BAD_CASES])
@@ -153,14 +159,16 @@ class TestMalformedConfigs:
         assert rc == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error: --values: ")
 
+    @pytest.mark.parametrize("name", ["synthetic-smoke", "adult-fairvfl"])
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
-    def test_swapped_value_passes_or_is_config_error(self, data):
-        """The synthetic-smoke preset with one value, top-level or nested,
-        swapped for a JSON value of another type validates or raises
-        ConfigError, never anything else."""
-        path = data.draw(st.sampled_from(list(_value_paths(_SMOKE))))
-        obj = copy.deepcopy(_SMOKE)
+    def test_swapped_value_passes_or_is_config_error(self, name, data):
+        """A preset with one value, top-level or nested, swapped for a JSON
+        value of another type validates or raises ConfigError, never anything
+        else. ``validate`` opens no file, so the ADULT preset needs no data."""
+        base = preset(name).to_dict()
+        path = data.draw(st.sampled_from(list(_value_paths(base))))
+        obj = copy.deepcopy(base)
         parent = obj
         for key in path[:-1]:
             parent = parent[key]

@@ -552,6 +552,10 @@ POLICY_CONFIGS = {
     "3-platforms-2-features": _two_feature_config,
     # the top-level count disagrees with the dataset's n_platforms = 2
     "top-level-n-platforms": lambda: _smoke(n_platforms=3),
+    # no dataset n_platforms: the dataset's default 2 rules, not the top-level 1
+    "default-dataset-n-platforms": lambda: _smoke(
+        dataset={k: v for k, v in preset("synthetic-smoke").dataset.items()
+                 if k != "n_platforms"}, n_platforms=1),
 }
 
 
