@@ -41,9 +41,15 @@ random reps and labels:
 - ``fairness``: rep width 64, two classes, as on the unified rep;
 - ``privacy``: width 16, four classes, as on a protected rep.
 
-Each build, stores and ensemble case runs in a fresh interpreter of its own,
-so the heap and the caches the passes before it leave behind do not skew it,
-and two trees' builds can be compared.
+And it runs ``cmd_train`` at the paper widths for 6 epochs (``train_fresh``)
+and reports its wall seconds, and the median ms and the mean minor page
+faults (``ru_minflt``) per training round after the first epoch: what a
+plain ``fairvfl train`` pays when freed memory goes back to the OS and is
+faulted in again, which a long-running benchmark process never shows.
+
+Each build, stores, ensemble and training case runs in a fresh interpreter
+of its own, so the heap and the caches the passes before it leave behind do
+not skew it, and two trees' builds can be compared.
 
 The script uses only public functions whose signatures predate the
 ``params``/``inputs`` backward flags, so it runs unchanged on older commits.
@@ -80,6 +86,7 @@ BUILDS = ("bundle_build", "checkpoint_load")
 STORES = ("params", "grads", "m", "v")
 # (rep width, classes) of the attacker ensembles
 ENSEMBLES = {"fairness": (64, 2), "privacy": (16, 4)}
+TRAIN_FRESH_EPOCHS = 6
 
 
 def widths_config(name: str):
@@ -271,10 +278,43 @@ def time_ensemble(probe: str, block_s: float, repeats: int) -> float:
         max_epochs=10, patience=10), block_s, repeats)
 
 
-# A ``time_build``, ``measure_stores`` or ``time_ensemble`` call in a fresh
-# interpreter, its result printed as JSON. argv: the src/ directory, this
-# script's directory, the function's name, then its arguments, the last two
-# being the block seconds and the repeats.
+def train_fresh(block_s: float, repeats: int) -> dict[str, float]:
+    """``cmd_train`` at the paper widths for ``TRAIN_FRESH_EPOCHS`` epochs, in
+    this process: its wall seconds, and the median ms and the mean minor page
+    faults per training round after the first epoch (``block_s`` and
+    ``repeats`` are unused: ``fresh`` passes every case both)."""
+    import resource
+
+    from fairvfl.protocol.federation import Federation
+    from fairvfl.runner import cmd_train
+
+    rounds = []  # (ms, minor faults) of each training round
+    run_round = Federation.run_training_round
+
+    def counted_round(fed, ids):
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        t0 = time.perf_counter()
+        result = run_round(fed, ids)
+        rounds.append(((time.perf_counter() - t0) * 1e3,
+                       resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults))
+        return result
+
+    Federation.run_training_round = counted_round
+    cfg = widths_config("paper").with_overrides(epochs=TRAIN_FRESH_EPOCHS)
+    with tempfile.TemporaryDirectory(prefix="bench_passes-") as tmp:
+        t0 = time.perf_counter()
+        cmd_train(cfg, tmp)
+        wall_s = time.perf_counter() - t0
+    later = rounds[len(rounds) // TRAIN_FRESH_EPOCHS:]
+    return {"wall_s": wall_s,
+            "round_ms_p50": statistics.median(ms for ms, _ in later),
+            "faults_per_round": statistics.mean(faults for _, faults in later)}
+
+
+# A ``time_build``, ``measure_stores``, ``time_ensemble`` or ``train_fresh``
+# call in a fresh interpreter, its result printed as JSON. argv: the src/
+# directory, this script's directory, the function's name, then its
+# arguments, the last two being the block seconds and the repeats.
 _CHILD = """
 import json, sys
 sys.path[:0] = sys.argv[1:3]
@@ -346,18 +386,23 @@ def main() -> int:
                                     args.repeats), 4)
                  for probe in ENSEMBLES}
     print("attacker ensembles", " ".join(f"{k}={v:.3f}ms" for k, v in ensembles.items()))
+    trained = {k: round(v, 4) for k, v in fresh(args.src, "train_fresh", (), args.block_s,
+                                                 args.repeats).items()}
+    print("train_fresh", " ".join(f"{k}={v:.3f}" for k, v in trained.items()))
 
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.is_file() else {}
     doc[args.label] = {
         "commit": commit_of(args.src),
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__, "blas_threads_env": os.environ["OPENBLAS_NUM_THREADS"]},
-        "unit": "ms per call, median of timed blocks; stores in MB",
+        "unit": "ms per call, median of timed blocks; stores in MB; train_fresh "
+                "in s, ms and faults per round",
         "passes": cases,
         "select_negatives": negatives,
         "builds": builds,
         "stores": stores,
         "attacker_ensembles": ensembles,
+        "train_fresh": trained,
     }
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0

@@ -16,6 +16,12 @@ kind, and which fields differ. It exits 1 on any mismatch, failed round trip
 or failed command:
 
     python benchmarks/check_artifacts.py --src OTHER_TREE/src
+
+Only the transcript and the checkpoint witness training bit for bit. The
+``losses.csv`` cells are floats to six significant digits
+(``evaluation.format_cell``) and the metrics are aggregates, so those rows
+can read ``same`` when the training bits differ: a change that keeps the
+bits must show the transcript and checkpoint rows ``same``.
 """
 
 from __future__ import annotations

@@ -9,11 +9,14 @@ import json
 import math
 import struct
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import CheckpointError
-from .models import ModelBundle
+
+if TYPE_CHECKING:  # models imports this module to build a bundle from a file
+    from .models import ModelBundle
 
 MAGIC = b"FVFLCKPT"
 VERSION = 1
@@ -110,8 +113,10 @@ def parse_checkpoint(raw: bytes, path: str | Path = "checkpoint") -> tuple[dict,
 
 
 def load_checkpoint(bundle: ModelBundle, path: str | Path) -> None:
-    """Loads parameters into an existing bundle, copying each weight once
-    from the file's bytes into its store; shapes must match exactly."""
+    """Loads parameters into a bundle, copying each weight once from the
+    file's bytes into its store; shapes must match exactly, or nothing is
+    loaded. ``ModelBundle(..., checkpoint=path)`` calls it before any store
+    exists, so each block keeps the file's weights in place of its draw."""
     header, params = read_checkpoint(path)
     if header["rep_width"] != bundle.widths.rep:
         raise CheckpointError(
@@ -125,10 +130,9 @@ def load_checkpoint(bundle: ModelBundle, path: str | Path) -> None:
         raise CheckpointError(f"block set mismatch: {sorted(missing)[:5]}")
     for name, blk in blocks.items():
         w, b = params[name]
-        if w.shape != blk.w.shape or (b is None) != (blk.b is None) or \
-                (b is not None and b.shape != blk.b.shape):
+        w_shape, b_shape = blk.shapes()
+        if w.shape != w_shape or (b is None) != (b_shape is None) or \
+                (b is not None and b.shape != b_shape):
             raise CheckpointError(f"shape mismatch for block {name}")
-        blk.w[...] = w
-        if b is not None:
-            blk.b[...] = b
-
+    for name, blk in blocks.items():
+        blk.load(*params[name])

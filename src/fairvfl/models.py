@@ -18,9 +18,11 @@ not read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import load_checkpoint
 from .errors import ConfigError, DimensionError
 from .nn import (
     Adam,
@@ -319,11 +321,18 @@ class ModelBundle:
     sign ledger copies the gradient right after the step, having run all its
     per-term passes before the aggregator's real backward (see ``nn``).
     So a trained bundle's state is each group's ``params``, ``m``, ``v`` and
-    ``t`` alone; its gradient stores hold whatever the last backward left."""
+    ``t`` alone; its gradient stores hold whatever the last backward left.
+
+    Built with a ``checkpoint`` path, the bundle takes its weights from that
+    file and draws none: ``load_checkpoint`` loads every deferred block before
+    any optimizer exists, and each optimizer copies the loaded weights into
+    its store. A checkpoint that does not fit raises ``CheckpointError`` from
+    the constructor, so no bundle with unfilled stores is ever returned."""
 
     def __init__(self, schemas: list[PlatformSchema], widths: RepWidths,
                  task_classes: int, sensitive_classes: dict[str, int],
-                 seed: int, optim: OptimParams | None = None, p_drop: float = 0.2):
+                 seed: int, optim: OptimParams | None = None, p_drop: float = 0.2,
+                 checkpoint: str | Path | None = None):
         widths.validate()
         if len(schemas) < 1 or len(sensitive_classes) < 1:
             raise ConfigError("need at least one insensitive platform and one sensitive feature")
@@ -355,6 +364,9 @@ class ModelBundle:
             groups[f"mapper/{f}"] = self.mappers[f].blocks()
             groups[f"cdisc/{f}"] = self.cdiscs[f].blocks()
             groups[f"bdisc/{f}"] = self.bdiscs[f].blocks()
+        self._groups = groups
+        if checkpoint is not None:
+            load_checkpoint(self, checkpoint)
         grads = np.zeros(max(store_size(blocks) for blocks in groups.values()))
         self.optim = {key: Adam(blocks, optim.lr, optim.beta1, optim.beta2, optim.eps,
                                 grads=grads)
@@ -367,8 +379,9 @@ class ModelBundle:
         return self.mappers[feature]
 
     def named_blocks(self) -> list[ParamBlock]:
-        """Every block, in checkpoint order: the ``optim`` table's groups."""
-        return [b for opt in self.optim.values() for b in opt.blocks]
+        """Every block, in checkpoint order: the ``optim`` table's groups,
+        readable before the optimizers exist."""
+        return [b for blocks in self._groups.values() for b in blocks]
 
     def main_blocks(self) -> list[ParamBlock]:
         """Blocks of the plain-VFL model (encoders, aggregator, task head)."""

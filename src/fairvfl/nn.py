@@ -28,8 +28,11 @@ is handed a buffer to share. Each block's ``w``, ``b``, ``gw`` and ``gb`` are
 views into those buffers, so a step is one pass over the group. An ``Adam``
 draws its group's initial weights straight into its store, and a block that
 no ``Adam`` adopts draws them on first read, so no weight is drawn into a
-temporary and copied. Building a second ``Adam``
-over the same blocks moves them into the new one's buffers.
+temporary and copied. A deferred block loaded before any ``Adam`` adopts it
+(``ParamBlock.load``, as a ``models.ModelBundle`` built from a checkpoint
+does) draws nothing: the ``Adam`` copies the loaded weights into its store.
+Building a second ``Adam`` over the same blocks moves them into the new
+one's buffers.
 
 ``finite_difference_gradient`` is the independent oracle the test suite
 checks every analytic backward against.
@@ -62,8 +65,9 @@ class ParamBlock:
     """A weight matrix plus optional bias vector with matching grad buffers.
 
     ``ParamBlock.glorot`` makes a deferred block: it holds no weights until
-    an ``Adam`` adopts it and draws its initial weights into the store, or
-    until it is read first and draws them into arrays of its own. The grad
+    an ``Adam`` adopts it and draws its initial weights into the store, until
+    it is read first and draws them into arrays of its own, or until it is
+    loaded with weights in place of the draw. The grad
     buffers are allocated on first use, so a block whose storage an ``Adam``
     takes over never allocates buffers of its own."""
 
@@ -113,6 +117,18 @@ class ParamBlock:
             self._glorot = None
         self.w, self.b = w, b
 
+    def load(self, w: Array, b: Array | None) -> None:
+        """Sets the block's weights to ``w`` and ``b``, arrays of its shapes:
+        copied into the arrays it holds, or, in a deferred block, kept in
+        place of the draw (the ``Adam`` that adopts it then copies them into
+        its store), so a loaded block never draws."""
+        if self._glorot is None:
+            self.w[...] = w
+            if b is not None:
+                self.b[...] = b
+        else:
+            self.w, self.b, self._glorot = w, b, None
+
     def __getattr__(self, attr: str) -> Array:
         # reached only while a slot is still unset: the weights of a deferred
         # block that no Adam has adopted, or a grad buffer
@@ -158,8 +174,8 @@ class Adam:
     the blocks' ``w``/``b``/``gw``/``gb`` become views into the two buffers.
     Construction draws the initial weights of deferred blocks
     (``ParamBlock.glorot``) into the store, copies in those of blocks that
-    already hold weights, and, unless handed ``grads``, starts from zero
-    gradients; the two moment buffers come with the first step, so a model
+    already hold weights (loaded ones included), and, unless handed
+    ``grads``, starts from zero gradients; the two moment buffers come with the first step, so a model
     that is only evaluated never holds them. Building a second ``Adam`` over the same blocks moves
     them into the new store, and the first one no longer reaches them.
 

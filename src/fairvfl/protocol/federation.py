@@ -474,13 +474,15 @@ class Federation:
 
 
 def build_federation(dataset, partition, widths, config: FederationConfig,
-                     seed: int, optim=None, p_drop: float = 0.2) -> Federation:
-    """Wires a dataset, its vertical partition, and a fresh model bundle into
-    a federation: the only place that partitions a run's dataset and builds
-    its ``ModelBundle``. Each insensitive platform keeps its ``shard``."""
+                     seed: int, optim=None, p_drop: float = 0.2,
+                     checkpoint=None) -> Federation:
+    """Wires a dataset, its vertical partition, and a model bundle into a
+    federation: the only place that partitions a run's dataset and builds
+    its ``ModelBundle``, freshly drawn or, given a ``checkpoint`` path, with
+    that file's weights. Each insensitive platform keeps its ``shard``."""
     feature_shards, label_shards, task_shard = partition_vertical(dataset, partition)
     schemas = [shard.schema() for shard in feature_shards]
     sensitive_classes = {f: dataset.sensitive[f].n_classes for f in dataset.sensitive}
     bundle = ModelBundle(schemas, widths, dataset.n_task_classes, sensitive_classes,
-                         seed, optim or OptimParams(), p_drop)
+                         seed, optim or OptimParams(), p_drop, checkpoint)
     return Federation(bundle, feature_shards, label_shards, task_shard, config, seed)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import save_checkpoint
 from .config import AttackConfig, ExperimentConfig
 from .data import (
     SyntheticSpec,
@@ -92,12 +92,41 @@ def pin_blas_threads() -> None:
         setter(1)
 
 
+# (M_MMAP_THRESHOLD, 32 MB) and (M_TRIM_THRESHOLD, 64 MB), glibc's malloc.h
+# numbering: arrays up to 32 MB come from the heap, and up to 64 MB of freed
+# heap stays mapped
+_HEAP_SETTINGS = ((-3, 32 << 20), (-1, 64 << 20))
+
+
+@functools.cache
+def keep_freed_heap() -> None:
+    """Makes glibc keep freed memory mapped, once per process: with its
+    defaults it hands the freed top of the heap and every freed array above
+    its dynamic mmap threshold back to the OS, and the next round, attack or
+    checkpoint read faults the same pages in again. Does nothing where the
+    C library cannot be loaded or has no ``mallopt``."""
+    try:
+        libc = ctypes.CDLL(None)
+    except OSError:
+        return
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    for param, value in _HEAP_SETTINGS:
+        mallopt(param, value)
+
+
 def build_run_federation(cfg: ExperimentConfig, ds: VerticalDataset, pa,
-                         payload_digests: bool = False):
-    """The federation of a run, built with the OpenBLAS pinned to one thread:
-    every command that runs a model builds it here. Payload digests are off
-    by default: only an exported transcript (``cmd_train``) reads them."""
+                         payload_digests: bool = False,
+                         checkpoint: str | Path | None = None):
+    """The federation of a run, built with the OpenBLAS pinned to one thread
+    and freed heap kept mapped: every command that runs a model builds it
+    here. Payload digests are off by default: only an exported transcript
+    (``cmd_train``) reads them. Given a ``checkpoint`` path, the bundle takes
+    that file's weights and draws none (see ``ModelBundle``)."""
     pin_blas_threads()
+    keep_freed_heap()
     fed_cfg = FederationConfig(
         weights=cfg.loss_weights(),
         ldp=cfg.ldp_config(),
@@ -106,7 +135,8 @@ def build_run_federation(cfg: ExperimentConfig, ds: VerticalDataset, pa,
         payload_digests=payload_digests,
     )
     return build_federation(ds, pa, cfg.rep_widths(), fed_cfg, cfg.seed,
-                            optim=cfg.optim_params(), p_drop=cfg.p_drop)
+                            optim=cfg.optim_params(), p_drop=cfg.p_drop,
+                            checkpoint=checkpoint)
 
 
 def _epoch_batch_seed(seed: int, epoch: int) -> int:
@@ -245,10 +275,9 @@ def cmd_attack(cfg: ExperimentConfig, checkpoint_path: str | Path,
         probe_train[fname] = col.values[train_ids]
         probe_test[fname] = col.values[test_ids]
 
-    fed = build_run_federation(cfg, ds, pa)
+    fed = build_run_federation(cfg, ds, pa, checkpoint=checkpoint_path)
     bundle = fed.bundle
     feature_shards = [p.shard for p in fed.insensitive]
-    load_checkpoint(bundle, checkpoint_path)
 
     s_train, prot_train = representations(bundle, feature_shards, train_ids)
     s_test, prot_test = representations(bundle, feature_shards, test_ids)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import JSON_VALUES, duplicate_last_block, join_checkpoint, split_checkpoint
 
+from fairvfl import runner
 from fairvfl.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 from fairvfl.config import ExperimentConfig, preset
 from fairvfl.errors import ConfigError
@@ -485,3 +486,47 @@ class TestPresetRuns:
         save_checkpoint(bundle, ckpt)
         report = cmd_attack(cfg, ckpt)
         assert abs(report.fairness_f1["attr"]["mean"] - 0.5) < 0.08
+
+
+class TestKeepFreedHeap:
+    """``runner.keep_freed_heap``: glibc's ``mallopt`` once per process, and
+    nothing where the C library or its ``mallopt`` is missing."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_process(self):
+        runner.keep_freed_heap.cache_clear()
+        yield
+        runner.keep_freed_heap.cache_clear()  # the next build applies the real one
+
+    class _Libc:
+        def __init__(self, calls):
+            self.mallopt = lambda param, value: calls.append((param, value)) or 1
+
+    def test_unloadable_libc_is_a_no_op(self, monkeypatch):
+        def no_libc(name):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(runner.ctypes, "CDLL", no_libc)
+        assert runner.keep_freed_heap() is None
+
+    def test_libc_without_mallopt_is_a_no_op(self, monkeypatch):
+        monkeypatch.setattr(runner.ctypes, "CDLL", lambda name: object())
+        assert runner.keep_freed_heap() is None
+
+    def test_applies_once_per_process(self, monkeypatch):
+        loads, calls = [], []
+        real_cdll = runner.ctypes.CDLL
+
+        def libc(name):  # other libraries (the OpenBLAS) load as before
+            if name is not None:
+                return real_cdll(name)
+            loads.append(name)
+            return self._Libc(calls)
+
+        monkeypatch.setattr(runner.ctypes, "CDLL", libc)
+        cfg = preset("synthetic-smoke")
+        ds, pa = runner.make_dataset(cfg)
+        for _ in range(2):  # every build applies it, the first one alone sets it
+            runner.build_run_federation(cfg, ds, pa)
+        assert loads == [None]
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]  # M_MMAP_, M_TRIM_THRESHOLD

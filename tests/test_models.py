@@ -21,6 +21,7 @@ from conftest import (
     unpack_blocks,
     zero_grads,
 )
+from fairvfl import nn
 from fairvfl.checkpoint import (
     MAGIC,
     load_checkpoint,
@@ -628,6 +629,99 @@ class TestCheckpoint:
             load_checkpoint(bundle, path)
         except CheckpointError:
             pass
+
+
+def _paper_width_config():
+    """synthetic-smoke at the paper's widths: rep 400, 3 platforms, gender
+    H=32 and age H=64."""
+    return preset("synthetic-smoke").with_overrides(
+        dataset={"kind": "synthetic", "n_samples": 400, "n_platforms": 3,
+                 "numeric_per_platform": 2, "categorical_per_platform": 2,
+                 "cat_vocab": 6, "sensitive_classes": {"gender": 2, "age": 5},
+                 "rho": 0.6, "seed": 1},
+        n_platforms=3, widths={"rep": 400, "protected": {"gender": 32, "age": 64}},
+        lam={"gender": 1e2, "age": 1e1}, gamma={"gender": 0.25, "age": 0.25})
+
+
+class TestBundleFromCheckpoint:
+    """``build_run_federation(..., checkpoint=path)`` builds the bundle with
+    the file's weights and draws none."""
+
+    @staticmethod
+    def _saved(cfg, tmp_path):
+        """A checkpoint of ``cfg``'s bundle with every weight moved off its
+        drawn value, so a load that kept a draw shows."""
+        ds, pa = make_dataset(cfg)
+        fed = build_run_federation(cfg, ds, pa)
+        rng = np.random.default_rng(3)
+        for opt in fed.bundle.optim.values():
+            opt.params += rng.normal(size=opt.params.size)
+        path = tmp_path / "moved.fvfl"
+        save_checkpoint(fed.bundle, path)
+        return ds, pa, path
+
+    @pytest.mark.parametrize("cfg", [preset("synthetic-smoke"), _paper_width_config()],
+                             ids=["smoke", "paper"])
+    def test_equals_load_into_drawn_bundle(self, tmp_path, monkeypatch, cfg):
+        ds, pa, path = self._saved(cfg, tmp_path)
+        drawn = build_run_federation(cfg, ds, pa)
+        before = {key: opt.params.copy() for key, opt in drawn.bundle.optim.items()}
+        load_checkpoint(drawn.bundle, path)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a bundle built from a checkpoint drew weights")
+
+        monkeypatch.setattr(nn, "glorot_uniform", no_draw)
+        built = build_run_federation(cfg, ds, pa, checkpoint=path)
+        assert list(built.bundle.optim) == list(drawn.bundle.optim)
+        for key, opt in built.bundle.optim.items():
+            assert opt.params.tobytes() == drawn.bundle.optim[key].params.tobytes(), key
+            assert not np.array_equal(opt.params, before[key]), key
+            for blk in opt.blocks:
+                assert blk._glorot is None, blk.name
+                assert np.shares_memory(blk.w, opt.params) and blk.w.flags.writeable
+        assert len(built.bundle.named_blocks()) == len(drawn.bundle.named_blocks())
+        resaved = tmp_path / "resaved.fvfl"
+        save_checkpoint(built.bundle, resaved)
+        assert resaved.read_bytes() == path.read_bytes()
+
+    def _corruptions(self, raw):
+        header, body = split_checkpoint(raw)
+        yield "missing", None, "cannot read checkpoint"
+        yield "corrupt", raw[:len(raw) // 2], "truncated body"
+        header["version"] = 2
+        yield "wrong-version", join_checkpoint(header, body), "unsupported checkpoint version 2"
+
+    def test_bad_checkpoint_raises_and_builds_nothing(self, tmp_path, monkeypatch):
+        cfg = preset("synthetic-smoke")
+        ds, pa, path = self._saved(cfg, tmp_path)
+        built = []
+        real_init = ModelBundle.__init__
+
+        def recording_init(bundle, *args, **kwargs):
+            real_init(bundle, *args, **kwargs)
+            built.append(bundle)
+
+        monkeypatch.setattr(ModelBundle, "__init__", recording_init)
+        for name, raw, message in self._corruptions(path.read_bytes()):
+            bad = tmp_path / f"{name}.fvfl"
+            if raw is not None:
+                bad.write_bytes(raw)
+            with pytest.raises(CheckpointError, match=re.escape(message)):
+                build_run_federation(cfg, ds, pa, checkpoint=bad)
+            with pytest.raises(CheckpointError, match=re.escape(message)):
+                load_checkpoint(build_run_federation(cfg, ds, pa).bundle, bad)
+        assert len(built) == 3  # only the drawn bundles finished building
+
+    def test_mismatched_widths_raise_the_load_message(self, tmp_path):
+        cfg = preset("synthetic-smoke")
+        ds, pa, path = self._saved(cfg, tmp_path)
+        wider = cfg.with_overrides(widths=dict(cfg.widths, rep=128))
+        message = "rep width mismatch: checkpoint 64 vs bundle 128"
+        with pytest.raises(CheckpointError, match=message):
+            build_run_federation(wider, ds, pa, checkpoint=path)
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(build_run_federation(wider, ds, pa).bundle, path)
 
 
 @pytest.fixture(scope="module")
