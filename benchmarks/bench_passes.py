@@ -52,8 +52,10 @@ of its own, so the heap and the caches the passes before it leave behind do
 not skew it, and two trees' builds can be compared.
 
 The script uses only public functions whose signatures predate the
-``params``/``inputs`` backward flags, so it runs unchanged on older commits.
-Compare two commits on one machine by running it against each tree's
+``params``/``inputs`` backward flags. The fairness-game cases take the
+mapper's and the contrastive discriminator's optimizers from the components'
+``opt``, so they need a tree whose model components carry their optimizers
+(older trees kept them in the server's ``opts`` table). Compare two commits on one machine by running it against each tree's
 ``src/`` with its own label; every run adds or replaces its label's entry in
 the output file:
 
@@ -163,15 +165,14 @@ def pass_functions(widths_name: str):
     n = unified.shape[0]
     rng = np.random.default_rng(0)
     for feature in fed.bundle.features:
-        mapper, mapper_opt = server.mappers[feature], server.opts[f"mapper/{feature}"]
-        cdisc, cdisc_opt = server.cdiscs[feature], server.opts[f"cdisc/{feature}"]
+        mapper, cdisc = server.mappers[feature], server.cdiscs[feature]
         protected, mcache = mapper.forward(unified)
         neg_idx = select_negatives(ContrastiveContext(protected, unified, cfg.top_pool,
                                                       np.random.default_rng(0)))
         grad_protected = rng.normal(size=protected.shape) / n
         sender = fed.sensitive[feature].name
 
-        def mapper_ascent(mapper=mapper, opt=mapper_opt, mcache=mcache, g=grad_protected):
+        def mapper_ascent(mapper=mapper, opt=mapper.opt, mcache=mcache, g=grad_protected):
             cal_mapper_gradient(mapper, mcache, g, 0.25)
             opt.step()
             if hasattr(opt, "zero_grad"):  # trees whose layers add to the gradient
@@ -182,7 +183,7 @@ def pass_functions(widths_name: str):
             server.handle(Message(0, sender, server.name, kind, g), fed)
 
         yield f"{widths_name}/{feature}", {
-            "cdisc_step": lambda c=cdisc, o=cdisc_opt, p=protected, q=neg_idx:
+            "cdisc_step": lambda c=cdisc, o=cdisc.opt, p=protected, q=neg_idx:
                 contrastive_discriminator_step(c, o, p, unified, q),
             "cdisc_frozen": lambda c=cdisc, p=protected, q=neg_idx:
                 contrastive_adversarial_grad(c, p, unified, q),

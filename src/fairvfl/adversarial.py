@@ -15,8 +15,8 @@ Four games run per training round and per sensitive feature, in this order:
 Contrastive gradients never reach the unified rep: they stop at the mapper.
 Every step's one parameter backward sets its group's gradient, and frozen
 passes compute no parameter gradients at all (the contract in
-``fairvfl.nn``). ``SignLedger`` declares, per optimizer group,
-exactly which loss terms may update it and in which direction; instrumented
+``fairvfl.nn``). ``SignLedger`` declares, per model component (by its
+``name``), exactly which loss terms may update it and in which direction; instrumented
 rounds verify every applied update against it.
 """
 

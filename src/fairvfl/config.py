@@ -87,6 +87,11 @@ class AttackConfig:
     def validate(self) -> None:
         if self.k < 1:
             raise ConfigError("attack ensemble size must be >= 1")
+        for name in ("batch", "hidden", "max_epochs"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"attack.{name} must be >= 1, got {getattr(self, name)}")
+        if not self.lr > 0.0:
+            raise ConfigError(f"attack.lr must be > 0, got {self.lr}")
 
 
 @dataclass
@@ -137,12 +142,6 @@ class ExperimentConfig:
         spec.validate()
         return spec
 
-    def synthetic_spec(self) -> SyntheticSpec:
-        spec = self.dataset_spec()
-        if not isinstance(spec, SyntheticSpec):
-            raise ConfigError("not a synthetic-dataset config")
-        return spec
-
     # -- validation / serialization ----------------------------------------
 
     def validate(self) -> None:
@@ -150,6 +149,11 @@ class ExperimentConfig:
         if self.mode not in ("fairvfl", "vfl"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         spec = self.dataset_spec()
+        if isinstance(spec, SyntheticSpec):
+            n_train, n_val, n_test = spec.split_sizes()
+            if n_train < 2 or n_val < 1 or n_test < 1:
+                raise ConfigError(f"dataset.split_fractions give {n_train} train, {n_val} val "
+                                  f"and {n_test} test rows; need >= 2, >= 1 and >= 1")
         if self.batch_size < 2:
             raise ConfigError("batch size must be >= 2 (contrastive requirement)")
         if self.epochs < 1 or self.n_platforms < 1 or self.top_pool < 1:
@@ -172,7 +176,7 @@ class ExperimentConfig:
             self.loss_weights()
         except ProtocolError as exc:
             raise ConfigError(str(exc)) from exc
-        self.optim_params()
+        self.optim_params().validate()
         self.ldp_config().validate()
         self.attack_config().validate()
 

@@ -66,10 +66,6 @@ class VerticalDataset:
     def __len__(self) -> int:
         return self.ids.shape[0]
 
-    @property
-    def field_names(self) -> list[str]:
-        return list(self.columns)
-
     def split_ids(self, name: str) -> np.ndarray:
         if name not in SPLITS:
             raise ConfigError(f"unknown split {name!r}")

@@ -42,6 +42,14 @@ class SyntheticSpec:
         if abs(sum(self.split_fractions) - 1.0) > 1e-9:
             raise ConfigError("split fractions must sum to 1")
 
+    def split_sizes(self) -> tuple[int, int, int]:
+        """Train, validation and test row counts, rounded as ``generate_synthetic``
+        splits; a zero or negative fraction can give a count below 1."""
+        n = self.n_samples
+        train = int(round(self.split_fractions[0] * n))
+        val_end = int(round((self.split_fractions[0] + self.split_fractions[1]) * n))
+        return train, val_end - train, n - val_end
+
     @property
     def sensitive_features(self) -> tuple[str, ...]:
         return tuple(self.sensitive_classes)
@@ -92,12 +100,11 @@ def generate_synthetic(spec: SyntheticSpec) -> VerticalDataset:
     flips = rng.random(n) < spec.label_noise
     labels = labels ^ flips
 
-    bounds = (int(round(spec.split_fractions[0] * n)),
-              int(round((spec.split_fractions[0] + spec.split_fractions[1]) * n)))
+    n_train, n_val, _ = spec.split_sizes()
     split = np.full(n, 2, dtype=np.int8)
     order = rng.permutation(n)
-    split[order[: bounds[0]]] = 0
-    split[order[bounds[0]: bounds[1]]] = 1
+    split[order[:n_train]] = 0
+    split[order[n_train:n_train + n_val]] = 1
 
     return VerticalDataset(
         ids=np.arange(n, dtype=np.int64),

@@ -193,11 +193,6 @@ class AttackerEnsemble:
     in_width: int
     hidden: int
 
-    @property
-    def attackers(self) -> list[Array]:
-        """Each probe's flat weights: fc1's weights and bias, then fc2's."""
-        return list(self.params)
-
 
 def train_attacker_ensemble(reps: Array, labels: Array, k: int = 5, seed: int = 0,
                             tag: str = "probe", hidden: int = 128, lr: float = 1e-3,

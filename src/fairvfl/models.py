@@ -80,6 +80,7 @@ class TwoLayerMlp:
 
     def __init__(self, name: str, fan_in: int, hidden: int, fan_out: int, seed: int,
                  p_drop: float = 0.0):
+        self.name = name
         self.p_drop = p_drop
         self.fc1 = Linear(f"{name}/fc1", fan_in, hidden, seed)
         self.fc2 = Linear(f"{name}/fc2", hidden, fan_out, seed)
@@ -225,6 +226,7 @@ class Aggregator:
     """Self-attention over local reps followed by attention pooling."""
 
     def __init__(self, widths: RepWidths, seed: int, name: str = "aggregator"):
+        self.name = name
         self.attn = MultiHeadSelfAttention(f"{name}/attn", widths.rep, widths.attn_heads, seed)
         self.pool = AttentionPool(f"{name}/pool", widths.rep, widths.pool_hidden, seed)
 
@@ -264,7 +266,6 @@ class Mapper(TwoLayerMlp):
     def __init__(self, feature: str, widths: RepWidths, seed: int):
         super().__init__(f"mapper/{feature}", widths.rep, widths.mapper_hidden,
                          widths.protected[feature], seed)
-        self.feature = feature
 
 
 class ContrastiveDiscriminator(TwoLayerMlp):
@@ -273,7 +274,6 @@ class ContrastiveDiscriminator(TwoLayerMlp):
     def __init__(self, feature: str, widths: RepWidths, seed: int):
         super().__init__(f"cdisc/{feature}", widths.protected[feature] + widths.rep,
                          widths.cdisc_hidden, 1, seed)
-        self.feature = feature
 
     def forward(self, protected: Array, candidate: Array) -> tuple[Array, tuple]:
         if protected.shape[0] != candidate.shape[0]:
@@ -299,8 +299,6 @@ class BiasDiscriminator(TwoLayerMlp):
     def __init__(self, feature: str, n_classes: int, widths: RepWidths, seed: int):
         super().__init__(f"bdisc/{feature}", widths.protected[feature],
                          widths.bdisc_hidden, n_classes, seed)
-        self.feature = feature
-        self.n_classes = n_classes
 
 
 @dataclass
@@ -310,18 +308,30 @@ class OptimParams:
     beta2: float = 0.999
     eps: float = 1e-8
 
+    def validate(self) -> None:
+        if not self.lr > 0.0:
+            raise ConfigError(f"optim.lr must be > 0, got {self.lr}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"optim.{name} must be in [0, 1), got {getattr(self, name)}")
+        if not self.eps > 0.0:
+            raise ConfigError(f"optim.eps must be > 0, got {self.eps}")
+
 
 class ModelBundle:
-    """All trainable components plus one Adam optimizer per component group;
-    each ``Adam`` holds its group's parameters in one flat store.
+    """All trainable ``components``, in checkpoint order: the encoders, the
+    aggregator, the task head, then each feature's mapper, contrastive and
+    bias discriminator. Each carries its ``name``, which prefixes its blocks'
+    names and keys its sign-ledger entry, and its ``opt``, an ``Adam`` that
+    holds its parameters in one flat store.
 
-    The groups share one zeroed gradient buffer, as long as the largest
-    group's store, and each group's ``grads`` is a prefix of it. That is safe
-    because each group steps right after its only parameter backward, and the
-    sign ledger copies the gradient right after the step, having run all its
+    The optimizers share one zeroed gradient buffer, as long as the largest
+    store, and each ``grads`` is a prefix of it. That is safe because each
+    component steps right after its only parameter backward, and the sign
+    ledger copies the gradient right after the step, having run all its
     per-term passes before the aggregator's real backward (see ``nn``).
-    So a trained bundle's state is each group's ``params``, ``m``, ``v`` and
-    ``t`` alone; its gradient stores hold whatever the last backward left.
+    So a trained bundle's state is each optimizer's ``params``, ``m``, ``v``
+    and ``t`` alone; its gradient stores hold whatever the last backward left.
 
     Built with a ``checkpoint`` path, the bundle takes its weights from that
     file and draws none: ``load_checkpoint`` loads every deferred block before
@@ -357,36 +367,25 @@ class ModelBundle:
             for f in self.features
         }
 
-        groups = {f"encoder/{i}": enc.blocks() for i, enc in enumerate(self.encoders)}
-        groups["aggregator"] = self.aggregator.blocks()
-        groups["task_head"] = self.task_head.blocks()
+        self.components = [*self.encoders, self.aggregator, self.task_head]
         for f in self.features:
-            groups[f"mapper/{f}"] = self.mappers[f].blocks()
-            groups[f"cdisc/{f}"] = self.cdiscs[f].blocks()
-            groups[f"bdisc/{f}"] = self.bdiscs[f].blocks()
-        self._groups = groups
+            self.components += [self.mappers[f], self.cdiscs[f], self.bdiscs[f]]
         if checkpoint is not None:
             load_checkpoint(self, checkpoint)
-        grads = np.zeros(max(store_size(blocks) for blocks in groups.values()))
-        self.optim = {key: Adam(blocks, optim.lr, optim.beta1, optim.beta2, optim.eps,
-                                grads=grads)
-                      for key, blocks in groups.items()}
+        grads = np.zeros(max(store_size(c.blocks()) for c in self.components))
+        for c in self.components:
+            c.opt = Adam(c.blocks(), optim.lr, optim.beta1, optim.beta2, optim.eps,
+                         grads=grads)
 
-    def mapper(self, feature: str) -> Mapper:
-        if feature not in self.mappers:
-            raise ConfigError(f"unknown sensitive feature {feature!r}; "
-                              f"have {self.features}")
-        return self.mappers[feature]
+    @property
+    def optim(self) -> dict[str, Adam]:
+        """Each component's optimizer under its name, in ``components`` order."""
+        return {c.name: c.opt for c in self.components}
 
     def named_blocks(self) -> list[ParamBlock]:
-        """Every block, in checkpoint order: the ``optim`` table's groups,
-        readable before the optimizers exist."""
-        return [b for blocks in self._groups.values() for b in blocks]
-
-    def main_blocks(self) -> list[ParamBlock]:
-        """Blocks of the plain-VFL model (encoders, aggregator, task head)."""
-        return [b for key, opt in self.optim.items()
-                if not key.startswith(("mapper/", "cdisc/", "bdisc/")) for b in opt.blocks]
+        """Every block, in checkpoint order: the components' blocks in
+        ``components`` order, readable before the optimizers exist."""
+        return [b for c in self.components for b in c.blocks()]
 
 
 def forward_unified(bundle: ModelBundle, platform_cols: list[dict[str, Array]],

@@ -7,12 +7,12 @@ A parameter backward sets its group's gradient, writing over whatever the
 store held; ``Adam.step`` reads it and leaves it as it was. Every update of
 a group comes from one parameter backward, so nothing ever zeroes a store,
 and a gradient is live only from that backward to its step. No two groups'
-gradients are live at once, so the groups of a ``models.ModelBundle`` share
-one gradient buffer, each group's store a prefix of it. The sign ledger
-copies each update right after its step, and its per-term backward passes
-all run before the aggregator's real backward. Between steps a store holds
-whatever the last backward wrote into the buffer, so a model's training
-state is each group's ``params``, ``m``, ``v`` and ``t`` alone.
+gradients are live at once, so the optimizers of a ``models.ModelBundle``'s
+components share one gradient buffer, each store a prefix of it. The sign
+ledger copies each update right after its step, and its per-term backward
+passes all run before the aggregator's real backward. Between steps a store
+holds whatever the last backward wrote into the buffer, so a model's
+training state is each group's ``params``, ``m``, ``v`` and ``t`` alone.
 
 A backward pass computes only what its caller reads: ``params=False`` skips
 the parameter gradients, ``inputs=False`` the input gradient (both default
@@ -301,10 +301,6 @@ class Embedding:
 
 def relu(x: Array) -> Array:
     return np.maximum(x, 0.0)
-
-
-def relu_backward(x: Array, gy: Array) -> Array:
-    return gy * (x > 0.0)
 
 
 def dropout_apply(x: Array, p_drop: float, rng: np.random.Generator | None,

@@ -39,7 +39,7 @@ from ..adversarial import (
 from ..data.dataset import FeatureShard, LabelShard, TaskShard, partition_vertical
 from ..errors import NumericError, ProtocolError
 from ..models import ModelBundle, OptimParams
-from ..nn import Adam, Array, rng_for, softmax_cross_entropy
+from ..nn import Array, rng_for, softmax_cross_entropy
 from .ldp import LdpConfig, ldp_perturb
 from .messages import Kind, LEGAL_EDGES, Message, Role, Transcript, record_of
 
@@ -103,11 +103,10 @@ class PlatformBase:
 class TaskPlatform(PlatformBase):
     """Holds the task labels and the task head; never sees sensitive labels."""
 
-    def __init__(self, shard: TaskShard, head, opt, rng):
+    def __init__(self, shard: TaskShard, head, rng):
         super().__init__("task", Role.TASK)
         self.shard = shard
         self.head = head
-        self.opt = opt
         self.rng = rng
         self.round_ids: Array | None = None
         self.last_loss = float("nan")
@@ -124,8 +123,8 @@ class TaskPlatform(PlatformBase):
         labels = self.shard.take(self.round_ids)
         loss, glogits = softmax_cross_entropy(logits, labels)
         grad_unified = self.head.backward(cache, glogits)
-        self.opt.step()
-        fed.record_update("task_head", self.opt, "task")
+        self.head.opt.step()
+        fed.record_update(self.head, "task")
         self.last_loss = loss
         # gradient at the perturbed upload is treated as the gradient at s
         return [Message(msg.round_id, self.name, fed.server.name,
@@ -135,12 +134,11 @@ class TaskPlatform(PlatformBase):
 class InsensitivePlatform(PlatformBase):
     """Holds one feature slice and its local encoder."""
 
-    def __init__(self, index: int, shard: FeatureShard, encoder, opt, rng):
+    def __init__(self, index: int, shard: FeatureShard, encoder, rng):
         super().__init__(shard.name, Role.INSENSITIVE)
         self.index = index
         self.shard = shard
         self.encoder = encoder
-        self.opt = opt
         self.rng = rng
         self.cache = None
 
@@ -154,7 +152,7 @@ class InsensitivePlatform(PlatformBase):
                             Kind.LOCAL_REP_UPLOAD, rep)]
         if msg.kind is Kind.LOCAL_REP_GRAD_DOWN:
             self.encoder.backward(self.cache, msg.payload)
-            self.opt.step()
+            self.encoder.opt.step()
             return []
         raise ProtocolError(f"{self.name} cannot handle {msg.kind}")
 
@@ -162,12 +160,11 @@ class InsensitivePlatform(PlatformBase):
 class SensitivePlatform(PlatformBase):
     """Holds one sensitive feature's labels and its bias discriminator."""
 
-    def __init__(self, feature: str, shard: LabelShard, bdisc, opt):
+    def __init__(self, feature: str, shard: LabelShard, bdisc):
         super().__init__(shard.name, Role.SENSITIVE)
         self.feature = feature
         self.shard = shard
         self.bdisc = bdisc
-        self.opt = opt
         self.round_ids: Array | None = None
         self.uploads_this_round = 0
         self.last_bias_loss = float("nan")
@@ -183,8 +180,8 @@ class SensitivePlatform(PlatformBase):
             self.uploads_this_round += 1
             if self.uploads_this_round == 1:
                 loss, grad_protected = bias_discriminator_step(
-                    self.bdisc, self.opt, msg.payload, labels)
-                fed.record_update(f"bdisc/{self.feature}", self.opt, f"bias/{self.feature}")
+                    self.bdisc, self.bdisc.opt, msg.payload, labels)
+                fed.record_update(self.bdisc, f"bias/{self.feature}")
                 self.last_bias_loss = loss
                 return [Message(msg.round_id, self.name, fed.server.name,
                                 Kind.BIAS_DISC_GRAD_DOWN, grad_protected)]
@@ -198,12 +195,11 @@ class SensitivePlatform(PlatformBase):
 class ServerPlatform(PlatformBase):
     """The aggregation server: aggregator, mappers, contrastive discriminators."""
 
-    def __init__(self, aggregator, mappers, cdiscs, opts, neg_rngs, ldp_rng, n_locals: int):
+    def __init__(self, aggregator, mappers, cdiscs, neg_rngs, ldp_rng, n_locals: int):
         super().__init__("server", Role.SERVER)
         self.aggregator = aggregator
         self.mappers = mappers
         self.cdiscs = cdiscs
-        self.opts = opts
         self.neg_rngs = neg_rngs
         self.ldp_rng = ldp_rng
         self.n_locals = n_locals
@@ -235,10 +231,10 @@ class ServerPlatform(PlatformBase):
             return []
         if msg.kind is Kind.BIAS_DISC_GRAD_DOWN:
             feature = fed.platforms[msg.sender].feature
-            mapper, opt = self.mappers[feature], self.opts[f"mapper/{feature}"]
+            mapper = self.mappers[feature]
             mapper.backward(self.mapper_caches[feature], msg.payload, inputs=False)
-            opt.step()
-            fed.record_update(f"mapper/{feature}", opt, f"bias/{feature}")
+            mapper.opt.step()
+            fed.record_update(mapper, f"bias/{feature}")
             # recompute the protected rep with the just-updated mapper
             protected, self.mapper_caches[feature] = mapper.forward(self.unified)
             return [Message(msg.round_id, self.name, msg.sender,
@@ -271,22 +267,18 @@ class Federation:
         self.ledger = SignLedger.default(bundle.features)
         self._round_counter = 0
 
-        self.task = TaskPlatform(task_shard, bundle.task_head, bundle.optim["task_head"],
-                                 rng_for(seed, "dropout/task_head"))
+        self.task = TaskPlatform(task_shard, bundle.task_head, rng_for(seed, "dropout/task_head"))
         self.insensitive = [
-            InsensitivePlatform(i, shard, bundle.encoders[i], bundle.optim[f"encoder/{i}"],
+            InsensitivePlatform(i, shard, bundle.encoders[i],
                                 rng_for(seed, f"dropout/encoder/{i}"))
             for i, shard in enumerate(feature_shards)
         ]
-        server_opts = {k: v for k, v in bundle.optim.items()
-                       if k.startswith(("mapper/", "cdisc/", "aggregator"))}
         self.server = ServerPlatform(
-            bundle.aggregator, bundle.mappers, bundle.cdiscs, server_opts,
+            bundle.aggregator, bundle.mappers, bundle.cdiscs,
             {f: rng_for(seed, f"negatives/{f}") for f in bundle.features},
             rng_for(seed, "ldp/server"), len(feature_shards))
         self.sensitive = {
-            f: SensitivePlatform(f, label_shards[f], bundle.bdiscs[f],
-                                 bundle.optim[f"bdisc/{f}"])
+            f: SensitivePlatform(f, label_shards[f], bundle.bdiscs[f])
             for f in bundle.features
         }
 
@@ -298,18 +290,18 @@ class Federation:
 
     # -- plumbing ---------------------------------------------------------
 
-    def record_update(self, component: str, opt: Adam, terms: str | list) -> None:
-        """On instrumented rounds, right after ``opt.step()``, logs the update
-        it applied: a copy of the gradient store, which the step leaves as it
-        was, checked against ``terms``: the (loss term, coefficient, flat
-        gradient) pieces, all computed before the aggregator's real backward,
-        that it must be the signed sum of, or the one loss term that made it."""
+    def record_update(self, component, terms: str | list) -> None:
+        """On instrumented rounds, right after ``component.opt.step()``, logs
+        under its name the update applied: a copy of its gradient store, which
+        the step leaves as it was, checked against ``terms``: the (loss term,
+        coefficient, flat gradient) pieces, all computed before the aggregator's
+        real backward, that it must be the signed sum of, or the one loss term."""
         if self.events is None:
             return
-        applied = opt.grads.copy()
+        applied = component.opt.grads.copy()
         if isinstance(terms, str):
             terms = [(terms, 1.0, applied)]
-        self.events.append(UpdateEvent(component, terms, applied))
+        self.events.append(UpdateEvent(component.name, terms, applied))
 
     def send(self, msg: Message) -> None:
         """Records, validates, and delivers a message, then sends each of the
@@ -400,7 +392,7 @@ class Federation:
 
         # 6) aggregator update. An instrumented round first passes each loss term
         # alone through the aggregator and each encoder's cached forward.
-        agg, agg_opt = self.server.aggregator, self.server.opts["aggregator"]
+        agg = self.server.aggregator
         pieces = defaultdict(list)
         if self.events is not None:
             terms = [("task", 1.0, task_grad)]
@@ -409,19 +401,19 @@ class Federation:
                           for f in self.bundle.features]
             for term, coeff, gout in terms:
                 gstack = agg.backward(self.server.agg_cache, gout)
-                pieces["aggregator"].append((term, coeff, agg_opt.grads.copy()))
+                pieces[agg.name].append((term, coeff, agg.opt.grads.copy()))
                 for p in self.insensitive:
                     p.encoder.backward(p.cache, gstack[:, p.index, :])
-                    pieces[p.name].append((term, coeff, p.opt.grads.copy()))
+                    pieces[p.encoder.name].append((term, coeff, p.encoder.opt.grads.copy()))
         grad_stacked = agg.backward(self.server.agg_cache, grad_unified)
-        agg_opt.step()
-        self.record_update("aggregator", agg_opt, pieces["aggregator"])
+        agg.opt.step()
+        self.record_update(agg, pieces[agg.name])
 
         # 7) distribute local-rep gradients; encoders update on receipt
         for p in self.insensitive:
             self.send(Message(round_id, self.server.name, p.name,
                               Kind.LOCAL_REP_GRAD_DOWN, grad_stacked[:, p.index, :]))
-            self.record_update(f"encoder/{p.index}", p.opt, pieces[p.name])
+            self.record_update(p.encoder, pieces[p.encoder.name])
 
         losses = RoundLosses(self.task.last_loss, lp, lc, ld, la)
         if not losses.all_finite():
@@ -438,7 +430,6 @@ class Federation:
                         weights: LossWeights, lp, lc, ld, la) -> None:
         server = self.server
         mapper = server.mappers[feature]
-        mapper_opt = server.opts[f"mapper/{feature}"]
         cdisc = server.cdiscs[feature]
 
         # contrastive discriminator: one descent step, representations fixed
@@ -446,9 +437,8 @@ class Federation:
         ctx = ContrastiveContext(protected, unified, self.config.top_pool,
                                  server.neg_rngs[feature])
         neg_idx = select_negatives(ctx)
-        cdisc_opt = server.opts[f"cdisc/{feature}"]
-        lp[feature] = contrastive_discriminator_step(cdisc, cdisc_opt, protected, unified, neg_idx)
-        self.record_update(f"cdisc/{feature}", cdisc_opt, f"contrastive/{feature}")
+        lp[feature] = contrastive_discriminator_step(cdisc, cdisc.opt, protected, unified, neg_idx)
+        self.record_update(cdisc, f"contrastive/{feature}")
 
         # mapper ascent under the frozen, just-updated discriminator
         gamma = weights.gamma[feature]
@@ -457,10 +447,10 @@ class Federation:
         contribs = []
         if self.events is not None:
             mapper.backward(mcache, grad_protected, inputs=False)
-            contribs = [(f"contrastive_adv/{feature}", -gamma, mapper_opt.grads.copy())]
+            contribs = [(f"contrastive_adv/{feature}", -gamma, mapper.opt.grads.copy())]
         cal_mapper_gradient(mapper, mcache, grad_protected, gamma)
-        mapper_opt.step()
-        self.record_update(f"mapper/{feature}", mapper_opt, contribs)
+        mapper.opt.step()
+        self.record_update(mapper, contribs)
 
         # recompute and share the protected rep; the cascade runs the bias
         # game (discriminator step, mapper descent, frozen adversarial pass)

@@ -200,12 +200,6 @@ class Transcript:
     def __iter__(self):
         return iter(self.records)
 
-    def kind_counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for r in self.records:
-            out[r.kind] = out.get(r.kind, 0) + 1
-        return out
-
     def drain(self) -> list[TranscriptRecord]:
         """Hands over and clears the buffered records (for streaming export)."""
         out, self.records = self.records, []

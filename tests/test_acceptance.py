@@ -197,7 +197,7 @@ class TestCommunicationAccounting:
     def test_c5_per_round_fairness_traffic_exact(self):
         t0 = time.perf_counter()
         cfg = _default_shape_config()
-        ds, pa = generate_synthetic(cfg.synthetic_spec()), synthetic_partition(cfg.synthetic_spec())
+        ds, pa = generate_synthetic(cfg.dataset_spec()), synthetic_partition(cfg.dataset_spec())
         fed = build_run_federation(cfg, ds, pa)
         ids = iterate_batches(ds, "train", 32, 0)[0]
         assert ids.shape[0] == 32
@@ -536,7 +536,7 @@ class TestSyntheticEndToEnd:
         plain = ExperimentConfig(mode="vfl", lam={"attr": 0.0}, gamma={"attr": 0.0}, **base)
         fair = ExperimentConfig(mode="fairvfl", lam={"attr": 100.0},
                                 gamma={"attr": 0.25}, **base)
-        spec = plain.synthetic_spec()
+        spec = plain.dataset_spec()
         ds, pa = generate_synthetic(spec), synthetic_partition(spec)
         shards, _, _ = partition_vertical(ds, pa)
         tr, te = ds.split_ids("train"), ds.split_ids("test")

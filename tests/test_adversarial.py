@@ -376,7 +376,7 @@ class TestFrozenPassesLeaveGradientStores:
         fed = make_federation(ds, pa)
         fed.run_training_round(train_batches(ds)[0])
         feature = fed.bundle.features[0]
-        opt = fed.bundle.optim[f"mapper/{feature}"]
+        opt = fed.bundle.mappers[feature].opt
         before = _sentinel(opt)
         n = fed.server.unified.shape[0]
         grad_protected = np.ones((n, fed.bundle.widths.protected[feature]))
@@ -448,7 +448,7 @@ class TestAscentCheck:
                 lam={"attr": 100.0}, gamma={"attr": 0.0},
                 optim={"lr": 2e-2}, batch_size=batch, epochs=1, seed=seed)
 
-        spec = config(0, 32).synthetic_spec()
+        spec = config(0, 32).dataset_spec()
         ds = generate_synthetic(spec)
         pa = synthetic_partition(spec)
         shards, _, _ = partition_vertical(ds, pa)
@@ -475,10 +475,9 @@ class TestAscentCheck:
             for _ in range(400):
                 sel = warm_rng.integers(0, s_tr.shape[0], 64)
                 a, mcache = mapper.forward(s_tr[sel])
-                _, ga = bias_discriminator_step(bdisc, fed.bundle.optim["bdisc/attr"],
-                                                a, y[train_ids][sel])
+                _, ga = bias_discriminator_step(bdisc, bdisc.opt, a, y[train_ids][sel])
                 mapper.backward(mcache, ga)
-                fed.bundle.optim["mapper/attr"].step()
+                mapper.opt.step()
 
             traj = [probe(fed.bundle, seed)]
             for r in range(50):

@@ -94,6 +94,21 @@ _BAD_CONFIGS = {
                          "dataset.n_samples"),
     "batch-size-float": ('{"batch_size": 2.5}', "batch_size"),
     "lr-string": ('{"optim": {"lr": "x"}}', "optim.lr"),
+    "lr-negative": ('{"optim": {"lr": -1e-3}}', "optim.lr"),
+    "beta1-one": ('{"optim": {"beta1": 1.0}}', "optim.beta1"),
+    "beta2-above-one": ('{"optim": {"beta2": 1.5}}', "optim.beta2"),
+    "eps-negative": ('{"optim": {"eps": -1}}', "optim.eps"),
+    "attack-batch-zero": ('{"attack": {"batch": 0}}', "attack.batch"),
+    "attack-hidden-zero": ('{"attack": {"hidden": 0}}', "attack.hidden"),
+    "attack-lr-negative": ('{"attack": {"lr": -1}}', "attack.lr"),
+    "attack-max-epochs-zero": ('{"attack": {"max_epochs": 0}}', "attack.max_epochs"),
+    "split-no-test": ('{"dataset": {"kind": "synthetic", "split_fractions": [0.9, 0.1, 0.0]}}',
+                      "dataset.split_fractions"),
+    "split-no-val": ('{"dataset": {"kind": "synthetic", "split_fractions": [1.0, 0.0, 0.0]}}',
+                     "dataset.split_fractions"),
+    "split-negative": (
+        '{"dataset": {"kind": "synthetic", "split_fractions": [1.1, -0.05, -0.05]}}',
+        "dataset.split_fractions"),
     "adult-sample-seed-string": (
         '{"dataset": {"kind": "adult", "path": "nowhere", "sample_seed": "x"}}',
         "dataset.sample_seed"),
@@ -477,7 +492,7 @@ class TestPresetRuns:
             attack={"k": 2, "hidden": 16, "lr": 1e-2, "max_epochs": 10,
                     "privacy_fields": []},
         )
-        spec = cfg.synthetic_spec()
+        spec = cfg.dataset_spec()
         ds = generate_synthetic(spec)
         shards, _, _ = partition_vertical(ds, synthetic_partition(spec))
         bundle = ModelBundle([s.schema() for s in shards], cfg.rep_widths(), 2,

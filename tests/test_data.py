@@ -71,7 +71,7 @@ def adult_dir(tmp_path):
 class TestAdultLoader:
     def test_twelve_fields_two_sensitive(self, adult_dir):
         ds = load_adult(adult_dir, seed=0, n_trainval=40, n_test=20)
-        assert len(ds.field_names) == 12
+        assert len(ds.columns) == 12
         assert "sex" not in ds.columns and "age" not in ds.columns
         assert set(ds.sensitive) == {"gender", "age"}
         assert ds.sensitive["gender"].n_classes == 2
@@ -310,3 +310,10 @@ class TestBatching:
         ds = generate_synthetic(spec)
         with pytest.raises(ConfigError):
             iterate_batches(ds, "test", 8, seed=0)
+
+    @pytest.mark.parametrize("fractions", [(0.8, 0.1, 0.1), (0.7, 0.2, 0.1),
+                                           (0.333, 0.333, 0.334), (0.9, 0.1, 0.0)])
+    def test_split_sizes_count_the_generated_splits(self, fractions):
+        spec = SyntheticSpec(n_samples=321, seed=0, split_fractions=fractions)
+        counts = np.bincount(generate_synthetic(spec).split, minlength=3)
+        assert tuple(counts) == spec.split_sizes()

@@ -69,7 +69,7 @@ class TestAttackers:
         reps = np.eye(3)[labels]
         ens = train_attacker_ensemble(reps[:300], labels[:300], k=5, seed=1,
                                       tag="onehot", hidden=16, lr=1e-2, max_epochs=60)
-        assert len(ens.attackers) == 5
+        assert len(ens.params) == 5
         res = attack_f1(ens, reps[300:], labels[300:])
         assert res.mean_f1 > 0.99
         assert isinstance(res, AttackResult) and len(res.per_attacker) == 5
@@ -179,8 +179,8 @@ class TestLockstepTrainer:
                   max_epochs=max_epochs, patience=patience)
         ens = train_attacker_ensemble(reps, labels, **kw)
         ref = reference_ensemble(reps, labels, **kw)
-        assert len(ens.attackers) == k
-        for got, (want, _) in zip(ens.attackers, ref):
+        assert len(ens.params) == k
+        for got, (want, _) in zip(ens.params, ref):
             assert np.array_equal(got, want)
 
     def test_retired_probes_match_reference(self, monkeypatch):
@@ -201,7 +201,7 @@ class TestLockstepTrainer:
         assert len({epochs for _, epochs in ref}) > 1
         assert all(epochs < 30 for _, epochs in ref)
         assert sum(stack_sizes) == sum(epochs for _, epochs in ref) * 9  # 270 rows, batch 32
-        for got, (want, _) in zip(ens.attackers, ref):
+        for got, (want, _) in zip(ens.params, ref):
             assert np.array_equal(got, want)
 
     def test_negative_label_rejected(self):

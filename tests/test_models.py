@@ -195,12 +195,12 @@ class TestTaskHead:
                 # each group steps right after its own backward: the bundle's
                 # groups share one gradient buffer
                 gs = bundle.task_head.backward(hcache, glogits)
-                bundle.optim["task_head"].step()
+                bundle.task_head.opt.step()
                 gstack = bundle.aggregator.backward(agg_cache, gs)
-                bundle.optim["aggregator"].step()
+                bundle.aggregator.opt.step()
                 for i, enc in enumerate(bundle.encoders):
                     enc.backward(enc_caches[i], gstack[:, i, :])
-                    bundle.optim[f"encoder/{i}"].step()
+                    enc.opt.step()
                 steps += 1
             test_ids = ds.split_ids("test")
             unified, _ = forward_unified(bundle, [s.take(test_ids) for s in shards])
@@ -227,13 +227,6 @@ class TestMapper:
         a1, _ = mapper.forward(s)
         a2, _ = mapper.forward(s)
         assert np.array_equal(a1, a2)
-
-    def test_unknown_feature_is_config_error(self):
-        widths = small_widths()
-        schema = PlatformSchema([("f", 3)], ["x"])
-        bundle = ModelBundle([schema], widths, 2, {"attr": 2}, seed=0)
-        with pytest.raises(ConfigError):
-            bundle.mapper("nope")
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gradcheck(self, seed):
@@ -451,6 +444,33 @@ class TestCounterfactualInvariant:
             ds.sensitive["attr"].values[:] = 1 - ds.sensitive["attr"].values
         assert np.array_equal(s1, s2)
         assert np.array_equal(p1, p2)
+
+
+class TestComponents:
+    @staticmethod
+    def _bundle():
+        widths = small_widths()
+        widths.protected = {"attr": 4, "other": 6}
+        schema = PlatformSchema([("f", 3)], ["x"])
+        return ModelBundle([schema] * 2, widths, 2, {"attr": 2, "other": 3}, seed=0)
+
+    def test_each_component_carries_its_optimizer(self):
+        bundle = self._bundle()
+        names = [c.name for c in bundle.components]
+        assert names == ["encoder/0", "encoder/1", "aggregator", "task_head",
+                         "mapper/attr", "cdisc/attr", "bdisc/attr",
+                         "mapper/other", "cdisc/other", "bdisc/other"]
+        assert list(bundle.optim) == names
+        for c in bundle.components:
+            assert c.opt is bundle.optim[c.name]
+            assert c.opt.blocks == c.blocks()
+            assert all(blk.name.startswith(c.name + "/") for blk in c.blocks())
+
+    def test_named_blocks_follow_components(self):
+        bundle = self._bundle()
+        want = [blk for c in bundle.components for blk in c.opt.blocks]
+        got = bundle.named_blocks()
+        assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
 
 
 class TestInitialStores:

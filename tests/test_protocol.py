@@ -5,6 +5,7 @@ accounting."""
 import dataclasses
 import itertools
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -86,7 +87,7 @@ class TestServe:
         ds, pa = tiny_dataset
         fed = make_federation(ds, pa)
         fed.serve(ds.split_ids("test")[:4])
-        counts = fed.transcript.kind_counts()
+        counts = Counter(r.kind for r in fed.transcript)
         n = len(fed.insensitive)
         assert counts[Kind.LOCAL_REP_UPLOAD.value] == n
         assert counts[Kind.UNIFIED_REP_TO_TASK.value] == 1
@@ -130,8 +131,14 @@ class TestLdpPerturb:
             LdpConfig(enabled=True, clip=-1.0).validate()
 
 
+def _main_blocks(bundle):
+    """Blocks of the plain-VFL model (encoders, aggregator, task head)."""
+    return [b for c in (*bundle.encoders, bundle.aggregator, bundle.task_head)
+            for b in c.blocks()]
+
+
 def _main_params(bundle):
-    return {b.name: b.w.copy() for b in bundle.main_blocks()}
+    return {b.name: b.w.copy() for b in _main_blocks(bundle)}
 
 
 class TestTrainingRound:
@@ -224,7 +231,7 @@ class TestTrainingRound:
         for ids in train_batches(ds)[:3]:
             fed_cal.run_training_round(ids)
             fed_vfl.run_training_round(ids)
-        for a, b in zip(fed_cal.bundle.main_blocks(), fed_vfl.bundle.main_blocks(),
+        for a, b in zip(_main_blocks(fed_cal.bundle), _main_blocks(fed_vfl.bundle),
                         strict=True):
             assert a.name == b.name
             assert np.array_equal(a.w, b.w), a.name
@@ -256,14 +263,14 @@ class TestTrainingRound:
             logits, hcache = bundle.task_head.forward(unified, training=True, rng=head_rng)
             _, glogits = softmax_cross_entropy(logits, task_shard.take(ids))
             gs = bundle.task_head.backward(hcache, glogits)
-            bundle.optim["task_head"].step()
+            bundle.task_head.opt.step()
             gstack = bundle.aggregator.backward(agg_cache, gs)
-            bundle.optim["aggregator"].step()
+            bundle.aggregator.opt.step()
             for i, enc in enumerate(bundle.encoders):
                 enc.backward(enc_caches[i], gstack[:, i, :])
-                bundle.optim[f"encoder/{i}"].step()
+                enc.opt.step()
 
-        for fb, db in zip(fed.bundle.main_blocks(), bundle.main_blocks()):
+        for fb, db in zip(_main_blocks(fed.bundle), _main_blocks(bundle), strict=True):
             assert fb.name == db.name
             assert np.array_equal(fb.w, db.w), fb.name
             if fb.b is not None:
@@ -402,22 +409,21 @@ class TestGradientsAtRest:
 
 
 class TestSharedGradientBuffer:
-    """A bundle's optimizer groups share one gradient buffer. Training with it
-    is, bit for bit, training with a private gradient store per group."""
+    """A bundle's component optimizers share one gradient buffer. Training
+    with it is, bit for bit, training with a private gradient store per
+    component."""
 
     @staticmethod
     def _private_reference(ds, pa, **kwargs):
-        """A same-seed federation whose groups each own a gradient store: its
-        bundle's ``Adam``s are built again over the same blocks before any
-        round, and the platforms are wired to the new ones."""
+        """A same-seed federation whose components each own a gradient store:
+        each component's ``opt`` is built again over the same blocks before
+        any round, and the platforms step the new ones."""
         fed = make_federation(ds, pa, **kwargs)
-        bundle = fed.bundle
-        for key, opt in bundle.optim.items():
-            bundle.optim[key] = Adam(opt.blocks, opt.lr, opt.beta1, opt.beta2, opt.eps)
-        ref = Federation(bundle, *partition_vertical(ds, pa), fed.config, fed.seed)
-        stores = [opt.grads for opt in bundle.optim.values()]
+        for c in fed.bundle.components:
+            c.opt = Adam(c.opt.blocks, c.opt.lr, c.opt.beta1, c.opt.beta2, c.opt.eps)
+        stores = [c.opt.grads for c in fed.bundle.components]
         assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(stores, 2))
-        return ref
+        return fed
 
     @pytest.mark.parametrize("mode, verify", [("fairvfl", False), ("fairvfl", True),
                                               ("vfl", False)])
@@ -426,7 +432,8 @@ class TestSharedGradientBuffer:
         kwargs = dict(lam=3.0, gamma=0.5, seed=29, mode=mode, verify=verify)
         shared = make_federation(ds, pa, **kwargs)
         private = self._private_reference(ds, pa, **kwargs)
-        assert list(shared.bundle.optim) == list(private.bundle.optim)
+        pairs = list(zip(shared.bundle.components, private.bundle.components, strict=True))
+        assert all(c.name == ref_c.name for c, ref_c in pairs)
         for rounds, ids in enumerate(train_batches(ds)[:6], 1):
             results = [fed.run_training_round(ids) for fed in (shared, private)]
             losses = [r.losses.flat() for r in results]
@@ -434,15 +441,14 @@ class TestSharedGradientBuffer:
             assert np.array(list(losses[0].values())).tobytes() == \
                 np.array(list(losses[1].values())).tobytes()
             assert results[0].ledger_max_dev == results[1].ledger_max_dev
-            for key, opt in shared.bundle.optim.items():
-                ref = private.bundle.optim[key]
-                assert opt.t == ref.t, key
+            for c, ref_c in pairs:
+                assert c.opt.t == ref_c.opt.t, c.name
                 for name in ("params", "m", "v"):  # the moments are None until a step
-                    a, b = getattr(opt, name), getattr(ref, name)
-                    assert (a is None) == (b is None), (key, name)
-                    assert a is None or a.tobytes() == b.tobytes(), (key, name)
-            assert shared.bundle.optim["aggregator"].t == rounds
-            assert (shared.bundle.optim["mapper/attr"].t == 2 * rounds) == (mode == "fairvfl")
+                    a, b = getattr(c.opt, name), getattr(ref_c.opt, name)
+                    assert (a is None) == (b is None), (c.name, name)
+                    assert a is None or a.tobytes() == b.tobytes(), (c.name, name)
+            assert shared.bundle.aggregator.opt.t == rounds
+            assert (shared.bundle.mappers["attr"].opt.t == 2 * rounds) == (mode == "fairvfl")
 
     def test_groups_share_one_buffer_of_the_largest_size(self, tiny_dataset):
         ds, pa = tiny_dataset
@@ -462,10 +468,32 @@ class TestMapperAdamSharing:
     def test_mapper_state_advances_twice_per_round(self, tiny_dataset):
         ds, pa = tiny_dataset
         fed = make_federation(ds, pa)
-        opt = fed.bundle.optim["mapper/attr"]
+        opt = fed.bundle.mappers["attr"].opt
         assert opt.t == 0
         fed.run_training_round(train_batches(ds)[0])
         assert opt.t == 2
+
+
+class TestLedgerEventNames:
+    @pytest.mark.parametrize("mode", ["fairvfl", "vfl"])
+    def test_events_name_the_components_that_stepped(self, tiny_dataset, monkeypatch, mode):
+        """An instrumented round logs one ledger event per optimizer step,
+        in step order, each under the name of the component that stepped."""
+        ds, pa = tiny_dataset
+        fed = make_federation(ds, pa, lam=3.0, gamma=0.5, mode=mode, verify=True)
+        owner = {id(c.opt): c.name for c in fed.bundle.components}
+        stepped = []
+
+        def step(opt, step=Adam.step):
+            stepped.append(owner[id(opt)])
+            step(opt)
+
+        monkeypatch.setattr(Adam, "step", step)
+        fed.run_training_round(train_batches(ds)[0])
+        assert [e.component for e in fed.events] == stepped
+        fairness = ["cdisc/attr", "mapper/attr", "bdisc/attr", "mapper/attr"]
+        assert stepped == ["task_head", *(fairness if mode == "fairvfl" else []),
+                           "aggregator", "encoder/0", "encoder/1"]
 
 
 class TestAudit:
