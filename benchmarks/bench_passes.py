@@ -6,9 +6,8 @@ and at the C12 widths (rep 64, one H=4 feature), of:
 - ``cdisc_step``: ``contrastive_discriminator_step`` (forward, backward, Adam);
 - ``cdisc_frozen``: ``contrastive_adversarial_grad`` under the frozen
   discriminator;
-- ``mapper_ascent``: ``cal_mapper_gradient``, then the mapper's Adam step
-  (and, in trees whose optimizer still has ``zero_grad``, the zeroing), as a
-  training round runs them;
+- ``mapper_ascent``: ``cal_mapper_gradient``, then the mapper's Adam step,
+  as a training round runs them;
 - ``mapper_descent``: the server handling ``BIAS_DISC_GRAD_DOWN`` (backward,
   Adam step, protected-rep recompute);
 - ``mapper_frozen``: the server handling ``ADV_GRAD_DOWN`` (the frozen
@@ -52,12 +51,13 @@ of its own, so the heap and the caches the passes before it leave behind do
 not skew it, and two trees' builds can be compared.
 
 The script uses only public functions whose signatures predate the
-``params``/``inputs`` backward flags. The fairness-game cases take the
-mapper's and the contrastive discriminator's optimizers from the components'
-``opt``, so they need a tree whose model components carry their optimizers
-(older trees kept them in the server's ``opts`` table). Compare two commits on one machine by running it against each tree's
-``src/`` with its own label; every run adds or replaces its label's entry in
-the output file:
+``params``/``inputs`` backward flags. It times trees whose discriminator
+steps take no optimizer (each steps its component's ``opt``) and whose
+``train_attacker_ensemble`` takes an ``evaluation.AttackConfig``; older
+trees passed the optimizer and the probe settings one by one, and this
+script cannot time them. Compare two commits on one machine by running it
+against each tree's ``src/`` with its own label; every run adds or replaces
+its label's entry in the output file:
 
     python benchmarks/bench_passes.py --label change
     python benchmarks/bench_passes.py --src OTHER_TREE/src --label parent
@@ -175,16 +175,14 @@ def pass_functions(widths_name: str):
         def mapper_ascent(mapper=mapper, opt=mapper.opt, mcache=mcache, g=grad_protected):
             cal_mapper_gradient(mapper, mcache, g, 0.25)
             opt.step()
-            if hasattr(opt, "zero_grad"):  # trees whose layers add to the gradient
-                opt.zero_grad()
 
         def handle(kind, feature=feature, sender=sender, g=grad_protected, mcache=mcache):
             server.mapper_caches[feature] = mcache
             server.handle(Message(0, sender, server.name, kind, g), fed)
 
         yield f"{widths_name}/{feature}", {
-            "cdisc_step": lambda c=cdisc, o=cdisc.opt, p=protected, q=neg_idx:
-                contrastive_discriminator_step(c, o, p, unified, q),
+            "cdisc_step": lambda c=cdisc, p=protected, q=neg_idx:
+                contrastive_discriminator_step(c, p, unified, q),
             "cdisc_frozen": lambda c=cdisc, p=protected, q=neg_idx:
                 contrastive_adversarial_grad(c, p, unified, q),
             "mapper_ascent": mapper_ascent,
@@ -268,15 +266,15 @@ def time_ensemble(probe: str, block_s: float, repeats: int) -> float:
     timed in this process."""
     import numpy as np
 
-    from fairvfl.evaluation import train_attacker_ensemble
+    from fairvfl.evaluation import AttackConfig, train_attacker_ensemble
 
     width, n_classes = ENSEMBLES[probe]
     rng = np.random.default_rng(0)
     reps = rng.normal(size=(1200, width))
     labels = rng.integers(0, n_classes, size=1200)
-    return ms_per_call(lambda: train_attacker_ensemble(
-        reps, labels, k=5, seed=0, tag=f"bench/{probe}", hidden=128, lr=1e-3, batch=128,
-        max_epochs=10, patience=10), block_s, repeats)
+    atk = AttackConfig(k=5, hidden=128, lr=1e-3, batch=128, max_epochs=10, patience=10)
+    return ms_per_call(lambda: train_attacker_ensemble(reps, labels, atk, 0, f"bench/{probe}"),
+                       block_s, repeats)
 
 
 def train_fresh(block_s: float, repeats: int) -> dict[str, float]:

@@ -1,9 +1,11 @@
 """Checks that two source trees write bitwise-identical artifacts.
 
 Runs ``fairvfl train`` and then ``fairvfl attack`` on the synthetic-smoke
-preset for seeds 1-3, once with this repository's ``src/`` and once with the
-``src/`` given by ``--src``, each command in its own subprocess and output
-directory under a temporary directory. It compares the SHA-256 of the
+preset for seeds 1-3, and once more in vfl mode (a ``{"mode": "vfl"}``
+config over the preset, seed 1, shown as ``1vfl``), once with this
+repository's ``src/`` and once with the ``src/`` given by ``--src``, each
+command in its own subprocess and output directory under a temporary
+directory. It compares the SHA-256 of the
 transcript, the checkpoint, the training ``metrics.json`` and ``losses.csv``,
 and the attack ``metrics.json``. It runs ``fairvfl audit`` with each tree on
 that tree's own transcript and compares the exit code and the stdout bytes
@@ -37,7 +39,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PRESET = "synthetic-smoke"
-SEEDS = (1, 2, 3)
+# (row label, seed, config over the preset)
+RUNS = (("1", 1, {}), ("2", 2, {}), ("3", 3, {}), ("1vfl", 1, {"mode": "vfl"}))
 # (label, run directory, file name)
 ARTIFACTS = (("transcript", "train", "transcript.ndjson"),
              ("checkpoint", "train", "checkpoint.fvfl"),
@@ -71,9 +74,9 @@ sys.exit(0 if buf.getvalue().encode("utf-8") == path.read_bytes() else 3)
 """
 
 
-def run_tree(src: Path, seed: int, out: Path) -> None:
+def run_tree(src: Path, seed: int, config: Path, out: Path) -> None:
     """``fairvfl train`` then ``fairvfl attack`` with the tree at ``src``."""
-    common = ["--preset", PRESET, "--seed", str(seed)]
+    common = ["--preset", PRESET, "--config", str(config), "--seed", str(seed)]
     for cmd in (["train", *common, "--out", str(out / "train")],
                 ["attack", *common, "--out", str(out / "attack"),
                  "--checkpoint", str(out / "train" / "checkpoint.fvfl")]):
@@ -84,11 +87,12 @@ def run_tree(src: Path, seed: int, out: Path) -> None:
                                f"{proc.returncode}:\n{proc.stderr}")
 
 
-def audit_report(src: Path, seed: int, transcript: Path) -> str:
+def audit_report(src: Path, seed: int, config: Path, transcript: Path) -> str:
     """``fairvfl audit`` of ``transcript`` with the tree at ``src``: its exit
     code (1 means violations) and the SHA-256 of its stdout."""
     proc = subprocess.run([sys.executable, "-c", LAUNCH, str(src), "audit", "--preset",
-                           PRESET, "--seed", str(seed), "--transcript", str(transcript)],
+                           PRESET, "--config", str(config), "--seed", str(seed),
+                           "--transcript", str(transcript)],
                           capture_output=True)
     if proc.returncode not in (0, 1) or proc.stderr:
         raise RuntimeError(f"{src}: fairvfl audit --seed {seed} exited "
@@ -140,31 +144,33 @@ def main() -> int:
     mismatches = failed_trips = 0
     print(f"{'seed':>4}  {'artifact':<15} {'this':<16} {'other':<16} result")
     with tempfile.TemporaryDirectory(prefix="check_artifacts-") as tmp:
-        for seed in SEEDS:
+        for label, seed, overrides in RUNS:
             digests, trips = {}, {}
-            outs = {name: Path(tmp) / f"{name}-seed{seed}" for name in trees}
+            config = Path(tmp) / f"config-{label}.json"
+            config.write_text(json.dumps(overrides), encoding="utf-8")
+            outs = {name: Path(tmp) / f"{name}-seed{label}" for name in trees}
             for name, src in trees.items():
                 out = outs[name]
                 transcript = out / "train" / "transcript.ndjson"
                 try:
-                    run_tree(src, seed, out)
+                    run_tree(src, seed, config, out)
                     trips[name] = round_trips(src, transcript)
-                    report = audit_report(src, seed, transcript)
+                    report = audit_report(src, seed, config, transcript)
                 except RuntimeError as exc:
                     print(exc, file=sys.stderr)
                     return 1
                 digests[name] = [sha256(out / d / f) for _, d, f in ARTIFACTS] + [report]
-            for label, a, b in zip(LABELS, digests["this"], digests["other"]):
+            for artifact, a, b in zip(LABELS, digests["this"], digests["other"]):
                 mismatches += a != b
-                print(f"{seed:>4}  {label:<15} {a[:16]} {b[:16]} "
+                print(f"{label:>4}  {artifact:<15} {a[:16]} {b[:16]} "
                       f"{'same' if a == b else 'DIFFERENT'}")
-                if label == "transcript" and a != b:
+                if artifact == "transcript" and a != b:
                     path = Path("train") / "transcript.ndjson"
                     print(f"      first difference: "
                           f"{first_difference(outs['this'] / path, outs['other'] / path)}")
             failed_trips += list(trips.values()).count(False)
             cells = ["bytes same" if ok else "CHANGED" for ok in trips.values()]
-            print(f"{seed:>4}  {'round trip':<15} {cells[0]:<16} {cells[1]:<16} "
+            print(f"{label:>4}  {'round trip':<15} {cells[0]:<16} {cells[1]:<16} "
                   f"{'ok' if all(trips.values()) else 'FAILED'}")
     print(f"{mismatches} mismatched artifact(s), {failed_trips} failed round trip(s)")
     return 1 if mismatches or failed_trips else 0

@@ -15,9 +15,10 @@ Four games run per training round and per sensitive feature, in this order:
 Contrastive gradients never reach the unified rep: they stop at the mapper.
 Every step's one parameter backward sets its group's gradient, and frozen
 passes compute no parameter gradients at all (the contract in
-``fairvfl.nn``). ``SignLedger`` declares, per model component (by its
-``name``), exactly which loss terms may update it and in which direction; instrumented
-rounds verify every applied update against it.
+``fairvfl.nn``); a step updates a component through the ``opt`` it carries.
+``SignLedger`` declares, per model component (by its ``name``), exactly which
+loss terms may update it and in which direction; instrumented rounds verify
+every applied update against it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericError, ProtocolError
 from .models import BiasDiscriminator, ContrastiveDiscriminator, Mapper
-from .nn import Adam, Array, pairwise_contrastive_loss, softmax_cross_entropy, softplus
+from .nn import Array, pairwise_contrastive_loss, softmax_cross_entropy, softplus
 
 
 @dataclass
@@ -169,14 +170,14 @@ def contrastive_loss_value(disc: ContrastiveDiscriminator, protected: Array,
     return loss
 
 
-def contrastive_discriminator_step(disc: ContrastiveDiscriminator, opt: Adam,
-                                   protected: Array, unified: Array, neg_idx: Array) -> float:
-    """One descent step on the discriminator; representations receive nothing."""
+def contrastive_discriminator_step(disc: ContrastiveDiscriminator, protected: Array,
+                                   unified: Array, neg_idx: Array) -> float:
+    """One descent step of ``disc.opt``; representations receive nothing."""
     pos, neg, cache = _contrastive_forward(disc, protected, unified, neg_idx)
     _check_pairwise_finite(pos, neg)
     loss, gpos, gneg = pairwise_contrastive_loss(pos, neg)
     disc.backward(cache, np.concatenate([gpos, gneg]), inputs=False)
-    opt.step()
+    disc.opt.step()
     return loss
 
 
@@ -206,15 +207,15 @@ def cal_mapper_gradient(mapper: Mapper, mapper_cache, grad_protected: Array,
 # ---------------------------------------------------------------------------
 
 
-def bias_discriminator_step(disc: BiasDiscriminator, opt: Adam, protected: Array,
+def bias_discriminator_step(disc: BiasDiscriminator, protected: Array,
                             labels: Array) -> tuple[float, Array]:
-    """One descent step on the bias discriminator from a single forward pass;
-    returns the loss and its gradient on the protected reps (both computed
-    at the pre-update parameters)."""
+    """One descent step of ``disc.opt`` from a single forward pass; returns
+    the loss and its gradient on the protected reps (both computed at the
+    pre-update parameters)."""
     logits, cache = disc.forward(protected)
     loss, glogits = softmax_cross_entropy(logits, labels)
     grad_protected = disc.backward(cache, glogits)
-    opt.step()
+    disc.opt.step()
     return loss, grad_protected
 
 
@@ -265,6 +266,7 @@ def combine_overall_grad(task_grad: Array, adv_grads: dict[str, Array],
 
 DESCEND = "descend"
 ASCEND = "ascend"
+LEDGER_TOL = 1e-9  # the largest deviation of an applied update from its declared sum
 
 
 @dataclass
@@ -309,7 +311,7 @@ class SignLedger:
             return self.declared[wild]
         raise ProtocolError(f"no ledger entry for component {component}")
 
-    def verify(self, event: UpdateEvent, tol: float = 1e-9) -> float:
+    def verify(self, event: UpdateEvent) -> float:
         """Checks one update event; returns the max absolute deviation between
         the applied gradient and the declared signed sum of pieces."""
         rules = self._rules_for(event.component)
@@ -332,9 +334,9 @@ class SignLedger:
         for _, coeff, piece in event.contributions:
             acc += coeff * piece
         max_dev = float(np.max(np.abs(acc - event.applied), initial=0.0))
-        if max_dev > tol:
+        if max_dev > LEDGER_TOL:
             raise ProtocolError(
                 f"{event.component}: applied update deviates from declared "
-                f"signed sum by {max_dev:.3e} (> {tol:.0e})"
+                f"signed sum by {max_dev:.3e} (> {LEDGER_TOL:.0e})"
             )
         return max_dev

@@ -1,6 +1,7 @@
 """Binary checkpoint format: a JSON header (rep widths + block manifest)
 followed by the raw little-endian float64 buffers, in manifest order.
-Round-trips are bitwise exact.
+Round-trips are bitwise exact. A NaN or an infinity in a block stops
+``save_checkpoint`` before it opens the file, and ``load_checkpoint``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, NumericError
 
 if TYPE_CHECKING:  # models imports this module to build a bundle from a file
     from .models import ModelBundle
@@ -22,9 +23,16 @@ MAGIC = b"FVFLCKPT"
 VERSION = 1
 
 
+def _finite(w: np.ndarray, b: np.ndarray | None) -> bool:
+    return bool(np.isfinite(w).all() and (b is None or np.isfinite(b).all()))
+
+
 def save_checkpoint(bundle: ModelBundle, path: str | Path) -> None:
     manifest = []
     for blk in bundle.named_blocks():
+        if not _finite(blk.w, blk.b):
+            raise NumericError(f"{path}: block {blk.name} holds a non-finite weight; "
+                               "no checkpoint written")
         manifest.append({
             "name": blk.name,
             "w_shape": list(blk.w.shape),
@@ -114,9 +122,10 @@ def parse_checkpoint(raw: bytes, path: str | Path = "checkpoint") -> tuple[dict,
 
 def load_checkpoint(bundle: ModelBundle, path: str | Path) -> None:
     """Loads parameters into a bundle, copying each weight once from the
-    file's bytes into its store; shapes must match exactly, or nothing is
-    loaded. ``ModelBundle(..., checkpoint=path)`` calls it before any store
-    exists, so each block keeps the file's weights in place of its draw."""
+    file's bytes into its store; shapes must match exactly and every weight
+    must be finite, or nothing is loaded. ``ModelBundle(..., checkpoint=path)``
+    calls it before any store exists, so each block keeps the file's weights
+    in place of its draw."""
     header, params = read_checkpoint(path)
     if header["rep_width"] != bundle.widths.rep:
         raise CheckpointError(
@@ -134,5 +143,7 @@ def load_checkpoint(bundle: ModelBundle, path: str | Path) -> None:
         if w.shape != w_shape or (b is None) != (b_shape is None) or \
                 (b is not None and b.shape != b_shape):
             raise CheckpointError(f"shape mismatch for block {name}")
+        if not _finite(w, b):
+            raise CheckpointError(f"{path}: block {name} holds a non-finite weight")
     for name, blk in blocks.items():
         blk.load(*params[name])

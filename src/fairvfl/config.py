@@ -11,6 +11,7 @@ from pathlib import Path
 from .adversarial import LossWeights
 from .digest import digest_text
 from .errors import ConfigError, ProtocolError
+from .evaluation import AttackConfig
 from .models import OptimParams, RepWidths
 from .protocol.ldp import LdpConfig
 from .data.adult import AdultSpec
@@ -72,26 +73,6 @@ def read_config_object(path: str | Path) -> dict:
         raise ConfigError(f"{path}: a config must be a JSON object, "
                           f"got {type(obj).__name__}")
     return obj
-
-
-@dataclass
-class AttackConfig:
-    k: int = 5
-    hidden: int = 128
-    lr: float = 1e-3
-    batch: int = 128
-    max_epochs: int = 100
-    patience: int = 3
-    privacy_fields: list[str] = field(default_factory=lambda: ["education", "relationship"])
-
-    def validate(self) -> None:
-        if self.k < 1:
-            raise ConfigError("attack ensemble size must be >= 1")
-        for name in ("batch", "hidden", "max_epochs"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"attack.{name} must be >= 1, got {getattr(self, name)}")
-        if not self.lr > 0.0:
-            raise ConfigError(f"attack.lr must be > 0, got {self.lr}")
 
 
 @dataclass
@@ -211,9 +192,9 @@ class ExperimentConfig:
         return ExperimentConfig.from_dict(obj)
 
 
-def _adult_base(path: str = "data/adult") -> dict:
+def _adult_base() -> dict:
     return {
-        "dataset": {"kind": "adult", "path": path, "sample_seed": 0},
+        "dataset": {"kind": "adult", "path": "data/adult", "sample_seed": 0},
         "n_platforms": 3,
         "widths": {"rep": 400, "protected": {"gender": 32, "age": 64}},
         "optim": {"lr": 1e-4},

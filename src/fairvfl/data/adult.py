@@ -100,17 +100,17 @@ def _parse_rows(path: Path) -> list[list[str]]:
     return rows
 
 
-def _label_code(value: str, lineno_hint: int = 0) -> int:
+def _label_code(value: str) -> int:
     v = value.rstrip(".")
     if v == "<=50K":
         return 0
     if v == ">50K":
         return 1
-    raise ParseError(f"unknown income label {value!r}", line=lineno_hint or None)
+    raise ParseError(f"unknown income label {value!r}")
 
 
 def load_adult(path: str | Path, seed: int = 0, n_trainval: int = 20000,
-               n_test: int = 10000, val_fraction: float = 0.1) -> VerticalDataset:
+               n_test: int = 10000) -> VerticalDataset:
     """Builds the vertical dataset: 12 input fields (gender and age removed
     and turned into sensitive labels), seeded 20k/10k sampling, an 18k/2k
     train/val split, train-only standardization and vocabularies."""
@@ -140,7 +140,7 @@ def load_adult(path: str | Path, seed: int = 0, n_trainval: int = 20000,
         train_pool = [train_pool[i] for i in rng.permutation(len(train_pool))[:n_trainval]]
         test_pool = [test_pool[i] for i in rng.permutation(len(test_pool))[:n_test]]
 
-    n_val = int(round(n_trainval * val_fraction))
+    n_val = int(round(n_trainval * 0.1))
     n_train = n_trainval - n_val
     rows = train_pool + test_pool
     split = np.concatenate([

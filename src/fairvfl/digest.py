@@ -24,9 +24,9 @@ _FNV64_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def fnv1a64(data, seed=None):
-    """64-bit FNV-1a over ``data`` (bytes-like), optionally chained from ``seed``."""
-    h = FNV64_OFFSET if seed is None else seed & _MASK64
+def fnv1a64(data):
+    """64-bit FNV-1a over ``data`` (bytes-like)."""
+    h = FNV64_OFFSET
     prime = _FNV64_PRIME
     for b in bytes(data):
         h = ((h ^ b) * prime) & _MASK64

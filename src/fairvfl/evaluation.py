@@ -6,13 +6,14 @@ Attackers only ever see detached representation snapshots; nothing here can
 reach back into the probed model.
 
 An attacker ensemble is k two-layer MLP probes, each with its own seed, its
-own holdout split and batch order, and its own early stop. The k probes train
-in lockstep as one stacked model (``AttackerNet``): each step does every
-layer product as one ``np.matmul`` over a (k, b, d) stack of the probes'
-batches and one Adam step over all their weights, and a probe that stops
-leaves the stack. Stacking changes no arithmetic, so every probe ends on the
-weights it would reach trained alone, bit for bit; it saves the per-probe
-call overhead, which at these widths is most of a probe step.
+own holdout split and batch order, and its own early stop, all set by one
+``AttackConfig``. The k probes train in lockstep as one stacked model
+(``AttackerNet``): each step does every layer product as one ``np.matmul``
+over a (k, b, d) stack of the probes' batches and one Adam step over all
+their weights, and a probe that stops leaves the stack. Stacking changes no
+arithmetic, so every probe ends on the weights it would reach trained alone,
+bit for bit; it saves the per-probe call overhead, which at these widths is
+most of a probe step.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EvaluationError, LabelError
+from .errors import ConfigError, EvaluationError, LabelError
 from .models import TwoLayerMlp
 from .nn import Adam, Array, rng_for
 
@@ -83,6 +84,7 @@ def random_baselines(labels: Array, n_classes: int) -> dict[str, float]:
 
 
 _PREDICT_ROWS = 4096  # input rows per forward pass when predicting
+HOLDOUT = 0.1  # each probe's share of the attack train set held out for early stopping
 
 
 def _probe_layers(rows: Array, in_width: int, hidden: int, n_classes: int
@@ -194,19 +196,36 @@ class AttackerEnsemble:
     hidden: int
 
 
-def train_attacker_ensemble(reps: Array, labels: Array, k: int = 5, seed: int = 0,
-                            tag: str = "probe", hidden: int = 128, lr: float = 1e-3,
-                            batch: int = 128, max_epochs: int = 100,
-                            patience: int = 3, holdout: float = 0.1
-                            ) -> AttackerEnsemble:
-    """Trains k probes on frozen representations, each early-stopped on its
-    own 10% holdout of the attack train set.
+@dataclass
+class AttackConfig:
+    """The config's ``attack`` section: every probe setting a run can vary."""
+
+    k: int = 5
+    hidden: int = 128
+    lr: float = 1e-3
+    batch: int = 128
+    max_epochs: int = 100
+    patience: int = 3
+    privacy_fields: list[str] = field(default_factory=lambda: ["education", "relationship"])
+
+    def validate(self) -> None:
+        for name in ("k", "batch", "hidden", "max_epochs"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"attack.{name} must be >= 1, got {getattr(self, name)}")
+        if not self.lr > 0.0:
+            raise ConfigError(f"attack.lr must be > 0, got {self.lr}")
+
+
+def train_attacker_ensemble(reps: Array, labels: Array, atk: AttackConfig, seed: int,
+                            tag: str) -> AttackerEnsemble:
+    """Trains ``atk.k`` probes on frozen representations, each early-stopped
+    on its own ``HOLDOUT`` share of the attack train set.
 
     Probe i draws its holdout split and its epochs' batch orders from its own
     ``attacker/{tag}/{i}`` stream, and all k step in lockstep
     (``AttackerNet``). A probe whose holdout F1 has not risen for
-    ``patience`` epochs leaves the stack; every probe ends on the weights of
-    its best holdout epoch."""
+    ``atk.patience`` epochs leaves the stack; every probe ends on the weights
+    of its best holdout epoch."""
     labels = np.asarray(labels, dtype=np.int64)
     classes = np.unique(labels)
     if classes.shape[0] < 2:
@@ -215,16 +234,17 @@ def train_attacker_ensemble(reps: Array, labels: Array, k: int = 5, seed: int = 
         raise LabelError(f"negative label for {tag}: {classes[0]}")
     n_classes = int(labels.max()) + 1
     n, in_width = reps.shape
-    n_val = max(1, int(round(n * holdout)))
+    k, hidden, batch = atk.k, atk.hidden, atk.batch
+    n_val = max(1, int(round(n * HOLDOUT)))
     rngs = [rng_for(seed, f"attacker/{tag}/{i}") for i in range(k)]
     perms = np.stack([rng.permutation(n) for rng in rngs])
     val_idx, tr_idx = perms[:, :n_val], perms[:, n_val:]
     val_reps, val_labels = reps[val_idx], labels[val_idx]
     n_tr = tr_idx.shape[1]
-    net = AttackerNet(tag, k, in_width, hidden, n_classes, lr, seed, max(1, min(batch, n_tr)))
+    net = AttackerNet(tag, k, in_width, hidden, n_classes, atk.lr, seed, max(1, min(batch, n_tr)))
     best, best_f1, stale = net.params.copy(), np.full(k, -1.0), np.zeros(k, dtype=np.int64)
     live = np.arange(k)  # the probes in the stack, in stack order
-    for _ in range(max_epochs):
+    for _ in range(atk.max_epochs):
         order = np.stack([tr_idx[i, rngs[i].permutation(n_tr)] for i in live])
         for lo in range(0, n_tr, batch):
             sel = order[:, lo:lo + batch]
@@ -235,7 +255,7 @@ def train_attacker_ensemble(reps: Array, labels: Array, k: int = 5, seed: int = 
         best[live[gain]] = net.params[gain]
         best_f1[live[gain]] = val_f1[gain]
         stale[live] = np.where(gain, 0, stale[live] + 1)
-        done = ~gain & (stale[live] >= patience)
+        done = ~gain & (stale[live] >= atk.patience)
         if done.all():
             break
         if done.any():
@@ -264,8 +284,7 @@ def privacy_inference_attack(protected_train: dict[str, Array],
                              protected_test: dict[str, Array],
                              probe_train: dict[str, Array],
                              probe_test: dict[str, Array],
-                             k: int = 5, seed: int = 0, **attacker_kw
-                             ) -> dict[str, float]:
+                             atk: AttackConfig, seed: int) -> dict[str, float]:
     """Per probed field: mean macro-F1 of inferring the field's value from
     each protected representation, averaged over reps and attackers."""
     out = {}
@@ -275,8 +294,8 @@ def privacy_inference_attack(protected_train: dict[str, Array],
                                   f"field {fname!r} is not categorical")
         scores = []
         for feature, a_train in protected_train.items():
-            ens = train_attacker_ensemble(a_train, tr_labels, k=k, seed=seed,
-                                          tag=f"privacy/{fname}/{feature}", **attacker_kw)
+            ens = train_attacker_ensemble(a_train, tr_labels, atk, seed,
+                                          f"privacy/{fname}/{feature}")
             scores.append(attack_f1(ens, protected_test[feature], probe_test[fname]).mean_f1)
         out[fname] = float(np.mean(scores))
     return out
@@ -306,11 +325,6 @@ class MetricsReport:
     def write(self, path: str | Path) -> None:
         Path(path).write_text(
             json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "MetricsReport":
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(**obj)
 
     def flat_row(self) -> dict[str, str]:
         """One flat table row for aggregation across runs."""

@@ -225,10 +225,11 @@ class AttentionPool:
 class Aggregator:
     """Self-attention over local reps followed by attention pooling."""
 
-    def __init__(self, widths: RepWidths, seed: int, name: str = "aggregator"):
-        self.name = name
-        self.attn = MultiHeadSelfAttention(f"{name}/attn", widths.rep, widths.attn_heads, seed)
-        self.pool = AttentionPool(f"{name}/pool", widths.rep, widths.pool_hidden, seed)
+    name = "aggregator"
+
+    def __init__(self, widths: RepWidths, seed: int):
+        self.attn = MultiHeadSelfAttention("aggregator/attn", widths.rep, widths.attn_heads, seed)
+        self.pool = AttentionPool("aggregator/pool", widths.rep, widths.pool_hidden, seed)
 
     def forward(self, local_reps: Array) -> tuple[Array, tuple]:
         """local_reps: (batch, n_platforms, rep) -> unified (batch, rep)."""
@@ -251,9 +252,8 @@ class Aggregator:
 class TaskHead(TwoLayerMlp):
     """Two-layer classifier on the unified representation."""
 
-    def __init__(self, widths: RepWidths, n_classes: int, seed: int,
-                 p_drop: float = 0.2, name: str = "task_head"):
-        super().__init__(name, widths.rep, widths.head_hidden, n_classes, seed, p_drop)
+    def __init__(self, widths: RepWidths, n_classes: int, seed: int, p_drop: float = 0.2):
+        super().__init__("task_head", widths.rep, widths.head_hidden, n_classes, seed, p_drop)
 
     def predict(self, s: Array) -> Array:
         logits, _ = self.forward(s, training=False)

@@ -32,7 +32,8 @@ temporary and copied. A deferred block loaded before any ``Adam`` adopts it
 (``ParamBlock.load``, as a ``models.ModelBundle`` built from a checkpoint
 does) draws nothing: the ``Adam`` copies the loaded weights into its store.
 Building a second ``Adam`` over the same blocks moves them into the new
-one's buffers.
+one's buffers. A model component's ``Adam`` is the ``opt`` it carries:
+every update of it, the discriminator steps included, steps that one.
 
 ``finite_difference_gradient`` is the independent oracle the test suite
 checks every analytic backward against.

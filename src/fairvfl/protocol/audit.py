@@ -78,9 +78,6 @@ class AuditPolicy:
     def from_federation(cls, fed) -> "AuditPolicy":
         return cls.for_run(len(fed.insensitive), fed.bundle.widths, fed.config.ldp)
 
-    def role(self, name: str) -> Role | None:
-        return self.roles.get(name)
-
 
 # enum lookups such as ``Kind.X.value`` cost more than a rule: resolve them once
 _SERVER, _INSENSITIVE, _SENSITIVE = Role.SERVER, Role.INSENSITIVE, Role.SENSITIVE

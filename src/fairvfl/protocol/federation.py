@@ -38,7 +38,7 @@ from ..adversarial import (
 )
 from ..data.dataset import FeatureShard, LabelShard, TaskShard, partition_vertical
 from ..errors import NumericError, ProtocolError
-from ..models import ModelBundle, OptimParams
+from ..models import ModelBundle
 from ..nn import Array, rng_for, softmax_cross_entropy
 from .ldp import LdpConfig, ldp_perturb
 from .messages import Kind, LEGAL_EDGES, Message, Role, Transcript, record_of
@@ -179,8 +179,7 @@ class SensitivePlatform(PlatformBase):
             labels = self.shard.take(self.round_ids)
             self.uploads_this_round += 1
             if self.uploads_this_round == 1:
-                loss, grad_protected = bias_discriminator_step(
-                    self.bdisc, self.bdisc.opt, msg.payload, labels)
+                loss, grad_protected = bias_discriminator_step(self.bdisc, msg.payload, labels)
                 fed.record_update(self.bdisc, f"bias/{self.feature}")
                 self.last_bias_loss = loss
                 return [Message(msg.round_id, self.name, fed.server.name,
@@ -361,15 +360,17 @@ class Federation:
         self.events = [] if self.config.verify_updates else None
         self.server.reset_round_state()
         weights = self.config.weights
+        # the features whose fairness machinery runs: none in a vfl round
+        features = self.bundle.features if self.config.mode == "fairvfl" else []
 
         # 1) distribute the batch ids; local reps cascade back to the server.
-        # Sensitive platforms take part only when the fairness machinery runs.
+        # Sensitive platforms take part only for the round's features.
         self.task.round_ids = ids
         for p in self.insensitive:
             self.send(Message(round_id, self.task.name, p.name, Kind.SAMPLE_IDS, ids))
-        if self.config.mode == "fairvfl":
-            for p in self.sensitive.values():
-                self.send(Message(round_id, self.task.name, p.name, Kind.SAMPLE_IDS, ids))
+        for f in features:
+            self.send(Message(round_id, self.task.name, self.sensitive[f].name,
+                              Kind.SAMPLE_IDS, ids))
 
         # 2) aggregate into the unified rep
         unified = self.server.aggregate()
@@ -379,16 +380,13 @@ class Federation:
 
         # 4) per-feature fairness machinery
         lp, lc, ld, la = {}, {}, {}, {}
-        if self.config.mode == "fairvfl":
-            for feature in self.bundle.features:
-                self._fairness_steps(feature, round_id, unified, weights, lp, lc, ld, la)
+        for feature in features:
+            self._fairness_steps(feature, round_id, unified, weights, lp, lc, ld, la)
 
         # 5) overall gradient on the unified rep
         task_grad = self.server.task_grad
-        if self.config.mode == "fairvfl":
-            grad_unified = combine_overall_grad(task_grad, self.server.adv_grads, weights)
-        else:
-            grad_unified = task_grad
+        grad_unified = (combine_overall_grad(task_grad, self.server.adv_grads, weights)
+                        if features else task_grad)
 
         # 6) aggregator update. An instrumented round first passes each loss term
         # alone through the aggregator and each encoder's cached forward.
@@ -396,9 +394,8 @@ class Federation:
         pieces = defaultdict(list)
         if self.events is not None:
             terms = [("task", 1.0, task_grad)]
-            if self.config.mode == "fairvfl":
-                terms += [(f"adversarial/{f}", -weights.lam[f], self.server.adv_grads[f])
-                          for f in self.bundle.features]
+            terms += [(f"adversarial/{f}", -weights.lam[f], self.server.adv_grads[f])
+                      for f in features]
             for term, coeff, gout in terms:
                 gstack = agg.backward(self.server.agg_cache, gout)
                 pieces[agg.name].append((term, coeff, agg.opt.grads.copy()))
@@ -437,7 +434,7 @@ class Federation:
         ctx = ContrastiveContext(protected, unified, self.config.top_pool,
                                  server.neg_rngs[feature])
         neg_idx = select_negatives(ctx)
-        lp[feature] = contrastive_discriminator_step(cdisc, cdisc.opt, protected, unified, neg_idx)
+        lp[feature] = contrastive_discriminator_step(cdisc, protected, unified, neg_idx)
         self.record_update(cdisc, f"contrastive/{feature}")
 
         # mapper ascent under the frozen, just-updated discriminator
@@ -474,5 +471,5 @@ def build_federation(dataset, partition, widths, config: FederationConfig,
     schemas = [shard.schema() for shard in feature_shards]
     sensitive_classes = {f: dataset.sensitive[f].n_classes for f in dataset.sensitive}
     bundle = ModelBundle(schemas, widths, dataset.n_task_classes, sensitive_classes,
-                         seed, optim or OptimParams(), p_drop, checkpoint)
+                         seed, optim, p_drop, checkpoint)
     return Federation(bundle, feature_shards, label_shards, task_shard, config, seed)

@@ -173,8 +173,7 @@ class TranscriptRecord:
             raise ParseError(f"bad transcript record: {exc}", line=lineno) from exc
 
 
-def record_of(msg: Message, phase: str | None = None,
-              digest: bool = True) -> TranscriptRecord:
+def record_of(msg: Message, phase: str, digest: bool) -> TranscriptRecord:
     """The transcript record of a message; ``digest=False`` skips hashing the
     payload and records ``digest=None``."""
     payload = np.asarray(msg.payload)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import save_checkpoint
-from .config import AttackConfig, ExperimentConfig
+from .config import ExperimentConfig
 from .data import (
     SyntheticSpec,
     VerticalDataset,
@@ -143,19 +143,21 @@ def _epoch_batch_seed(seed: int, epoch: int) -> int:
     return int(np.random.SeedSequence([seed, 0xBA7C4, epoch]).generate_state(1)[0])
 
 
-def predict_classes(bundle: ModelBundle, unified, batch: int = 512):
+_ROWS = 512  # samples per forward pass of the frozen model
+
+
+def predict_classes(bundle: ModelBundle, unified):
     """Eval-mode task predictions for unified reps from ``representations``,
-    classified in chunks of the same ``batch`` rows."""
-    return np.concatenate([np.argmax(bundle.task_head.predict(unified[i:i + batch]), axis=1)
-                           for i in range(0, unified.shape[0], batch)])
+    classified in chunks of the same ``_ROWS`` rows."""
+    return np.concatenate([np.argmax(bundle.task_head.predict(unified[i:i + _ROWS]), axis=1)
+                           for i in range(0, unified.shape[0], _ROWS)])
 
 
-def representations(bundle: ModelBundle, feature_shards, ids, batch: int = 512,
-                    protected: bool = True):
+def representations(bundle: ModelBundle, feature_shards, ids, protected: bool = True):
     """Frozen unified (and optionally protected) reps for a set of samples."""
     reps, prot = [], {f: [] for f in bundle.features} if protected else {}
-    for i in range(0, ids.shape[0], batch):
-        chunk = ids[i:i + batch]
+    for i in range(0, ids.shape[0], _ROWS):
+        chunk = ids[i:i + _ROWS]
         s, _ = forward_unified(bundle, [shard.take(chunk) for shard in feature_shards])
         reps.append(s)
         if protected:
@@ -202,7 +204,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
 
     val_ids = ds.split_ids("val")
     val_labels = ds.task_labels[val_ids]
-    best = {"acc": -1.0, "epoch": -1, "snap": None}
+    best = {"acc": -1.0}
     epoch_rows = []
     comm = {"total_floats": 0, "fairness_floats": 0, "rounds": 0}
 
@@ -226,13 +228,12 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
             val_pred = predict_classes(fed.bundle, s_val)
             val_acc = float(np.mean(val_pred == val_labels))
             row = {"epoch": epoch, "val_accuracy": val_acc}
-            row.update({k: v / max(counts, 1) for k, v in sums.items()})
+            row.update({k: v / counts for k, v in sums.items()})
             epoch_rows.append(row)
             if val_acc > best["acc"]:
                 best = {"acc": val_acc, "epoch": epoch, "snap": _snapshot_params(fed.bundle)}
 
-    if best["snap"] is not None:
-        _restore_params(fed.bundle, best["snap"])
+    _restore_params(fed.bundle, best["snap"])
     checkpoint_path = out / "checkpoint.fvfl"
     save_checkpoint(fed.bundle, checkpoint_path)
     _write_loss_curves(out / "losses.csv", epoch_rows)
@@ -241,8 +242,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
     s_test, _ = representations(fed.bundle, feature_shards, test_ids, protected=False)
     test_pred = predict_classes(fed.bundle, s_test)
     acc, f1 = task_metrics(test_pred, ds.task_labels[test_ids])
-    if comm["rounds"]:
-        comm["fairness_floats_per_round"] = comm["fairness_floats"] / comm["rounds"]
+    comm["fairness_floats_per_round"] = comm["fairness_floats"] / comm["rounds"]
     metrics = MetricsReport(task_accuracy=acc, task_f1=f1, comm=comm,
                             config_fingerprint=cfg.fingerprint())
     metrics.write(out / "metrics.json")
@@ -259,7 +259,7 @@ def cmd_attack(cfg: ExperimentConfig, checkpoint_path: str | Path,
     """Regenerates representations with a frozen checkpoint and runs the
     fairness and privacy probes plus task metrics."""
     cfg.validate()
-    atk: AttackConfig = cfg.attack_config()
+    atk = cfg.attack_config()
     ds, pa = make_dataset(cfg)
     train_ids = ds.split_ids("train")
     test_ids = ds.split_ids("test")
@@ -286,12 +286,9 @@ def cmd_attack(cfg: ExperimentConfig, checkpoint_path: str | Path,
     test_pred = predict_classes(bundle, s_test)
     report.task_accuracy, report.task_f1 = task_metrics(test_pred, ds.task_labels[test_ids])
 
-    attacker_kw = dict(hidden=atk.hidden, lr=atk.lr, batch=atk.batch,
-                       max_epochs=atk.max_epochs, patience=atk.patience)
     for feature, col in ds.sensitive.items():
-        ens = train_attacker_ensemble(s_train, col.values[train_ids], k=atk.k,
-                                      seed=cfg.seed, tag=f"fairness/{feature}",
-                                      **attacker_kw)
+        ens = train_attacker_ensemble(s_train, col.values[train_ids], atk, cfg.seed,
+                                      f"fairness/{feature}")
         res = attack_f1(ens, s_test, col.values[test_ids])
         report.fairness_f1[feature] = {
             "mean": res.mean_f1, "std": res.std_f1, "per_attacker": res.per_attacker,
@@ -302,7 +299,7 @@ def cmd_attack(cfg: ExperimentConfig, checkpoint_path: str | Path,
         report.privacy_f1 = privacy_inference_attack(
             {f: prot_train[f] for f in bundle.features},
             {f: prot_test[f] for f in bundle.features},
-            probe_train, probe_test, k=atk.k, seed=cfg.seed, **attacker_kw)
+            probe_train, probe_test, atk, cfg.seed)
         for fname, labels in probe_test.items():
             report.baselines[f"privacy/{fname}"] = random_baselines(
                 labels, int(labels.max()) + 1)

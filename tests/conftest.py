@@ -90,6 +90,17 @@ def duplicate_last_block(raw: bytes, fill: float) -> bytes:
     return join_checkpoint(header, body + np.full(n, fill, dtype="<f8").tobytes())
 
 
+def poison_block(raw: bytes, index: int, value: float = float("nan")) -> tuple[bytes, str]:
+    """A checkpoint's bytes with the first weight of manifest block ``index``
+    set to ``value``, and that block's name."""
+    header, body = split_checkpoint(raw)
+    off = 8 * sum(math.prod(e["w_shape"]) + math.prod(e["b_shape"] or [0])
+                  for e in header["blocks"][:index])
+    buf = bytearray(body)
+    buf[off:off + 8] = np.array([value], dtype="<f8").tobytes()
+    return join_checkpoint(header, bytes(buf)), header["blocks"][index]["name"]
+
+
 def small_widths(feature="attr", h=8):
     return RepWidths(rep=16, protected={feature: h}, emb_dim=4, encoder_hidden=8,
                      attn_heads=2, pool_hidden=6, head_hidden=8, mapper_hidden=8,

@@ -35,6 +35,7 @@ from fairvfl.data import (
     synthetic_partition,
 )
 from fairvfl.evaluation import (
+    AttackConfig,
     attack_f1,
     class_histogram,
     shuffled_label_macro_f1,
@@ -374,7 +375,8 @@ class TestExactIdentities:
         protected, _ = mapper.forward(unified)
         ctx = ContrastiveContext(protected, unified, 3, np.random.default_rng(0))
         neg = select_negatives(ctx)
-        contrastive_discriminator_step(cdisc, Adam(cdisc.blocks()), protected, unified, neg)
+        cdisc.opt = Adam(cdisc.blocks())
+        contrastive_discriminator_step(cdisc, protected, unified, neg)
         l_c, _ = contrastive_adversarial_grad(cdisc, protected, unified, neg)
         l_p = contrastive_loss_value(cdisc, protected, unified, neg)
         id1 = l_c == l_p
@@ -553,9 +555,8 @@ class TestSyntheticEndToEnd:
         def probe(bundle):
             s_tr, _ = representations(bundle, shards, tr, protected=False)
             s_te, _ = representations(bundle, shards, te, protected=False)
-            ens = train_attacker_ensemble(s_tr, y_attr[tr], k=3, seed=0, tag="c12",
-                                          hidden=32, lr=1e-2, batch=64,
-                                          max_epochs=25, patience=4)
+            atk = AttackConfig(k=3, hidden=32, lr=1e-2, batch=64, max_epochs=25, patience=4)
+            ens = train_attacker_ensemble(s_tr, y_attr[tr], atk, 0, "c12")
             f1 = attack_f1(ens, s_te, y_attr[te]).mean_f1
             acc = float(np.mean(predict_classes(bundle, s_te) == ds.task_labels[te]))
             return f1, acc

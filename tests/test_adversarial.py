@@ -154,8 +154,8 @@ class TestContrastiveDiscriminatorStep:
         protected, _ = mapper.forward(unified)
         neg = select_negatives(ContrastiveContext(protected, unified, 5,
                                                   np.random.default_rng(0)))
-        opt = Adam(cdisc.blocks(), lr=1e-3)
-        loss = contrastive_discriminator_step(cdisc, opt, protected, unified, neg)
+        cdisc.opt = Adam(cdisc.blocks(), lr=1e-3)
+        loss = contrastive_discriminator_step(cdisc, protected, unified, neg)
         assert loss == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_representations_receive_no_update(self):
@@ -171,13 +171,13 @@ class TestContrastiveDiscriminatorStep:
         pos, negs, cache = _contrastive_forward(ref, protected, unified, neg)
         _, gpos, gneg = pairwise_contrastive_loss(pos, negs)
         ref.backward(cache, np.concatenate([gpos, gneg]), inputs=False)
-        opt = Adam(cdisc.blocks())
-        contrastive_discriminator_step(cdisc, opt, protected, unified, neg)
+        cdisc.opt = Adam(cdisc.blocks())
+        contrastive_discriminator_step(cdisc, protected, unified, neg)
         assert np.array_equal(protected, p0)
         assert np.array_equal(unified, u0)
         assert np.array_equal(pack_grads(mapper.blocks()), mapper_grads0)
         assert ref_opt.grads.any()
-        assert np.array_equal(opt.grads, ref_opt.grads)  # its own gradient, nothing else
+        assert np.array_equal(cdisc.opt.grads, ref_opt.grads)  # its own gradient, nothing else
 
     def test_non_finite_loss_names_the_sample(self):
         _, mapper, cdisc, _, unified, _, _ = _game_fixture(11)
@@ -187,9 +187,9 @@ class TestContrastiveDiscriminatorStep:
         neg = np.roll(np.arange(unified.shape[0]), 1)
         from fairvfl.errors import NumericError
 
+        cdisc.opt = Adam(cdisc.blocks())
         with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="sample 3"):
-            contrastive_discriminator_step(cdisc, Adam(cdisc.blocks()),
-                                           protected, unified, neg)
+            contrastive_discriminator_step(cdisc, protected, unified, neg)
 
     def test_separable_pairs_drive_loss_down(self):
         # positives contain a shared signal; negatives are pure noise
@@ -223,7 +223,8 @@ class TestContrastiveAdversarialGrad:
         protected, _ = mapper.forward(unified)
         neg = select_negatives(ContrastiveContext(protected, unified, 5,
                                                   np.random.default_rng(3)))
-        contrastive_discriminator_step(cdisc, Adam(cdisc.blocks()), protected, unified, neg)
+        cdisc.opt = Adam(cdisc.blocks())
+        contrastive_discriminator_step(cdisc, protected, unified, neg)
         l_c, _ = contrastive_adversarial_grad(cdisc, protected, unified, neg)
         l_p_recomputed = contrastive_loss_value(cdisc, protected, unified, neg)
         assert l_c == l_p_recomputed
@@ -266,7 +267,8 @@ class TestBiasDiscriminatorStep:
             b.w[...] = 0.0
             b.b[...] = 0.0
         protected, _ = mapper.forward(unified)
-        loss, _ = bias_discriminator_step(bdisc, Adam(bdisc.blocks()), protected, labels)
+        bdisc.opt = Adam(bdisc.blocks())
+        loss, _ = bias_discriminator_step(bdisc, protected, labels)
         assert loss == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_only_declared_blocks_touched(self):
@@ -274,7 +276,8 @@ class TestBiasDiscriminatorStep:
         protected, mcache = mapper.forward(unified)
         cdisc_w0 = pack_blocks(cdisc.blocks()).copy()
         mapper_w0 = pack_blocks(mapper.blocks()).copy()
-        _, ga = bias_discriminator_step(bdisc, Adam(bdisc.blocks()), protected, labels)
+        bdisc.opt = Adam(bdisc.blocks())
+        _, ga = bias_discriminator_step(bdisc, protected, labels)
         # discriminator step touches only its own params; the mapper descent
         # is a separate, explicit application of the returned gradient
         assert np.array_equal(pack_blocks(cdisc.blocks()), cdisc_w0)
@@ -431,7 +434,7 @@ class TestAscentCheck:
         from fairvfl.config import ExperimentConfig
         from fairvfl.data import generate_synthetic, synthetic_partition, partition_vertical
         from fairvfl.runner import build_run_federation, representations
-        from fairvfl.evaluation import train_attacker_ensemble, attack_f1
+        from fairvfl.evaluation import AttackConfig, train_attacker_ensemble, attack_f1
 
         def config(seed, batch):
             return ExperimentConfig(
@@ -459,9 +462,8 @@ class TestAscentCheck:
         def probe(bundle, seed):
             s_tr, _ = representations(bundle, shards, train_ids, protected=False)
             s_te, _ = representations(bundle, shards, test_ids, protected=False)
-            ens = train_attacker_ensemble(s_tr, y[train_ids], k=2, seed=seed,
-                                          tag="ascent", hidden=16, lr=1e-2,
-                                          batch=64, max_epochs=25, patience=5)
+            atk = AttackConfig(k=2, hidden=16, lr=1e-2, batch=64, max_epochs=25, patience=5)
+            ens = train_attacker_ensemble(s_tr, y[train_ids], atk, seed, "ascent")
             return attack_f1(ens, s_te, y[test_ids]).mean_f1
 
         initials, finals, trajectories = [], [], []
@@ -475,7 +477,7 @@ class TestAscentCheck:
             for _ in range(400):
                 sel = warm_rng.integers(0, s_tr.shape[0], 64)
                 a, mcache = mapper.forward(s_tr[sel])
-                _, ga = bias_discriminator_step(bdisc, bdisc.opt, a, y[train_ids][sel])
+                _, ga = bias_discriminator_step(bdisc, a, y[train_ids][sel])
                 mapper.backward(mcache, ga)
                 mapper.opt.step()
 

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import JSON_VALUES, duplicate_last_block, join_checkpoint, split_checkpoint
+from conftest import (
+    JSON_VALUES,
+    duplicate_last_block,
+    join_checkpoint,
+    poison_block,
+    split_checkpoint,
+)
 
 from fairvfl import runner
 from fairvfl.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
@@ -335,6 +341,76 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "appears twice in the manifest" in err
         assert not (out / "attack").exists()
+
+    def test_attack_rejects_non_finite_checkpoint(self, tmp_path, capsys):
+        cfg_path = _smoke_overrides(tmp_path)
+        out = tmp_path / "run"
+        assert main(["train", "--preset", "synthetic-smoke", "--config", str(cfg_path),
+                     "--out", str(out)]) == EXIT_OK
+        ckpt = out / "checkpoint.fvfl"
+        poisoned, name = poison_block(ckpt.read_bytes(), 6)
+        ckpt.write_bytes(poisoned)
+        capsys.readouterr()
+        rc = main(["attack", "--preset", "synthetic-smoke", "--config", str(cfg_path),
+                   "--checkpoint", str(ckpt), "--out", str(out / "attack")])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"block {name} holds a non-finite weight" in err
+        assert not (out / "attack").exists()
+
+    def test_attack_passes_every_attack_field_to_the_probes(self, tmp_path, monkeypatch):
+        """Every ensemble, fairness and privacy alike, trains with the
+        config's attack section. Each field is set away from its default, so
+        a field that fell back to the default would show."""
+        import math
+
+        from fairvfl import evaluation
+        from fairvfl.evaluation import AttackConfig, AttackerNet
+
+        fields = {"k": 2, "hidden": 7, "batch": 50, "lr": 0.02, "max_epochs": 2, "patience": 9}
+        assert all(getattr(AttackConfig(), f) != v for f, v in fields.items())
+        cfg_path = _smoke_overrides(tmp_path)
+        out = tmp_path / "run"
+        assert main(["train", "--preset", "synthetic-smoke", "--config", str(cfg_path),
+                     "--out", str(out)]) == EXIT_OK
+
+        ensembles, nets = [], []
+        real_ensemble = evaluation.train_attacker_ensemble
+        real_init, real_step = AttackerNet.__init__, AttackerNet.train_step
+
+        def ensemble(reps, labels, atk, seed, tag):
+            ensembles.append((tag, atk, reps.shape[0]))
+            return real_ensemble(reps, labels, atk, seed, tag)
+
+        def init(net, tag, k, in_width, hidden, n_classes, lr, seed, batch):
+            nets.append({"k": k, "hidden": hidden, "lr": lr, "rows": 0, "steps": 0})
+            net.seen = nets[-1]
+            real_init(net, tag, k, in_width, hidden, n_classes, lr, seed, batch)
+
+        def step(net, x, y):
+            net.seen["rows"] = max(net.seen["rows"], x.shape[1])
+            net.seen["steps"] += 1
+            real_step(net, x, y)
+
+        monkeypatch.setattr(runner, "train_attacker_ensemble", ensemble)
+        monkeypatch.setattr(evaluation, "train_attacker_ensemble", ensemble)
+        monkeypatch.setattr(AttackerNet, "__init__", init)
+        monkeypatch.setattr(AttackerNet, "train_step", step)
+        cfg_path = _smoke_overrides(tmp_path, attack=dict(fields, privacy_fields=["cat0_0"]))
+        assert main(["attack", "--preset", "synthetic-smoke", "--config", str(cfg_path),
+                     "--checkpoint", str(out / "checkpoint.fvfl"),
+                     "--out", str(out / "attack")]) == EXIT_OK
+
+        assert [tag for tag, _, _ in ensembles] == ["fairness/attr", "privacy/cat0_0/attr"]
+        assert all(atk == AttackConfig(**fields, privacy_fields=["cat0_0"])
+                   for _, atk, _ in ensembles)
+        assert len(nets) == 2
+        for (_, _, n), seen in zip(ensembles, nets):
+            n_train = n - max(1, round(n * 0.1))  # less the holdout
+            assert seen == {"k": 2, "hidden": 7, "lr": 0.02, "rows": 50,
+                            "steps": 2 * math.ceil(n_train / 50)}  # max_epochs 2, none stops
+        report = json.loads((out / "attack" / "metrics.json").read_text())
+        assert len(report["fairness_f1"]["attr"]["per_attacker"]) == 2
 
     def test_missing_config_is_validation_error(self, capsys):
         assert main(["train"]) == EXIT_VALIDATION

@@ -18,7 +18,7 @@ from fairvfl.data import (
 )
 from fairvfl.data.adult import encode_categorical
 from fairvfl.errors import ConfigError, DataError, ParseError, VocabularyError
-from fairvfl.evaluation import attack_f1, train_attacker_ensemble
+from fairvfl.evaluation import AttackConfig, attack_f1, train_attacker_ensemble
 
 WORKCLASSES = ["State-gov", "Private", "Self-emp-not-inc", "Federal-gov", "?"]
 EDUCATIONS = ["Bachelors", "HS-grad", "11th", "Masters", "Some-college"]
@@ -245,8 +245,8 @@ class TestSyntheticGenerator:
         reps = np.eye(2)[proxy]
         train, test = ds.split_ids("train"), ds.split_ids("test")
         ens = train_attacker_ensemble(reps[train], ds.sensitive["attr"].values[train],
-                                      k=1, seed=0, tag="raw-proxy", hidden=16,
-                                      lr=1e-2, max_epochs=40)
+                                      AttackConfig(k=1, hidden=16, lr=1e-2, max_epochs=40),
+                                      0, "raw-proxy")
         res = attack_f1(ens, reps[test], ds.sensitive["attr"].values[test])
         assert res.mean_f1 >= 0.85
 
@@ -261,8 +261,8 @@ class TestSyntheticGenerator:
                 reps = np.eye(2)[ds.columns["proxy_attr"].values]
                 train, test = ds.split_ids("train"), ds.split_ids("test")
                 ens = train_attacker_ensemble(
-                    reps[train], ds.sensitive["attr"].values[train], k=1,
-                    seed=seed, tag=f"mono/{rho}", hidden=8, lr=1e-2, max_epochs=20)
+                    reps[train], ds.sensitive["attr"].values[train],
+                    AttackConfig(k=1, hidden=8, lr=1e-2, max_epochs=20), seed, f"mono/{rho}")
                 scores.append(attack_f1(ens, reps[test],
                                         ds.sensitive["attr"].values[test]).mean_f1)
             means.append(float(np.mean(scores)))

@@ -51,10 +51,13 @@ def test_array_path_matches_bytes_path():
         assert digest.digest_array(np.frombuffer(buf, dtype=np.uint8)) == expected
 
 
-def test_seed_chaining_equals_concatenation():
-    a, b = b"hello ", b"world"
-    chained = digest.fnv1a64(b, seed=digest.fnv1a64(a))
-    assert chained == digest.fnv1a64(a + b)
+def test_text_digest_is_fnv_over_utf8_bytes():
+    # FNV-1a written out: one xor and one multiply mod 2**64 per UTF-8 byte
+    text = "café/σ attacker/fairness/0"
+    h = 0xCBF29CE484222325
+    for byte in text.encode("utf-8"):
+        h = ((h ^ byte) * 0x100000001B3) % 2**64
+    assert digest.digest_text(text) == digest.fnv1a64(text.encode("utf-8")) == h
 
 
 def test_array_digest_is_little_endian_and_order_insensitive():

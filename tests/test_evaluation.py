@@ -7,6 +7,7 @@ import pytest
 from fairvfl.errors import EvaluationError
 from fairvfl.errors import LabelError
 from fairvfl.evaluation import (
+    AttackConfig,
     AttackerNet,
     AttackResult,
     attack_f1,
@@ -67,8 +68,9 @@ class TestAttackers:
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 3, size=400)
         reps = np.eye(3)[labels]
-        ens = train_attacker_ensemble(reps[:300], labels[:300], k=5, seed=1,
-                                      tag="onehot", hidden=16, lr=1e-2, max_epochs=60)
+        ens = train_attacker_ensemble(reps[:300], labels[:300],
+                                      AttackConfig(k=5, hidden=16, lr=1e-2, max_epochs=60),
+                                      1, "onehot")
         assert len(ens.params) == 5
         res = attack_f1(ens, reps[300:], labels[300:])
         assert res.mean_f1 > 0.99
@@ -78,8 +80,9 @@ class TestAttackers:
         rng = np.random.default_rng(1)
         labels = (rng.random(600) < 0.3).astype(np.int64)  # ~70/30
         reps = np.ones((600, 8))
-        ens = train_attacker_ensemble(reps[:400], labels[:400], k=3, seed=2,
-                                      tag="const", hidden=8, lr=1e-2, max_epochs=10)
+        ens = train_attacker_ensemble(reps[:400], labels[:400],
+                                      AttackConfig(k=3, hidden=8, lr=1e-2, max_epochs=10),
+                                      2, "const")
         res = attack_f1(ens, reps[400:], labels[400:])
         base = majority_macro_f1(class_histogram(labels[400:], 2))
         assert abs(res.mean_f1 - base) < 0.05
@@ -93,20 +96,22 @@ class TestAttackers:
             reps = rng.normal(size=(500, 12))
             labels = np.arange(500) % 2
             shuffled = labels[rng.permutation(500)]
-            ens = train_attacker_ensemble(reps[:350], shuffled[:350], k=1, seed=seed,
-                                          tag=f"shuf{seed}", hidden=8, lr=1e-2, max_epochs=10)
+            ens = train_attacker_ensemble(reps[:350], shuffled[:350],
+                                          AttackConfig(k=1, hidden=8, lr=1e-2, max_epochs=10),
+                                          seed, f"shuf{seed}")
             scores.append(attack_f1(ens, reps[350:], shuffled[350:]).mean_f1)
         base = shuffled_label_macro_f1(np.array([0.5, 0.5]))
         assert abs(float(np.mean(scores)) - base) < 0.05
 
     def test_degenerate_labels_rejected(self):
         with pytest.raises(EvaluationError, match="single class"):
-            train_attacker_ensemble(np.zeros((10, 4)), np.zeros(10, dtype=np.int64))
+            train_attacker_ensemble(np.zeros((10, 4)), np.zeros(10, dtype=np.int64),
+                                    AttackConfig(), 0, "degenerate")
 
     def test_width_mismatch_rejected(self):
         labels = np.arange(20) % 2
         ens = train_attacker_ensemble(np.zeros((20, 4)) + np.eye(20, 4), labels,
-                                      k=1, max_epochs=2, hidden=4)
+                                      AttackConfig(k=1, max_epochs=2, hidden=4), 0, "width")
         with pytest.raises(EvaluationError, match="width"):
             attack_f1(ens, np.zeros((5, 7)), labels[:5])
 
@@ -114,20 +119,20 @@ class TestAttackers:
         rng = np.random.default_rng(3)
         labels = rng.integers(0, 2, size=300)
         reps = rng.normal(size=(300, 6)) + labels[:, None]
-        a = train_attacker_ensemble(reps, labels, k=2, seed=5, tag="det",
-                                    hidden=8, max_epochs=5)
-        b = train_attacker_ensemble(reps, labels, k=2, seed=5, tag="det",
-                                    hidden=8, max_epochs=5)
+        atk = AttackConfig(k=2, hidden=8, max_epochs=5)
+        a = train_attacker_ensemble(reps, labels, atk, 5, "det")
+        b = train_attacker_ensemble(reps, labels, atk, 5, "det")
         ra = attack_f1(a, reps, labels)
         rb = attack_f1(b, reps, labels)
         assert ra.per_attacker == rb.per_attacker
 
 
-def reference_ensemble(reps, labels, k, seed, tag, hidden, lr, batch, max_epochs,
-                       patience, holdout=0.1):
+def reference_ensemble(reps, labels, atk, seed, tag):
     """The per-probe trainer the lockstep one must equal: one ``TwoLayerMlp``
     and one ``Adam`` per probe, trained one probe after another. Returns each
     probe's final flat weights and the epochs it trained."""
+    k, hidden, lr, batch = atk.k, atk.hidden, atk.lr, atk.batch
+    max_epochs, patience = atk.max_epochs, atk.patience
     n, n_classes = reps.shape[0], int(labels.max()) + 1
     out = []
     for i in range(k):
@@ -135,7 +140,7 @@ def reference_ensemble(reps, labels, k, seed, tag, hidden, lr, batch, max_epochs
         opt = Adam(net.blocks(), lr=lr)
         rng = rng_for(seed, f"attacker/{tag}/{i}")
         perm = rng.permutation(n)
-        n_val = max(1, int(round(n * holdout)))
+        n_val = max(1, int(round(n * 0.1)))  # a 10% holdout
         val_idx, tr_idx = perm[:n_val], perm[n_val:]
         best_f1, best_snap, stale, epochs = -1.0, None, 0, 0
         for epochs in range(1, max_epochs + 1):
@@ -175,10 +180,10 @@ class TestLockstepTrainer:
         rng = np.random.default_rng(d + n_classes)
         labels = rng.integers(0, n_classes, size=150)  # 135 train rows: a partial last batch
         reps = rng.normal(size=(150, d)) + labels[:, None]
-        kw = dict(k=k, seed=7, tag="ref", hidden=16, lr=1e-2, batch=batch,
-                  max_epochs=max_epochs, patience=patience)
-        ens = train_attacker_ensemble(reps, labels, **kw)
-        ref = reference_ensemble(reps, labels, **kw)
+        atk = AttackConfig(k=k, hidden=16, lr=1e-2, batch=batch, max_epochs=max_epochs,
+                           patience=patience)
+        ens = train_attacker_ensemble(reps, labels, atk, 7, "ref")
+        ref = reference_ensemble(reps, labels, atk, 7, "ref")
         assert len(ens.params) == k
         for got, (want, _) in zip(ens.params, ref):
             assert np.array_equal(got, want)
@@ -194,10 +199,9 @@ class TestLockstepTrainer:
         rng = np.random.default_rng(11)
         labels = rng.integers(0, 3, size=300)
         reps = rng.normal(size=(300, 4)) + 0.3 * labels[:, None]
-        kw = dict(k=5, seed=3, tag="retire", hidden=8, lr=3e-2, batch=32,
-                  max_epochs=30, patience=1)
-        ens = train_attacker_ensemble(reps, labels, **kw)
-        ref = reference_ensemble(reps, labels, **kw)
+        atk = AttackConfig(k=5, hidden=8, lr=3e-2, batch=32, max_epochs=30, patience=1)
+        ens = train_attacker_ensemble(reps, labels, atk, 3, "retire")
+        ref = reference_ensemble(reps, labels, atk, 3, "retire")
         assert len({epochs for _, epochs in ref}) > 1
         assert all(epochs < 30 for _, epochs in ref)
         assert sum(stack_sizes) == sum(epochs for _, epochs in ref) * 9  # 270 rows, batch 32
@@ -206,7 +210,8 @@ class TestLockstepTrainer:
 
     def test_negative_label_rejected(self):
         with pytest.raises(LabelError, match="negative"):
-            train_attacker_ensemble(np.zeros((10, 4)), np.arange(10) % 2 - 1)
+            train_attacker_ensemble(np.zeros((10, 4)), np.arange(10) % 2 - 1,
+                                    AttackConfig(), 0, "negative")
 
 
 class TestPrivacyProbe:
@@ -218,7 +223,7 @@ class TestPrivacyProbe:
             {k: v[:350] for k, v in reps.items()},
             {k: v[350:] for k, v in reps.items()},
             {"edu": field[:350]}, {"edu": field[350:]},
-            k=2, seed=0, hidden=8, lr=1e-2, batch=32, max_epochs=60)
+            AttackConfig(k=2, hidden=8, lr=1e-2, batch=32, max_epochs=60), 0)
         assert out["edu"] > 0.95
 
     def test_constant_reps_near_majority(self):
@@ -228,7 +233,7 @@ class TestPrivacyProbe:
         out = privacy_inference_attack(
             {"attr": reps["attr"][:400]}, {"attr": reps["attr"][400:]},
             {"edu": field[:400]}, {"edu": field[400:]},
-            k=2, seed=1, hidden=6, max_epochs=6)
+            AttackConfig(k=2, hidden=6, max_epochs=6), 1)
         base = majority_macro_f1(class_histogram(field[400:], 2))
         assert abs(out["edu"] - base) < 0.06
 
@@ -236,7 +241,7 @@ class TestPrivacyProbe:
         with pytest.raises(EvaluationError, match="classification"):
             privacy_inference_attack({"a": np.zeros((10, 2))}, {"a": np.zeros((5, 2))},
                                      {"x": np.linspace(0, 1, 10)},
-                                     {"x": np.linspace(0, 1, 5)})
+                                     {"x": np.linspace(0, 1, 5)}, AttackConfig(), 0)
 
 
 class TestProbeIsolation:

@@ -15,6 +15,7 @@ from conftest import (
     join_checkpoint,
     pack_blocks,
     pack_grads,
+    poison_block,
     relative_error,
     small_widths,
     split_checkpoint,
@@ -30,7 +31,7 @@ from fairvfl.checkpoint import (
     save_checkpoint,
 )
 from fairvfl.config import preset
-from fairvfl.errors import CheckpointError, ConfigError
+from fairvfl.errors import CheckpointError, ConfigError, NumericError
 from fairvfl.models import (
     Aggregator,
     AttentionPool,
@@ -602,6 +603,29 @@ class TestCheckpoint:
         message = re.escape(f"unsupported checkpoint version {version!r}")
         with pytest.raises(CheckpointError, match=message):
             parse_checkpoint(join_checkpoint(header, body))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_is_not_saved(self, tmp_path, value):
+        bundle = self._bundle()
+        blocks = bundle.named_blocks()
+        blocks[5].b[-1] = value
+        blocks[9].w[0, 0] = np.nan  # a later block: the error names the first
+        path = tmp_path / "model.fvfl"
+        with pytest.raises(NumericError, match=re.escape(f"block {blocks[5].name} holds")):
+            save_checkpoint(bundle, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_is_not_loaded(self, tmp_path, saved_checkpoint, value):
+        bundle, raw = saved_checkpoint
+        poisoned, name = poison_block(raw, 4, value)
+        path = tmp_path / "poisoned.fvfl"
+        path.write_bytes(poisoned)
+        stores = [opt.params.copy() for opt in bundle.optim.values()]
+        with pytest.raises(CheckpointError, match=re.escape(f"block {name} holds a non-finite")):
+            load_checkpoint(bundle, path)
+        for opt, before in zip(bundle.optim.values(), stores):
+            assert np.array_equal(opt.params, before)  # nothing loaded
 
     def test_every_truncation_rejected(self, saved_checkpoint):
         _, raw = saved_checkpoint

@@ -610,8 +610,8 @@ def _reference_classify(rec, policy):
         return r.shape[-1] if len(r.shape) == 2 else None
 
     sensitive_out = {Kind.BIAS_DISC_GRAD_DOWN.value, Kind.ADV_GRAD_DOWN.value}
-    role_s = policy.role(rec.sender)
-    role_r = policy.role(rec.receiver)
+    role_s = policy.roles.get(rec.sender)
+    role_r = policy.roles.get(rec.receiver)
     if role_s is None or role_r is None:
         return Violation(ViolationKind.ILLEGAL_EDGE, rec,
                          f"unknown platform on edge {rec.sender} -> {rec.receiver}")
