@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ConfigError, DataError, ParseError, VocabularyError
+from ..errors import ConfigError, DataError, ParseError
 from .dataset import Column, SensitiveColumn, VerticalDataset
 
 # the documented 14 attributes, in file order, plus the income label
@@ -74,7 +74,14 @@ class AdultSpec:
             raise ConfigError(f"dataset.sample_seed must be >= 0, got {self.sample_seed}")
 
 
+#: the income label's classes; adult.test writes each with a trailing "."
+INCOME_CLASSES = {"<=50K": 0, ">50K": 1}
+
+
 def _parse_rows(path: Path) -> list[list[str]]:
+    """The stripped data rows of one file, or ParseError naming the file and
+    the line of a row with the wrong column count, a non-numeric value in a
+    numeric field, or an unknown income label."""
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for lineno, raw in enumerate(csv.reader(fh), start=1):
@@ -84,29 +91,19 @@ def _parse_rows(path: Path) -> list[list[str]]:
                 continue
             row = [v.strip() for v in raw]
             if len(row) != len(ADULT_FIELDS) + 1:
-                raise ParseError(
-                    f"expected {len(ADULT_FIELDS) + 1} columns, got {len(row)}",
-                    line=lineno,
-                )
+                raise ParseError(f"expected {len(ADULT_FIELDS) + 1} columns, got {len(row)} "
+                                 f"({path})", line=lineno)
             for (fname, kind), value in zip(ADULT_FIELDS, row):
                 if kind == "num":
                     try:
                         float(value)
                     except ValueError:
-                        raise ParseError(
-                            f"non-numeric value {value!r} in field {fname}", line=lineno
-                        ) from None
+                        raise ParseError(f"non-numeric value {value!r} in field {fname} "
+                                         f"({path})", line=lineno) from None
+            if row[-1].rstrip(".") not in INCOME_CLASSES:
+                raise ParseError(f"unknown income label {row[-1]!r} ({path})", line=lineno)
             rows.append(row)
     return rows
-
-
-def _label_code(value: str) -> int:
-    v = value.rstrip(".")
-    if v == "<=50K":
-        return 0
-    if v == ">50K":
-        return 1
-    raise ParseError(f"unknown income label {value!r}")
 
 
 def load_adult(path: str | Path, seed: int = 0, n_trainval: int = 20000,
@@ -153,16 +150,16 @@ def load_adult(path: str | Path, seed: int = 0, n_trainval: int = 20000,
     col_idx = {name: i for i, (name, _) in enumerate(ADULT_FIELDS)}
     n = len(rows)
 
-    task_labels = np.array([_label_code(r[-1]) for r in rows], dtype=np.int64)
+    task_labels = np.array([INCOME_CLASSES[r[-1].rstrip(".")] for r in rows],
+                           dtype=np.int64)
 
     ages = np.array([float(r[col_idx["age"]]) for r in rows])
     sex_raw = [r[col_idx["sex"]] for r in rows]
     sex_vocab = sorted(set(sex_raw))
     sex_codes = np.array([sex_vocab.index(v) for v in sex_raw], dtype=np.int64)
     sensitive = dict(zip(SENSITIVE_FEATURES, (
-        SensitiveColumn(sex_codes, len(sex_vocab), sex_vocab),
-        SensitiveColumn(bucketize_age(ages), N_AGE_BUCKETS,
-                        [f"[{a},{b})" for a, b in zip(AGE_BUCKET_EDGES, AGE_BUCKET_EDGES[1:])]),
+        SensitiveColumn(sex_codes, len(sex_vocab)),
+        SensitiveColumn(bucketize_age(ages), N_AGE_BUCKETS),
     )))
 
     columns: dict[str, Column] = {}
@@ -190,19 +187,10 @@ def load_adult(path: str | Path, seed: int = 0, n_trainval: int = 20000,
     )
 
 
-def encode_categorical(raw: list[str], train_mask: np.ndarray,
-                       strict: bool = False) -> tuple[np.ndarray, list[str]]:
+def encode_categorical(raw: list[str], train_mask: np.ndarray) -> tuple[np.ndarray, list[str]]:
     """Vocab from the train rows only; off-train unknowns map to the reserved
-    UNK index (strict mode raises instead, the training-time contract)."""
+    UNK index."""
     vocab = sorted({v for v, m in zip(raw, train_mask) if m})
     index = {v: i for i, v in enumerate(vocab)}
     unk = len(vocab)
-    codes = np.empty(len(raw), dtype=np.int64)
-    for i, v in enumerate(raw):
-        code = index.get(v)
-        if code is None:
-            if strict or train_mask[i]:
-                raise VocabularyError(f"unknown categorical value {v!r}")
-            code = unk
-        codes[i] = code
-    return codes, vocab
+    return np.array([index.get(v, unk) for v in raw], dtype=np.int64), vocab

@@ -36,7 +36,6 @@ class Column:
 class SensitiveColumn:
     values: np.ndarray  # int64 class per sample
     n_classes: int
-    class_names: list[str] | None = None
 
 
 @dataclass
@@ -118,7 +117,6 @@ def _check_ids(shard, ids: np.ndarray) -> None:
 class FeatureShard:
     """One insensitive platform's view: its feature columns only."""
 
-    platform_index: int
     name: str
     ids: np.ndarray
     columns: dict[str, Column]
@@ -137,11 +135,9 @@ class FeatureShard:
 class LabelShard:
     """One sensitive platform's view: its label column only."""
 
-    feature: str
     name: str
     ids: np.ndarray
     values: np.ndarray
-    n_classes: int
 
     def take(self, ids: np.ndarray) -> np.ndarray:
         _check_ids(self, ids)
@@ -155,7 +151,6 @@ class TaskShard:
     name: str
     ids: np.ndarray
     labels: np.ndarray
-    n_classes: int
 
     def take(self, ids: np.ndarray) -> np.ndarray:
         _check_ids(self, ids)
@@ -170,15 +165,12 @@ def partition_vertical(ds: VerticalDataset, pa: PartitionAssignment
         cols = {f: ds.columns[f] for f in ds.columns if pa.field_to_platform[f] == p}
         if not cols:
             raise ConfigError(f"platform {p} received no fields")
-        feature_shards.append(
-            FeatureShard(p, f"insensitive/{p}", ds.ids, cols)
-        )
+        feature_shards.append(FeatureShard(f"insensitive/{p}", ds.ids, cols))
     label_shards = {
-        name: LabelShard(name, f"sensitive/{name}", ds.ids,
-                         ds.sensitive[name].values, ds.sensitive[name].n_classes)
-        for name in ds.sensitive
+        name: LabelShard(f"sensitive/{name}", ds.ids, col.values)
+        for name, col in ds.sensitive.items()
     }
-    task_shard = TaskShard("task", ds.ids, ds.task_labels, ds.n_task_classes)
+    task_shard = TaskShard("task", ds.ids, ds.task_labels)
     return feature_shards, label_shards, task_shard
 
 

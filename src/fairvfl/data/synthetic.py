@@ -73,8 +73,7 @@ def generate_synthetic(spec: SyntheticSpec) -> VerticalDataset:
     sensitive: dict[str, SensitiveColumn] = {}
     for feature, k in spec.sensitive_classes.items():
         values = rng.integers(0, k, size=n)
-        sensitive[feature] = SensitiveColumn(values.astype(np.int64), k,
-                                             [str(c) for c in range(k)])
+        sensitive[feature] = SensitiveColumn(values.astype(np.int64), k)
 
     columns: dict[str, Column] = {}
     for feature, k in spec.sensitive_classes.items():

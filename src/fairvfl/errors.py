@@ -17,10 +17,6 @@ class ConfigError(FairVflError):
     """Invalid configuration value."""
 
 
-class VocabularyError(FairVflError):
-    """Unknown categorical value encountered while building training inputs."""
-
-
 class DataError(FairVflError):
     """Malformed or out-of-range data value."""
 

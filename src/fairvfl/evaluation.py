@@ -19,7 +19,7 @@ most of a probe step.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -312,15 +312,7 @@ class MetricsReport:
     config_fingerprint: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "task_accuracy": self.task_accuracy,
-            "task_f1": self.task_f1,
-            "fairness_f1": self.fairness_f1,
-            "privacy_f1": self.privacy_f1,
-            "baselines": self.baselines,
-            "comm": self.comm,
-            "config_fingerprint": self.config_fingerprint,
-        }
+        return asdict(self)
 
     def write(self, path: str | Path) -> None:
         Path(path).write_text(

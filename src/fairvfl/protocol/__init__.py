@@ -1,11 +1,11 @@
 from .messages import Kind, Message, Role, Transcript, TranscriptRecord
 from .ldp import LdpConfig, ldp_perturb
-from .federation import Federation, FederationConfig, RoundResult, build_federation
+from .federation import Federation, RoundResult
 from .audit import AuditPolicy, Violation, ViolationKind, audit_transcript, fairness_comm_cost
 
 __all__ = [
     "Kind", "Message", "Role", "Transcript", "TranscriptRecord",
     "LdpConfig", "ldp_perturb",
-    "Federation", "FederationConfig", "RoundResult", "build_federation",
+    "Federation", "RoundResult",
     "AuditPolicy", "Violation", "ViolationKind", "audit_transcript", "fairness_comm_cost",
 ]

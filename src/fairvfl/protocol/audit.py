@@ -76,7 +76,7 @@ class AuditPolicy:
 
     @classmethod
     def from_federation(cls, fed) -> "AuditPolicy":
-        return cls.for_run(len(fed.insensitive), fed.bundle.widths, fed.config.ldp)
+        return cls.for_run(len(fed.insensitive), fed.bundle.widths, fed.ldp)
 
 
 # enum lookups such as ``Kind.X.value`` cost more than a rule: resolve them once

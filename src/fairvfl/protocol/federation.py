@@ -19,7 +19,8 @@ forward pass (the update lands after both are taken).
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -40,27 +41,11 @@ from ..data.dataset import FeatureShard, LabelShard, TaskShard, partition_vertic
 from ..errors import NumericError, ProtocolError
 from ..models import ModelBundle
 from ..nn import Array, rng_for, softmax_cross_entropy
-from .ldp import LdpConfig, ldp_perturb
+from .ldp import ldp_perturb
 from .messages import Kind, LEGAL_EDGES, Message, Role, Transcript, record_of
 
-
-@dataclass
-class FederationConfig:
-    weights: LossWeights
-    ldp: LdpConfig = field(default_factory=LdpConfig)
-    top_pool: int = 5  # negative-sampling pool size per query
-    mode: str = "fairvfl"  # "fairvfl" | "vfl" (fairness machinery off)
-    verify_updates: bool = False  # instrument rounds against the sign ledger
-    # Hash every payload into its transcript record. Only exported transcripts
-    # read the digests; in-memory runs switch this off (records get None).
-    payload_digests: bool = True
-
-    def validate(self) -> None:
-        if self.mode not in ("fairvfl", "vfl"):
-            raise ProtocolError(f"unknown mode {self.mode!r}")
-        if self.top_pool < 1:
-            raise ProtocolError("top_pool must be >= 1")
-        self.ldp.validate()
+if TYPE_CHECKING:  # config imports this package
+    from ..config import ExperimentConfig
 
 
 @dataclass
@@ -248,18 +233,34 @@ class ServerPlatform(PlatformBase):
 
 
 class Federation:
-    """Deterministically scheduled in-process federation."""
+    """A run's deterministically scheduled in-process federation, built from
+    its config: the only place that partitions a run's dataset and builds its
+    ``ModelBundle``, freshly drawn or, given a ``checkpoint`` path, with that
+    file's weights. The mode fixes the features whose fairness machinery runs
+    each round: all of them for fairvfl, none for vfl. ``payload_digests``
+    hashes every payload into its transcript record (only an exported
+    transcript reads them); ``verify_updates`` checks every round against the
+    sign ledger."""
 
-    def __init__(self, bundle: ModelBundle, feature_shards: list[FeatureShard],
-                 label_shards: dict[str, LabelShard], task_shard: TaskShard,
-                 config: FederationConfig, seed: int):
-        config.validate()
-        missing = set(bundle.features) - set(label_shards)
-        if missing:
-            raise ProtocolError(f"no label shard for features {sorted(missing)}")
-        self.bundle = bundle
-        self.config = config
-        self.seed = seed
+    def __init__(self, cfg: ExperimentConfig, dataset, partition, *,
+                 payload_digests: bool = False, verify_updates: bool = False,
+                 checkpoint=None):
+        if cfg.mode not in ("fairvfl", "vfl"):
+            raise ProtocolError(f"unknown mode {cfg.mode!r}")
+        seed = cfg.seed
+        feature_shards, label_shards, task_shard = partition_vertical(dataset, partition)
+        sensitive_classes = {f: col.n_classes for f, col in dataset.sensitive.items()}
+        self.bundle = bundle = ModelBundle(
+            [shard.schema() for shard in feature_shards], cfg.rep_widths(),
+            dataset.n_task_classes, sensitive_classes, seed, cfg.optim_params(),
+            cfg.p_drop, checkpoint)
+        self.weights = cfg.loss_weights()
+        self.ldp = cfg.ldp_config()
+        self.top_pool = cfg.top_pool
+        self.payload_digests = payload_digests
+        self.verify_updates = verify_updates
+        #: the features whose fairness machinery runs: none in a vfl round
+        self.round_features = bundle.features if cfg.mode == "fairvfl" else []
         self.phase = "idle"
         self.transcript = Transcript()
         self.events: list[UpdateEvent] | None = None
@@ -306,7 +307,7 @@ class Federation:
         """Records, validates, and delivers a message, then sends each of the
         receiver's replies before returning."""
         self.transcript.append(record_of(msg, phase=self.phase,
-                                         digest=self.config.payload_digests))
+                                         digest=self.payload_digests))
         sender = self.platforms.get(msg.sender)
         receiver = self.platforms.get(msg.receiver)
         if sender is None or receiver is None:
@@ -320,7 +321,7 @@ class Federation:
 
     def _upload_unified(self, round_id: int) -> None:
         unified = self.server.unified
-        cfg = self.config.ldp
+        cfg = self.ldp
         perturb = cfg.enabled and (self.phase == "serve" or cfg.perturb_training)
         if perturb:
             payload = ldp_perturb(unified, cfg, self.server.ldp_rng)
@@ -357,11 +358,10 @@ class Federation:
         round_id = self._round_counter
         self._round_counter += 1
         start_mark = len(self.transcript)
-        self.events = [] if self.config.verify_updates else None
+        self.events = [] if self.verify_updates else None
         self.server.reset_round_state()
-        weights = self.config.weights
-        # the features whose fairness machinery runs: none in a vfl round
-        features = self.bundle.features if self.config.mode == "fairvfl" else []
+        weights = self.weights
+        features = self.round_features
 
         # 1) distribute the batch ids; local reps cascade back to the server.
         # Sensitive platforms take part only for the round's features.
@@ -431,7 +431,7 @@ class Federation:
 
         # contrastive discriminator: one descent step, representations fixed
         protected, mcache = mapper.forward(unified)
-        ctx = ContrastiveContext(protected, unified, self.config.top_pool,
+        ctx = ContrastiveContext(protected, unified, self.top_pool,
                                  server.neg_rngs[feature])
         neg_idx = select_negatives(ctx)
         lp[feature] = contrastive_discriminator_step(cdisc, protected, unified, neg_idx)
@@ -458,18 +458,3 @@ class Federation:
             raise ProtocolError(f"fairness exchange for {feature} did not complete")
         ld[feature] = self.sensitive[feature].last_bias_loss
         la[feature] = self.sensitive[feature].last_adv_loss
-
-
-def build_federation(dataset, partition, widths, config: FederationConfig,
-                     seed: int, optim=None, p_drop: float = 0.2,
-                     checkpoint=None) -> Federation:
-    """Wires a dataset, its vertical partition, and a model bundle into a
-    federation: the only place that partitions a run's dataset and builds
-    its ``ModelBundle``, freshly drawn or, given a ``checkpoint`` path, with
-    that file's weights. Each insensitive platform keeps its ``shard``."""
-    feature_shards, label_shards, task_shard = partition_vertical(dataset, partition)
-    schemas = [shard.schema() for shard in feature_shards]
-    sensitive_classes = {f: dataset.sensitive[f].n_classes for f in dataset.sensitive}
-    bundle = ModelBundle(schemas, widths, dataset.n_task_classes, sensitive_classes,
-                         seed, optim, p_drop, checkpoint)
-    return Federation(bundle, feature_shards, label_shards, task_shard, config, seed)

@@ -5,10 +5,10 @@ little-endian payload bytes (``digest.digest_array``); payloads themselves
 are not retained, so two runs can be compared bitwise without storing
 gigabytes.
 
-Only federations built with ``FederationConfig(payload_digests=True)`` (the
-default, and what ``cmd_train`` uses for its exported ``transcript.ndjson``)
-hash payloads. In-memory federations from ``runner.build_run_federation``
-skip the hash: their records carry ``digest=None``, written as
+Only federations built with ``Federation(..., payload_digests=True)`` (what
+``cmd_train`` uses for its exported ``transcript.ndjson``) hash payloads.
+In-memory federations, ``runner.build_run_federation``'s default, skip the
+hash: their records carry ``digest=None``, written as
 ``"payload_digest": null``. The auditor and the traffic accounting read only
 kind, shape and float_count, so they treat both alike.
 

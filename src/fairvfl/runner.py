@@ -38,13 +38,7 @@ from .evaluation import (
     train_attacker_ensemble,
 )
 from .models import ModelBundle, forward_unified
-from .protocol import (
-    AuditPolicy,
-    FederationConfig,
-    Transcript,
-    build_federation,
-    audit_transcript,
-)
+from .protocol import AuditPolicy, Federation, Transcript, audit_transcript
 from .protocol.audit import fairness_comm_cost, per_round_fairness_cost
 from .protocol.messages import write_records
 
@@ -127,16 +121,7 @@ def build_run_federation(cfg: ExperimentConfig, ds: VerticalDataset, pa,
     that file's weights and draws none (see ``ModelBundle``)."""
     pin_blas_threads()
     keep_freed_heap()
-    fed_cfg = FederationConfig(
-        weights=cfg.loss_weights(),
-        ldp=cfg.ldp_config(),
-        top_pool=cfg.top_pool,
-        mode=cfg.mode,
-        payload_digests=payload_digests,
-    )
-    return build_federation(ds, pa, cfg.rep_widths(), fed_cfg, cfg.seed,
-                            optim=cfg.optim_params(), p_drop=cfg.p_drop,
-                            checkpoint=checkpoint)
+    return Federation(cfg, ds, pa, payload_digests=payload_digests, checkpoint=checkpoint)
 
 
 def _epoch_batch_seed(seed: int, epoch: int) -> int:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import struct
@@ -6,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from fairvfl.adversarial import LossWeights
 from fairvfl.checkpoint import MAGIC
+from fairvfl.config import ExperimentConfig
 from fairvfl.data import SyntheticSpec, generate_synthetic, iterate_batches, synthetic_partition
 from fairvfl.models import RepWidths
-from fairvfl.protocol import FederationConfig, LdpConfig, build_federation
+from fairvfl.protocol import Federation
 
 
 # arbitrary JSON values, for fuzz tests that put them in place of a field of
@@ -116,19 +117,19 @@ def tiny_dataset():
 def make_federation(ds, pa, *, lam=2.0, gamma=0.25, seed=11, mode="fairvfl",
                     ldp=None, verify=False, widths=None, top_pool=5,
                     lr=1e-3, payload_digests=True):
-    from fairvfl.models import OptimParams
-
     widths = widths or small_widths()
     features = list(widths.protected)
-    cfg = FederationConfig(
-        weights=LossWeights({f: lam for f in features}, {f: gamma for f in features}),
-        ldp=ldp or LdpConfig(enabled=False),
-        top_pool=top_pool,
+    cfg = ExperimentConfig(
         mode=mode,
-        verify_updates=verify,
-        payload_digests=payload_digests,
+        widths=dataclasses.asdict(widths),
+        lam={f: lam for f in features},
+        gamma={f: gamma for f in features},
+        ldp=dataclasses.asdict(ldp) if ldp else {},
+        optim={"lr": lr},
+        top_pool=top_pool,
+        seed=seed,
     )
-    return build_federation(ds, pa, widths, cfg, seed, optim=OptimParams(lr=lr))
+    return Federation(cfg, ds, pa, payload_digests=payload_digests, verify_updates=verify)
 
 
 @pytest.fixture()

@@ -16,8 +16,7 @@ from fairvfl.data import (
     synthetic_partition,
     write_shard_manifest,
 )
-from fairvfl.data.adult import encode_categorical
-from fairvfl.errors import ConfigError, DataError, ParseError, VocabularyError
+from fairvfl.errors import ConfigError, DataError, ParseError
 from fairvfl.evaluation import AttackConfig, attack_f1, train_attacker_ensemble
 
 WORKCLASSES = ["State-gov", "Private", "Self-emp-not-inc", "Federal-gov", "?"]
@@ -113,18 +112,26 @@ class TestAdultLoader:
         assert np.any(col.values == unk)
         assert col.embedding_rows == unk + 1
 
-    def test_strict_encoding_raises_on_unknown(self):
-        with pytest.raises(VocabularyError):
-            encode_categorical(["a", "b"], np.array([True, False]), strict=True)
-
     def test_malformed_row_names_line(self, tmp_path):
         rng = np.random.default_rng(0)
         lines = [_adult_row(rng) for _ in range(3)]
         lines.insert(1, "1, 2, 3")
         (tmp_path / "adult.data").write_text("\n".join(lines) + "\n", encoding="utf-8")
         (tmp_path / "adult.test").write_text(_adult_row(rng) + "\n", encoding="utf-8")
-        with pytest.raises(ParseError, match="line 2"):
+        with pytest.raises(ParseError, match="line 2") as info:
             load_adult(tmp_path, n_trainval=2, n_test=1)
+        assert str(tmp_path / "adult.data") in str(info.value)
+
+    def test_unknown_income_label_names_line_and_file(self, tmp_path):
+        rng = np.random.default_rng(0)
+        lines = [_adult_row(rng) for _ in range(8)]
+        lines[4] = lines[4].rsplit(",", 1)[0] + ", maybe"
+        path = tmp_path / "adult.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="unknown income label 'maybe'") as info:
+            load_adult(path, n_trainval=3, n_test=1)
+        assert info.value.line == 5
+        assert str(path) in str(info.value)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
@@ -169,7 +176,6 @@ class TestPartition:
         ds, pa = tiny_dataset
         _, label_shards, _ = partition_vertical(ds, pa)
         shard = label_shards["attr"]
-        assert shard.feature == "attr"
         assert not hasattr(shard, "columns")
         assert np.array_equal(shard.values, ds.sensitive["attr"].values)
 

@@ -28,13 +28,11 @@ from fairvfl.nn import Adam, rng_for, softmax_cross_entropy
 from fairvfl.protocol import (
     AuditPolicy,
     Federation,
-    FederationConfig,
     Kind,
     LdpConfig,
     Message,
     Transcript,
     audit_transcript,
-    build_federation,
     fairness_comm_cost,
     ldp_perturb,
     messages,
