@@ -40,15 +40,25 @@ random reps and labels:
 - ``fairness``: rep width 64, two classes, as on the unified rep;
 - ``privacy``: width 16, four classes, as on a protected rep.
 
+And it times ``cmd_attack`` (``attack``), which trains an attack's
+ensembles concurrently, a thread per usable CPU, on a checkpoint saved
+after one training epoch, and reports the ms per attack and the process's
+peak RSS (``VmHWM``) after the timed attacks. It runs at two settings, each
+with attack ``max_epochs`` = ``patience`` = 10 as the benchmark runs them:
+
+- ``smoke``: the synthetic-smoke preset (k = 5, two privacy fields, three
+  ensembles);
+- ``paper``: the paper widths (k = 2, two privacy fields, six ensembles).
+
 And it runs ``cmd_train`` at the paper widths for 6 epochs (``train_fresh``)
 and reports its wall seconds, and the median ms and the mean minor page
 faults (``ru_minflt``) per training round after the first epoch: what a
 plain ``fairvfl train`` pays when freed memory goes back to the OS and is
 faulted in again, which a long-running benchmark process never shows.
 
-Each build, stores, ensemble and training case runs in a fresh interpreter
-of its own, so the heap and the caches the passes before it leave behind do
-not skew it, and two trees' builds can be compared.
+Each build, stores, ensemble, attack and training case runs in a fresh
+interpreter of its own, so the heap and the caches the passes before it
+leave behind do not skew it, and two trees' builds can be compared.
 
 The script uses only public functions whose signatures predate the
 ``params``/``inputs`` backward flags. It times trees whose discriminator
@@ -88,6 +98,7 @@ BUILDS = ("bundle_build", "checkpoint_load")
 STORES = ("params", "grads", "m", "v")
 # (rep width, classes) of the attacker ensembles
 ENSEMBLES = {"fairness": (64, 2), "privacy": (16, 4)}
+ATTACKS = ("smoke", "paper")
 TRAIN_FRESH_EPOCHS = 6
 
 
@@ -118,6 +129,25 @@ def widths_config(name: str):
                 "bdisc_hidden": 16},
         lam={"attr": 100.0}, gamma={"attr": 0.25},
         optim={"lr": 1e-3}, batch_size=32, epochs=1, seed=1)
+
+
+def attack_config(setting: str):
+    """The ``ATTACKS`` setting's config, with its attack section as the
+    benchmark's workload of the same widths sets it."""
+    from fairvfl.config import preset
+
+    if setting == "smoke":
+        base = preset("synthetic-smoke")
+        return base.with_overrides(attack={**base.attack, "max_epochs": 10, "patience": 10})
+    return widths_config("paper").with_overrides(
+        attack={"k": 2, "max_epochs": 10, "patience": 10,
+                "privacy_fields": ["cat0_0", "cat1_0"]})
+
+
+def peak_rss_mb() -> float:
+    """This process's peak RSS (Linux's ``VmHWM``), in MB."""
+    with open("/proc/self/status", encoding="ascii") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024.0
 
 
 def ms_per_call(fn, target_s: float, repeats: int) -> float:
@@ -247,9 +277,7 @@ def measure_stores(widths_name: str, block_s: float, repeats: int) -> dict[str, 
     fed = build_run_federation(cfg, ds, pa)
     for ids in iterate_batches(ds, "train", cfg.batch_size, 0):
         fed.run_training_round(ids)
-    with open("/proc/self/status", encoding="ascii") as fh:
-        hwm_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
-    out = {"peak_rss_mb": hwm_kb / 1024.0}
+    out = {"peak_rss_mb": peak_rss_mb()}
     for store in STORES:
         buffers = {}
         for opt in fed.bundle.optim.values():
@@ -275,6 +303,27 @@ def time_ensemble(probe: str, block_s: float, repeats: int) -> float:
     atk = AttackConfig(k=5, hidden=128, lr=1e-3, batch=128, max_epochs=10, patience=10)
     return ms_per_call(lambda: train_attacker_ensemble(reps, labels, atk, 0, f"bench/{probe}"),
                        block_s, repeats)
+
+
+def time_attack(setting: str, block_s: float, repeats: int) -> dict[str, float]:
+    """ms per ``cmd_attack`` call at one ``ATTACKS`` setting, on a checkpoint
+    saved after one training epoch, and the peak RSS after the timed calls,
+    in this process."""
+    from fairvfl.checkpoint import save_checkpoint
+    from fairvfl.data import iterate_batches
+    from fairvfl.runner import build_run_federation, cmd_attack, make_dataset
+
+    cfg = attack_config(setting)
+    ds, pa = make_dataset(cfg)
+    fed = build_run_federation(cfg, ds, pa)
+    for ids in iterate_batches(ds, "train", cfg.batch_size, 0):
+        fed.run_training_round(ids)
+    with tempfile.TemporaryDirectory(prefix="bench_passes-") as tmp:
+        path = Path(tmp) / f"{setting}.fvfl"
+        save_checkpoint(fed.bundle, path)
+        del fed  # the attacks run as in `fairvfl attack`, with no training model alive
+        ms = ms_per_call(lambda: cmd_attack(cfg, path), block_s, repeats)
+    return {"ms": ms, "peak_rss_mb": peak_rss_mb()}
 
 
 def train_fresh(block_s: float, repeats: int) -> dict[str, float]:
@@ -310,10 +359,10 @@ def train_fresh(block_s: float, repeats: int) -> dict[str, float]:
             "faults_per_round": statistics.mean(faults for _, faults in later)}
 
 
-# A ``time_build``, ``measure_stores``, ``time_ensemble`` or ``train_fresh``
-# call in a fresh interpreter, its result printed as JSON. argv: the src/
-# directory, this script's directory, the function's name, then its
-# arguments, the last two being the block seconds and the repeats.
+# A ``time_build``, ``measure_stores``, ``time_ensemble``, ``time_attack`` or
+# ``train_fresh`` call in a fresh interpreter, its result printed as JSON.
+# argv: the src/ directory, this script's directory, the function's name,
+# then its arguments, the last two being the block seconds and the repeats.
 _CHILD = """
 import json, sys
 sys.path[:0] = sys.argv[1:3]
@@ -385,6 +434,12 @@ def main() -> int:
                                     args.repeats), 4)
                  for probe in ENSEMBLES}
     print("attacker ensembles", " ".join(f"{k}={v:.3f}ms" for k, v in ensembles.items()))
+    attacks = {}
+    for setting in ATTACKS:
+        attacks[setting] = {k: round(v, 4) for k, v in fresh(
+            args.src, "time_attack", (setting,), args.block_s, args.repeats).items()}
+        print(f"{setting} attack", f"{attacks[setting]['ms']:.1f}ms",
+              f"peak_rss_mb={attacks[setting]['peak_rss_mb']:.2f}")
     trained = {k: round(v, 4) for k, v in fresh(args.src, "train_fresh", (), args.block_s,
                                                  args.repeats).items()}
     print("train_fresh", " ".join(f"{k}={v:.3f}" for k, v in trained.items()))
@@ -394,13 +449,14 @@ def main() -> int:
         "commit": commit_of(args.src),
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__, "blas_threads_env": os.environ["OPENBLAS_NUM_THREADS"]},
-        "unit": "ms per call, median of timed blocks; stores in MB; train_fresh "
-                "in s, ms and faults per round",
+        "unit": "ms per call, median of timed blocks; stores and peak RSS in MB; "
+                "train_fresh in s, ms and faults per round",
         "passes": cases,
         "select_negatives": negatives,
         "builds": builds,
         "stores": stores,
         "attacker_ensembles": ensembles,
+        "attack": attacks,
         "train_fresh": trained,
     }
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -14,11 +14,18 @@ their weights, and a probe that stops leaves the stack. Stacking changes no
 arithmetic, so every probe ends on the weights it would reach trained alone,
 bit for bit; it saves the per-probe call overhead, which at these widths is
 most of a probe step.
+
+An attack's ensembles (one per sensitive feature, one per privacy field and
+protected rep) train concurrently, a thread per usable CPU
+(``train_attacker_ensembles``). Each owns its streams and its buffers, so
+every ensemble, and every reported F1, is the one it would be trained alone.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -119,6 +126,33 @@ def _predict(layers: tuple[Array, ...], x: Array) -> Array:
                            for i in range(0, x.shape[-2], _PREDICT_ROWS)], axis=1)
 
 
+_SLICED_CLASSES = 8  # numpy sums a last axis shorter than this left to right
+
+
+def _softmax_(g: Array) -> Array:
+    """Softmax over the last axis of ``g``, in place. With fewer than
+    ``_SLICED_CLASSES`` classes the max and the sum run column by column,
+    left to right: the bits of the axis reductions at a fraction of their
+    cost on a short axis. From there numpy sums pairwise, and the axis
+    reductions stay."""
+    c = g.shape[-1]
+    if c >= _SLICED_CLASSES:
+        g -= g.max(axis=-1, keepdims=True)
+        np.exp(g, out=g)
+        g /= g.sum(axis=-1, keepdims=True)
+        return g
+    top = g[..., 0].copy()
+    for j in range(1, c):
+        np.maximum(top, g[..., j], out=top)
+    g -= top[..., None]
+    np.exp(g, out=g)
+    total = g[..., 0].copy()
+    for j in range(1, c):
+        total += g[..., j]
+    g /= total[..., None]
+    return g
+
+
 class AttackerNet:
     """The k probes of one attacker ensemble, trained in lockstep.
 
@@ -155,10 +189,7 @@ class AttackerNet:
         _, h, c = self.widths
         h1, logits = _forward(self.layers, x, self._h1[:k * b * h].reshape(k, b, h),
                               self._logits[:k * b * c].reshape(k, b, c))
-        g = logits  # softmax, less one at the target, over the batch size
-        g -= g.max(axis=2, keepdims=True)
-        np.exp(g, out=g)
-        g /= g.sum(axis=2, keepdims=True)
+        g = _softmax_(logits)  # less one at the target, over the batch size
         g.reshape(-1, c)[np.arange(k * b), y.ravel()] -= 1.0
         g /= b
         gw1, gb1, gw2, gb2 = self.grads
@@ -226,6 +257,9 @@ def train_attacker_ensemble(reps: Array, labels: Array, atk: AttackConfig, seed:
     (``AttackerNet``). A probe whose holdout F1 has not risen for
     ``atk.patience`` epochs leaves the stack; every probe ends on the weights
     of its best holdout epoch."""
+    if not np.issubdtype(np.asarray(labels).dtype, np.integer):
+        raise EvaluationError(f"probes are classification only; labels for {tag} "
+                              "are not categorical")
     labels = np.asarray(labels, dtype=np.int64)
     classes = np.unique(labels)
     if classes.shape[0] < 2:
@@ -264,6 +298,37 @@ def train_attacker_ensemble(reps: Array, labels: Array, atk: AttackConfig, seed:
     return AttackerEnsemble(best, n_classes, in_width, hidden)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask off Linux
+        return os.cpu_count() or 1
+
+
+def train_attacker_ensembles(jobs: list[tuple[Array, Array, str]], atk: AttackConfig,
+                             seed: int) -> list[AttackerEnsemble]:
+    """``train_attacker_ensemble`` of each ``(reps, labels, tag)`` job, in
+    job order, on a thread per CPU this process may use (at most one per
+    job); with one, the jobs run here, one after another.
+
+    Every ensemble is bit for bit the one trained alone: each job owns its
+    ``attacker/{tag}/{i}`` streams, its ``AttackerNet`` and its buffers, and
+    the OpenBLAS runs one thread per call (``runner.pin_blas_threads``). The
+    threads overlap where numpy releases the GIL, in the matrix products and
+    the large ufuncs. Results are collected in job order, so a failing job
+    raises the error the first failing job of the serial loop raises, and
+    the jobs not yet started are cancelled. No thread outlives the call."""
+    def train(job):
+        reps, labels, tag = job
+        return train_attacker_ensemble(reps, labels, atk, seed, tag)
+
+    workers = min(len(jobs), _usable_cpus())
+    if workers <= 1:
+        return [train(job) for job in jobs]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(train, jobs))
+
+
 @dataclass
 class AttackResult:
     mean_f1: float
@@ -278,27 +343,6 @@ def attack_f1(ens: AttackerEnsemble, reps: Array, labels: Array) -> AttackResult
     pred = _predict(_probe_layers(ens.params, ens.in_width, ens.hidden, ens.n_classes), reps)
     scores = [macro_f1(p, labels, ens.n_classes) for p in pred]
     return AttackResult(float(np.mean(scores)), float(np.std(scores)), scores)
-
-
-def privacy_inference_attack(protected_train: dict[str, Array],
-                             protected_test: dict[str, Array],
-                             probe_train: dict[str, Array],
-                             probe_test: dict[str, Array],
-                             atk: AttackConfig, seed: int) -> dict[str, float]:
-    """Per probed field: mean macro-F1 of inferring the field's value from
-    each protected representation, averaged over reps and attackers."""
-    out = {}
-    for fname, tr_labels in probe_train.items():
-        if not np.issubdtype(np.asarray(tr_labels).dtype, np.integer):
-            raise EvaluationError(f"privacy probes are classification only; "
-                                  f"field {fname!r} is not categorical")
-        scores = []
-        for feature, a_train in protected_train.items():
-            ens = train_attacker_ensemble(a_train, tr_labels, atk, seed,
-                                          f"privacy/{fname}/{feature}")
-            scores.append(attack_f1(ens, protected_test[feature], probe_test[fname]).mean_f1)
-        out[fname] = float(np.mean(scores))
-    return out
 
 
 @dataclass

@@ -32,10 +32,9 @@ from .evaluation import (
     MetricsReport,
     attack_f1,
     format_cell,
-    privacy_inference_attack,
     random_baselines,
     task_metrics,
-    train_attacker_ensemble,
+    train_attacker_ensembles,
 )
 from .models import ModelBundle, forward_unified
 from .protocol import AuditPolicy, Federation, Transcript, audit_transcript
@@ -86,10 +85,10 @@ def pin_blas_threads() -> None:
         setter(1)
 
 
-# (M_MMAP_THRESHOLD, 32 MB) and (M_TRIM_THRESHOLD, 64 MB), glibc's malloc.h
-# numbering: arrays up to 32 MB come from the heap, and up to 64 MB of freed
-# heap stays mapped
-_HEAP_SETTINGS = ((-3, 32 << 20), (-1, 64 << 20))
+# (M_MMAP_THRESHOLD, 32 MB), (M_TRIM_THRESHOLD, 64 MB) and (M_ARENA_MAX, 1),
+# glibc's malloc.h numbering: arrays up to 32 MB come from the heap, up to
+# 64 MB of freed heap stays mapped, and every thread allocates from that heap
+_HEAP_SETTINGS = ((-3, 32 << 20), (-1, 64 << 20), (-8, 1))
 
 
 @functools.cache
@@ -97,8 +96,12 @@ def keep_freed_heap() -> None:
     """Makes glibc keep freed memory mapped, once per process: with its
     defaults it hands the freed top of the heap and every freed array above
     its dynamic mmap threshold back to the OS, and the next round, attack or
-    checkpoint read faults the same pages in again. Does nothing where the
-    C library cannot be loaded or has no ``mallopt``."""
+    checkpoint read faults the same pages in again. It also keeps one malloc
+    arena: by default each thread that allocates gets an arena of its own,
+    so an attack's probe threads (``train_attacker_ensembles``) could not
+    reuse the heap kept here and would each grow a heap of their own. Run it
+    before any such thread starts. Does nothing where the C library cannot
+    be loaded or has no ``mallopt``."""
     try:
         libc = ctypes.CDLL(None)
     except OSError:
@@ -242,7 +245,8 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
 def cmd_attack(cfg: ExperimentConfig, checkpoint_path: str | Path,
                out_dir: str | Path | None = None) -> MetricsReport:
     """Regenerates representations with a frozen checkpoint and runs the
-    fairness and privacy probes plus task metrics."""
+    fairness and privacy probes, all their ensembles trained concurrently
+    (``train_attacker_ensembles``), plus task metrics."""
     cfg.validate()
     atk = cfg.attack_config()
     ds, pa = make_dataset(cfg)
@@ -271,23 +275,26 @@ def cmd_attack(cfg: ExperimentConfig, checkpoint_path: str | Path,
     test_pred = predict_classes(bundle, s_test)
     report.task_accuracy, report.task_f1 = task_metrics(test_pred, ds.task_labels[test_ids])
 
+    # every ensemble trains in one call: a fairness probe of the unified rep
+    # per sensitive feature, then a privacy probe of each protected rep per field
+    jobs = [(s_train, col.values[train_ids], f"fairness/{feature}")
+            for feature, col in ds.sensitive.items()]
+    jobs += [(prot_train[f], labels, f"privacy/{fname}/{f}")
+             for fname, labels in probe_train.items() for f in bundle.features]
+    ensembles = iter(train_attacker_ensembles(jobs, atk, cfg.seed))
+
     for feature, col in ds.sensitive.items():
-        ens = train_attacker_ensemble(s_train, col.values[train_ids], atk, cfg.seed,
-                                      f"fairness/{feature}")
-        res = attack_f1(ens, s_test, col.values[test_ids])
+        res = attack_f1(next(ensembles), s_test, col.values[test_ids])
         report.fairness_f1[feature] = {
             "mean": res.mean_f1, "std": res.std_f1, "per_attacker": res.per_attacker,
         }
         report.baselines[feature] = random_baselines(col.values[test_ids], col.n_classes)
 
-    if probe_train:
-        report.privacy_f1 = privacy_inference_attack(
-            {f: prot_train[f] for f in bundle.features},
-            {f: prot_test[f] for f in bundle.features},
-            probe_train, probe_test, atk, cfg.seed)
-        for fname, labels in probe_test.items():
-            report.baselines[f"privacy/{fname}"] = random_baselines(
-                labels, int(labels.max()) + 1)
+    for fname, labels in probe_test.items():
+        # mean F1 over the protected reps of every feature
+        report.privacy_f1[fname] = float(np.mean(
+            [attack_f1(next(ensembles), prot_test[f], labels).mean_f1 for f in bundle.features]))
+        report.baselines[f"privacy/{fname}"] = random_baselines(labels, int(labels.max()) + 1)
 
     if out_dir is not None:
         out = Path(out_dir)

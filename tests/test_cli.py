@@ -374,6 +374,8 @@ class TestCliCommands:
         assert main(["train", "--preset", "synthetic-smoke", "--config", str(cfg_path),
                      "--out", str(out)]) == EXIT_OK
 
+        # recorded by tag: the ensembles train on concurrent threads, in no
+        # fixed call order
         ensembles, nets = [], []
         real_ensemble = evaluation.train_attacker_ensemble
         real_init, real_step = AttackerNet.__init__, AttackerNet.train_step
@@ -383,8 +385,8 @@ class TestCliCommands:
             return real_ensemble(reps, labels, atk, seed, tag)
 
         def init(net, tag, k, in_width, hidden, n_classes, lr, seed, batch):
-            nets.append({"k": k, "hidden": hidden, "lr": lr, "rows": 0, "steps": 0})
-            net.seen = nets[-1]
+            nets.append((tag, {"k": k, "hidden": hidden, "lr": lr, "rows": 0, "steps": 0}))
+            net.seen = nets[-1][1]
             real_init(net, tag, k, in_width, hidden, n_classes, lr, seed, batch)
 
         def step(net, x, y):
@@ -392,7 +394,6 @@ class TestCliCommands:
             net.seen["steps"] += 1
             real_step(net, x, y)
 
-        monkeypatch.setattr(runner, "train_attacker_ensemble", ensemble)
         monkeypatch.setattr(evaluation, "train_attacker_ensemble", ensemble)
         monkeypatch.setattr(AttackerNet, "__init__", init)
         monkeypatch.setattr(AttackerNet, "train_step", step)
@@ -401,14 +402,16 @@ class TestCliCommands:
                      "--checkpoint", str(out / "checkpoint.fvfl"),
                      "--out", str(out / "attack")]) == EXIT_OK
 
-        assert [tag for tag, _, _ in ensembles] == ["fairness/attr", "privacy/cat0_0/attr"]
+        tags = ["fairness/attr", "privacy/cat0_0/attr"]
+        assert sorted(tag for tag, _, _ in ensembles) == tags
         assert all(atk == AttackConfig(**fields, privacy_fields=["cat0_0"])
                    for _, atk, _ in ensembles)
-        assert len(nets) == 2
-        for (_, _, n), seen in zip(ensembles, nets):
-            n_train = n - max(1, round(n * 0.1))  # less the holdout
-            assert seen == {"k": 2, "hidden": 7, "lr": 0.02, "rows": 50,
-                            "steps": 2 * math.ceil(n_train / 50)}  # max_epochs 2, none stops
+        assert sorted(tag for tag, _ in nets) == tags
+        rows, seen = {tag: n for tag, _, n in ensembles}, dict(nets)
+        for tag in tags:
+            n_train = rows[tag] - max(1, round(rows[tag] * 0.1))  # less the holdout
+            assert seen[tag] == {"k": 2, "hidden": 7, "lr": 0.02, "rows": 50,
+                                 "steps": 2 * math.ceil(n_train / 50)}  # max_epochs 2, none stops
         report = json.loads((out / "attack" / "metrics.json").read_text())
         assert len(report["fairness_f1"]["attr"]["per_attacker"]) == 2
 
@@ -620,4 +623,5 @@ class TestKeepFreedHeap:
         for _ in range(2):  # every build applies it, the first one alone sets it
             runner.build_run_federation(cfg, ds, pa)
         assert loads == [None]
-        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]  # M_MMAP_, M_TRIM_THRESHOLD
+        # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD, M_ARENA_MAX
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20), (-8, 1)]

@@ -1,9 +1,16 @@
 """Attack harnesses and metrics: closed-form metric cases, analytic random
-baselines, separability and constant-rep sanity checks, probe isolation."""
+baselines, separability and constant-rep sanity checks, probe isolation, and
+the concurrent training of an attack's ensembles."""
+
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from fairvfl import evaluation
 from fairvfl.errors import EvaluationError
 from fairvfl.errors import LabelError
 from fairvfl.evaluation import (
@@ -14,10 +21,10 @@ from fairvfl.evaluation import (
     class_histogram,
     macro_f1,
     majority_macro_f1,
-    privacy_inference_attack,
     shuffled_label_macro_f1,
     task_metrics,
     train_attacker_ensemble,
+    train_attacker_ensembles,
 )
 from fairvfl.models import TwoLayerMlp
 from fairvfl.nn import Adam, rng_for, softmax_cross_entropy_grad
@@ -215,33 +222,178 @@ class TestLockstepTrainer:
 
 
 class TestPrivacyProbe:
+    """A privacy probe: an ensemble on one protected rep, trained through
+    ``train_attacker_ensembles`` under the tag ``cmd_attack`` gives it."""
+
     def test_leaky_reps_decodable(self):
         rng = np.random.default_rng(0)
         field = rng.integers(0, 4, size=500)
-        reps = {"attr": np.eye(4)[field]}
-        out = privacy_inference_attack(
-            {k: v[:350] for k, v in reps.items()},
-            {k: v[350:] for k, v in reps.items()},
-            {"edu": field[:350]}, {"edu": field[350:]},
+        reps = np.eye(4)[field]
+        [ens] = train_attacker_ensembles(
+            [(reps[:350], field[:350], "privacy/edu/attr")],
             AttackConfig(k=2, hidden=8, lr=1e-2, batch=32, max_epochs=60), 0)
-        assert out["edu"] > 0.95
+        assert attack_f1(ens, reps[350:], field[350:]).mean_f1 > 0.95
 
     def test_constant_reps_near_majority(self):
         rng = np.random.default_rng(1)
         field = (rng.random(600) < 0.25).astype(np.int64)
-        reps = {"attr": np.ones((600, 6))}
-        out = privacy_inference_attack(
-            {"attr": reps["attr"][:400]}, {"attr": reps["attr"][400:]},
-            {"edu": field[:400]}, {"edu": field[400:]},
+        reps = np.ones((600, 6))
+        [ens] = train_attacker_ensembles(
+            [(reps[:400], field[:400], "privacy/edu/attr")],
             AttackConfig(k=2, hidden=6, max_epochs=6), 1)
         base = majority_macro_f1(class_histogram(field[400:], 2))
-        assert abs(out["edu"] - base) < 0.06
+        assert abs(attack_f1(ens, reps[400:], field[400:]).mean_f1 - base) < 0.06
 
     def test_numeric_field_rejected(self):
         with pytest.raises(EvaluationError, match="classification"):
-            privacy_inference_attack({"a": np.zeros((10, 2))}, {"a": np.zeros((5, 2))},
-                                     {"x": np.linspace(0, 1, 10)},
-                                     {"x": np.linspace(0, 1, 5)}, AttackConfig(), 0)
+            train_attacker_ensembles([(np.zeros((10, 2)), np.linspace(0, 1, 10), "privacy/x/a")],
+                                     AttackConfig(), 0)
+
+
+def _axis_softmax(g):
+    """The softmax of ``AttackerNet.train_step`` with numpy's axis reductions."""
+    g -= g.max(axis=2, keepdims=True)
+    np.exp(g, out=g)
+    g /= g.sum(axis=2, keepdims=True)
+    return g
+
+
+class TestSlicedSoftmax:
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    @pytest.mark.parametrize("c", [2, 5, 7, 8])
+    def test_step_matches_axis_reductions(self, c, scale, monkeypatch):
+        """One probe step with the column-by-column softmax (c <= 7) leaves
+        the store bit for bit as the axis reductions do; at c = 8 the axis
+        reductions run. At scale 1e3 the max matters, at scale 1 the sum of
+        unsaturated exponentials."""
+        rng = np.random.default_rng(c)
+        k, b, d = 3, 64, 6
+        x = rng.normal(size=(k, b, d)) * scale
+        y = rng.integers(0, c, size=(k, b))
+        sliced, axis = (AttackerNet("softmax", k, d, 16, c, 1e-2, 4, b) for _ in range(2))
+        sliced.train_step(x, y)
+        monkeypatch.setattr(evaluation, "_softmax_", _axis_softmax)
+        axis.train_step(x, y)
+        for store in ("params", "grads", "m", "v"):
+            assert np.array_equal(getattr(sliced.opt, store), getattr(axis.opt, store))
+
+
+class TestEnsemblePool:
+    """``train_attacker_ensembles``: a thread per usable CPU, the ensembles
+    back in job order and bit for bit those trained alone."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        def use(n):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                                raising=False)
+        return use
+
+    @pytest.fixture
+    def threads_seen(self, monkeypatch):
+        """The thread each ``train_attacker_ensemble`` call ran on, by tag."""
+        seen = {}
+        real = evaluation.train_attacker_ensemble
+
+        def spy(reps, labels, atk, seed, tag):
+            seen[tag] = threading.current_thread()
+            return real(reps, labels, atk, seed, tag)
+
+        monkeypatch.setattr(evaluation, "train_attacker_ensemble", spy)
+        return seen
+
+    @staticmethod
+    def jobs(n=240):
+        rng = np.random.default_rng(3)
+        out = []
+        for d, c, tag in ((64, 2, "fairness/w64"), (16, 5, "privacy/w16"), (8, 3, "privacy/w8")):
+            labels = rng.integers(0, c, size=n)
+            out.append((rng.normal(size=(n, d)) + labels[:, None], labels, tag))
+        return out
+
+    def test_matches_each_ensemble_trained_alone(self, cpus, threads_seen):
+        """Three threads, more than this host may have cores, switching
+        every microsecond."""
+        from fairvfl.runner import pin_blas_threads
+
+        pin_blas_threads()
+        cpus(4)
+        jobs = self.jobs()
+        atk = AttackConfig(k=3, hidden=32, lr=1e-2, batch=32, max_epochs=4, patience=2)
+        alone = [train_attacker_ensemble(reps, labels, atk, 5, tag) for reps, labels, tag in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                threads_seen.clear()
+                pooled = train_attacker_ensembles(jobs, atk, 5)
+                assert threading.current_thread() not in threads_seen.values()
+                assert [e.n_classes for e in pooled] == [2, 5, 3]
+                assert [e.in_width for e in pooled] == [64, 16, 8]
+                for got, want in zip(pooled, alone):
+                    assert np.array_equal(got.params, want.params)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_cpu_starts_no_thread(self, cpus, threads_seen, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool started on one CPU")
+
+        cpus(1)
+        monkeypatch.setattr(evaluation, "ThreadPoolExecutor", no_pool)
+        before = threading.active_count()
+        atk = AttackConfig(k=2, hidden=8, max_epochs=2)
+        assert len(train_attacker_ensembles(self.jobs(60), atk, 0)) == 3
+        assert set(threads_seen.values()) == {threading.current_thread()}
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n_cpus", [1, 4])
+    def test_first_failing_job_raises(self, n_cpus, cpus, monkeypatch):
+        """Job 1's degenerate labels, as the serial loop raises, even when
+        job 2's negative label fails first."""
+        real = evaluation.train_attacker_ensemble
+
+        def slow_first(reps, labels, atk, seed, tag):
+            if tag == "one":
+                time.sleep(0.05)
+            return real(reps, labels, atk, seed, tag)
+
+        cpus(n_cpus)
+        monkeypatch.setattr(evaluation, "train_attacker_ensemble", slow_first)
+        jobs = [(np.zeros((10, 4)), np.zeros(10, dtype=np.int64), "one"),
+                (np.zeros((10, 4)), np.arange(10) % 2 - 1, "two")]
+        with pytest.raises(EvaluationError, match="degenerate labels for one") as err:
+            train_attacker_ensembles(jobs, AttackConfig(), 0)
+        assert err.type is EvaluationError
+
+    def test_no_thread_outlives_cmd_attack(self, tmp_path, tiny_dataset, cpus, threads_seen):
+        from conftest import make_federation, train_batches
+        from fairvfl.checkpoint import save_checkpoint
+        from fairvfl.config import ExperimentConfig
+        from fairvfl.runner import cmd_attack
+
+        ds, pa = tiny_dataset
+        fed = make_federation(ds, pa)
+        fed.run_training_round(train_batches(ds)[0])
+        ckpt = tmp_path / "pool.fvfl"
+        save_checkpoint(fed.bundle, ckpt)
+        cfg = ExperimentConfig(
+            mode="fairvfl",
+            dataset={"kind": "synthetic", "n_samples": 300, "n_platforms": 2, "seed": 5},
+            widths={"rep": 16, "protected": {"attr": 8}, "emb_dim": 4,
+                    "encoder_hidden": 8, "attn_heads": 2, "pool_hidden": 6,
+                    "head_hidden": 8, "mapper_hidden": 8, "cdisc_hidden": 8,
+                    "bdisc_hidden": 8},
+            lam={"attr": 2.0}, gamma={"attr": 0.25},
+            seed=11, epochs=1,
+            attack={"k": 2, "hidden": 8, "max_epochs": 3, "privacy_fields": ["cat0_0"]},
+        )
+        cpus(4)
+        before = threading.active_count()
+        cmd_attack(cfg, ckpt)
+        assert sorted(threads_seen) == ["fairness/attr", "privacy/cat0_0/attr"]
+        assert threading.current_thread() not in threads_seen.values()
+        assert threading.active_count() == before
 
 
 class TestProbeIsolation:

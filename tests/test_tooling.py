@@ -8,13 +8,15 @@ SPANS = Path(__file__).resolve().parent.parent / "fvbench" / "spans.py"
 
 # targets the tracer looks for and this package no longer defines: the
 # zero_grad methods (backward passes overwrite the gradient stores),
-# nn.adam_update (each Adam steps one flat store) and
-# evaluation._train_one_attacker (the probes train in lockstep)
+# nn.adam_update (each Adam steps one flat store),
+# evaluation._train_one_attacker (the probes train in lockstep) and
+# evaluation.privacy_inference_attack (an attack trains every ensemble in one
+# train_attacker_ensembles call)
 KNOWN_MISSING = {
     "Adam.zero_grad", "Aggregator.zero_grad", "ContrastiveDiscriminator.zero_grad",
     "LocalEncoder.zero_grad", "ParamBlock.zero_grad", "TaskHead.zero_grad",
     "TwoLayerMlp.zero_grad", "fairvfl.nn.adam_update",
-    "fairvfl.evaluation._train_one_attacker",
+    "fairvfl.evaluation._train_one_attacker", "fairvfl.evaluation.privacy_inference_attack",
 }
 
 
