@@ -8,10 +8,11 @@ and at the C12 widths (rep 64, one H=4 feature), of:
   discriminator;
 - ``mapper_ascent``: ``cal_mapper_gradient``, then the mapper's Adam step,
   as a training round runs them;
-- ``mapper_descent``: the server handling ``BIAS_DISC_GRAD_DOWN`` (backward,
-  Adam step, protected-rep recompute);
-- ``mapper_frozen``: the server handling ``ADV_GRAD_DOWN`` (the frozen
-  mapper's gradient on the unified rep).
+- ``mapper_descent``: the mapper's descent on a returned bias-discriminator
+  gradient (backward, Adam step, protected-rep recompute), as a training
+  round runs it;
+- ``mapper_frozen``: the frozen mapper's backward of an adversarial gradient
+  to the unified rep.
 
 It also times ``select_negatives`` alone at batch sizes 32, 500 and 1000
 (top pool 5, protected width 8), on distinct relevances, on rounded,
@@ -60,14 +61,13 @@ Each build, stores, ensemble, attack and training case runs in a fresh
 interpreter of its own, so the heap and the caches the passes before it
 leave behind do not skew it, and two trees' builds can be compared.
 
-The script uses only public functions whose signatures predate the
-``params``/``inputs`` backward flags. It times trees whose discriminator
-steps take no optimizer (each steps its component's ``opt``) and whose
-``train_attacker_ensemble`` takes an ``evaluation.AttackConfig``; older
-trees passed the optimizer and the probe settings one by one, and this
-script cannot time them. Compare two commits on one machine by running it
-against each tree's ``src/`` with its own label; every run adds or replaces
-its label's entry in the output file:
+The script calls the mappers' backward with its ``params``/``inputs``
+flags. It times trees whose discriminator steps take no optimizer (each
+steps its component's ``opt``) and whose ``train_attacker_ensemble`` takes
+an ``evaluation.AttackConfig``; older trees passed the optimizer and the
+probe settings one by one, and this script cannot time them. Compare two
+commits on one machine by running it against each tree's ``src/`` with its
+own label; every run adds or replaces its label's entry in the output file:
 
     python benchmarks/bench_passes.py --label change
     python benchmarks/bench_passes.py --src OTHER_TREE/src --label parent
@@ -182,16 +182,18 @@ def pass_functions(widths_name: str):
         select_negatives,
     )
     from fairvfl.data import iterate_batches
-    from fairvfl.protocol.messages import Kind, Message
+    from fairvfl.models import forward_unified
     from fairvfl.runner import build_run_federation, make_dataset
 
     cfg = widths_config(widths_name)
     ds, pa = make_dataset(cfg)
     fed = build_run_federation(cfg, ds, pa)
-    for ids in iterate_batches(ds, "train", cfg.batch_size, 0)[:3]:
+    batches = iterate_batches(ds, "train", cfg.batch_size, 0)[:3]
+    for ids in batches:
         fed.run_training_round(ids)
     server = fed.server
-    unified = server.unified
+    cols = [p.shard.take(batches[-1]) for p in fed.insensitive]
+    unified, _ = forward_unified(fed.bundle, cols)
     n = unified.shape[0]
     rng = np.random.default_rng(0)
     for feature in fed.bundle.features:
@@ -200,15 +202,15 @@ def pass_functions(widths_name: str):
         neg_idx = select_negatives(ContrastiveContext(protected, unified, cfg.top_pool,
                                                       np.random.default_rng(0)))
         grad_protected = rng.normal(size=protected.shape) / n
-        sender = fed.sensitive[feature].name
 
         def mapper_ascent(mapper=mapper, opt=mapper.opt, mcache=mcache, g=grad_protected):
             cal_mapper_gradient(mapper, mcache, g, 0.25)
             opt.step()
 
-        def handle(kind, feature=feature, sender=sender, g=grad_protected, mcache=mcache):
-            server.mapper_caches[feature] = mcache
-            server.handle(Message(0, sender, server.name, kind, g), fed)
+        def mapper_descent(mapper=mapper, opt=mapper.opt, mcache=mcache, g=grad_protected):
+            mapper.backward(mcache, g, inputs=False)
+            opt.step()
+            mapper.forward(unified)
 
         yield f"{widths_name}/{feature}", {
             "cdisc_step": lambda c=cdisc, p=protected, q=neg_idx:
@@ -216,8 +218,9 @@ def pass_functions(widths_name: str):
             "cdisc_frozen": lambda c=cdisc, p=protected, q=neg_idx:
                 contrastive_adversarial_grad(c, p, unified, q),
             "mapper_ascent": mapper_ascent,
-            "mapper_descent": lambda h=handle: h(Kind.BIAS_DISC_GRAD_DOWN),
-            "mapper_frozen": lambda h=handle: h(Kind.ADV_GRAD_DOWN),
+            "mapper_descent": mapper_descent,
+            "mapper_frozen": lambda m=mapper, c=mcache, g=grad_protected:
+                m.backward(c, g, params=False),
         }
 
 

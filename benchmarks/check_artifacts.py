@@ -1,11 +1,12 @@
 """Checks that two source trees write bitwise-identical artifacts.
 
 Runs ``fairvfl train`` and then ``fairvfl attack`` on the synthetic-smoke
-preset for seeds 1-3, and once more in vfl mode (a ``{"mode": "vfl"}``
-config over the preset, seed 1, shown as ``1vfl``), once with this
-repository's ``src/`` and once with the ``src/`` given by ``--src``, each
-command in its own subprocess and output directory under a temporary
-directory. It compares the SHA-256 of the
+preset for seeds 1-3, once more in vfl mode (a ``{"mode": "vfl"}``
+config over the preset, seed 1, shown as ``1vfl``) and once more with LDP
+on (``{"ldp": {"enabled": True}}``, seed 1, shown as ``1ldp``). Each run
+goes once with this repository's ``src/`` and once with the ``src/`` given
+by ``--src``, each command in its own subprocess and output directory under
+a temporary directory. It compares the SHA-256 of the
 transcript, the checkpoint, the training ``metrics.json`` and ``losses.csv``,
 and the attack ``metrics.json``. It runs ``fairvfl audit`` with each tree on
 that tree's own transcript and compares the exit code and the stdout bytes
@@ -40,7 +41,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PRESET = "synthetic-smoke"
 # (row label, seed, config over the preset)
-RUNS = (("1", 1, {}), ("2", 2, {}), ("3", 3, {}), ("1vfl", 1, {"mode": "vfl"}))
+RUNS = (("1", 1, {}), ("2", 2, {}), ("3", 3, {}), ("1vfl", 1, {"mode": "vfl"}),
+        ("1ldp", 1, {"ldp": {"enabled": True}}))
 # (label, run directory, file name)
 ARTIFACTS = (("transcript", "train", "transcript.ndjson"),
              ("checkpoint", "train", "checkpoint.fvfl"),

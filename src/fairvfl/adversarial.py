@@ -69,22 +69,6 @@ class ContrastiveContext:
 # ---------------------------------------------------------------------------
 
 
-def _top_pool_indices(relevance: Array, query: int, top_pool: int) -> Array:
-    """Indices of the top candidates by relevance, self masked, ties broken by
-    ascending sample index."""
-    r = relevance.astype(np.float64, copy=True)
-    r[query] = -np.inf
-    order = np.argsort(-r, kind="stable")
-    return order[: min(top_pool, r.shape[0] - 1)]
-
-
-def rank_and_select_negative(ctx: ContrastiveContext, query: int) -> int:
-    """Pick one negative for the query row, uniformly from its top pool."""
-    relevance = ctx.protected @ ctx.protected[query]
-    pool = _top_pool_indices(relevance, query, ctx.top_pool)
-    return int(pool[ctx.rng.integers(pool.shape[0])])
-
-
 def _top_pools(neg: Array, k: int) -> Array:
     """Per row, the first ``k`` columns of a stable argsort of ``neg``: the
     ``k`` smallest entries, ties broken by ascending column.
@@ -127,10 +111,11 @@ def _top_pools(neg: Array, k: int) -> Array:
 def select_negatives(ctx: ContrastiveContext) -> Array:
     """Negative index per batch row, drawn in row order from the context RNG.
 
-    Row j picks what ``rank_and_select_negative(ctx, j)`` picks: every row's
-    top pool of the self-masked relevance matrix is ranked at once, and one
-    vector draw takes the same values, leaving the generator in the same
-    state, as one scalar draw per row."""
+    Row j picks uniformly from its top pool: the ``min(top_pool, n - 1)``
+    other rows of highest relevance (protected-rep dot product) to it, ties
+    broken by ascending row index. Every row's pool of the self-masked relevance matrix
+    is ranked at once, and one vector draw takes the same values, leaving the
+    generator in the same state, as one scalar draw per row."""
     relevance = ctx.protected @ ctx.protected.T
     n = relevance.shape[0]
     relevance[np.diag_indices(n)] = -np.inf
@@ -158,16 +143,6 @@ def _check_pairwise_finite(pos: Array, neg: Array) -> None:
     bad = np.flatnonzero(~np.isfinite(per_sample))
     if bad.size:
         raise NumericError(f"non-finite contrastive loss at sample {int(bad[0])}")
-
-
-def contrastive_loss_value(disc: ContrastiveDiscriminator, protected: Array,
-                           unified: Array, neg_idx: Array) -> float:
-    """The preimage-classification loss under the discriminator's current
-    parameters; used both as the discrimination loss and, after the
-    discriminator step, as the contrastive adversarial loss (same formula)."""
-    pos, neg, _ = _contrastive_forward(disc, protected, unified, neg_idx)
-    loss, _, _ = pairwise_contrastive_loss(pos, neg)
-    return loss
 
 
 def contrastive_discriminator_step(disc: ContrastiveDiscriminator, protected: Array,
@@ -226,17 +201,6 @@ def bias_loss_and_grad_frozen(disc: BiasDiscriminator, protected: Array,
     logits, cache = disc.forward(protected)
     loss, glogits = softmax_cross_entropy(logits, labels)
     return loss, disc.backward(cache, glogits, params=False)
-
-
-def adversarial_grad_on_unified(mapper: Mapper, disc: BiasDiscriminator,
-                                unified: Array, labels: Array
-                                ) -> tuple[float, Array]:
-    """Recomputes the protected rep through the frozen mapper, evaluates the
-    label loss under the frozen discriminator, and returns its gradient on
-    the unified rep only."""
-    protected, mcache = mapper.forward(unified)
-    loss, grad_protected = bias_loss_and_grad_frozen(disc, protected, labels)
-    return loss, mapper.backward(mcache, grad_protected, params=False)
 
 
 def combine_overall_grad(task_grad: Array, adv_grads: dict[str, Array],

@@ -242,9 +242,6 @@ class Aggregator:
         gctx = self.pool.backward(c_pool, gunified)
         return self.attn.backward(c_attn, gctx)
 
-    def pooling_weights(self, cache: tuple) -> Array:
-        return cache[1][3]
-
     def blocks(self) -> list[ParamBlock]:
         return self.attn.blocks() + self.pool.blocks()
 

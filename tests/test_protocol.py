@@ -22,7 +22,13 @@ from fairvfl.data import (
     partition_vertical,
     synthetic_partition,
 )
-from fairvfl.errors import ConfigError, ParseError, ProtocolError, SampleLookupError
+from fairvfl.errors import (
+    ConfigError,
+    NumericError,
+    ParseError,
+    ProtocolError,
+    SampleLookupError,
+)
 from fairvfl.models import ModelBundle, OptimParams, forward_unified
 from fairvfl.nn import Adam, rng_for, softmax_cross_entropy
 from fairvfl.protocol import (
@@ -75,7 +81,9 @@ class TestServe:
         fed_off = make_federation(ds, pa, seed=21)
         p_off = fed_off.serve(ids)
         # clip chosen to be the identity on these reps; noise scale 2c/eps ~ 2e-8
-        assert np.max(np.abs(fed_off.server.unified)) < 10.0
+        shards, _, _ = partition_vertical(ds, pa)
+        unified, _ = forward_unified(fed_off.bundle, [s.take(ids) for s in shards])
+        assert np.max(np.abs(unified)) < 10.0
         fed_on = make_federation(ds, pa, seed=21,
                                  ldp=LdpConfig(enabled=True, clip=10.0, epsilon=1e9))
         p_on = fed_on.serve(ids)
@@ -201,13 +209,18 @@ class TestTrainingRound:
         with pytest.raises(ProtocolError, match=">=2 samples"):
             fed.run_training_round(np.array([3]))
 
-    def test_missing_local_rep_rejected(self, tiny_dataset):
+    @pytest.mark.parametrize("mode", ["fairvfl", "vfl"])
+    def test_non_finite_payload_stops_the_round_before_any_step(self, tiny_dataset, mode):
+        """A NaN weight in an encoder fails its local-rep upload, naming the
+        round, the kind and the edge, before any component steps."""
         ds, pa = tiny_dataset
-        fed = make_federation(ds, pa)
-        fed.server.reset_round_state()
-        fed.server.local_reps[0] = np.zeros((4, 16))  # second platform missing
-        with pytest.raises(ProtocolError, match="expected 2 local reps"):
-            fed.server.aggregate()
+        fed = make_federation(ds, pa, mode=mode)
+        fed.bundle.encoders[0].opt.params[0] = np.nan
+        with pytest.raises(NumericError,
+                           match="round 0: LocalRepUpload insensitive/0 -> server$"):
+            fed.run_training_round(train_batches(ds)[0])
+        assert {name: opt.t for name, opt in fed.bundle.optim.items()} == \
+            dict.fromkeys(fed.bundle.optim, 0)
 
     def test_sign_ledger_holds_on_instrumented_rounds(self, tiny_dataset):
         ds, pa = tiny_dataset
@@ -361,11 +374,47 @@ class TestRoundLedger:
         def scaled(self, msg):
             if msg.kind is Kind.LOCAL_REP_GRAD_DOWN:
                 msg = dataclasses.replace(msg, payload=msg.payload * 1.5)
-            send(self, msg)
+            return send(self, msg)
 
         monkeypatch.setattr(Federation, "send", scaled)
         with pytest.raises(ProtocolError, match="^encoder/0: "):
             self._round(tiny_dataset)
+
+
+class TestDelivery:
+    """Every receiver acts on the payload ``send`` returns to it, not on the
+    sender's copy: altering any one delivery changes the round."""
+
+    @staticmethod
+    def _outcome(fed, ids):
+        losses = fed.run_training_round(ids).losses.flat()
+        return (np.array(list(losses.values())).tobytes(),
+                [opt.params.tobytes() for opt in fed.bundle.optim.values()])
+
+    @pytest.mark.parametrize("kind", list(Kind), ids=[k.value for k in Kind])
+    def test_receiver_acts_on_the_delivered_payload(self, tiny_dataset, monkeypatch, kind):
+        """Each message of the kind in turn is delivered altered (floats
+        scaled by 1.5, ids reversed); the round's losses or post-round
+        parameters must differ from an unaltered same-seed round's."""
+        ds, pa = tiny_dataset
+        ids = train_batches(ds)[0]
+        fed = make_federation(ds, pa, seed=19)
+        plain = self._outcome(fed, ids)
+        n_sent = sum(r.kind == kind.value for r in fed.transcript)
+        assert n_sent > 0
+        send = Federation.send
+        for target in range(n_sent):
+            count = itertools.count()
+
+            def altered(self, msg, count=count, target=target):
+                if msg.kind is kind and next(count) == target:
+                    p = msg.payload
+                    msg = dataclasses.replace(
+                        msg, payload=p[::-1].copy() if p.dtype.kind == "i" else p * 1.5)
+                return send(self, msg)
+
+            monkeypatch.setattr(Federation, "send", altered)
+            assert self._outcome(make_federation(ds, pa, seed=19), ids) != plain, target
 
 
 class TestGradientsAtRest:
