@@ -175,7 +175,6 @@ def pass_functions(widths_name: str):
     import numpy as np
 
     from fairvfl.adversarial import (
-        ContrastiveContext,
         cal_mapper_gradient,
         contrastive_adversarial_grad,
         contrastive_discriminator_step,
@@ -199,8 +198,7 @@ def pass_functions(widths_name: str):
     for feature in fed.bundle.features:
         mapper, cdisc = server.mappers[feature], server.cdiscs[feature]
         protected, mcache = mapper.forward(unified)
-        neg_idx = select_negatives(ContrastiveContext(protected, unified, cfg.top_pool,
-                                                      np.random.default_rng(0)))
+        neg_idx = select_negatives(protected, cfg.top_pool, np.random.default_rng(0))
         grad_protected = rng.normal(size=protected.shape) / n
 
         def mapper_ascent(mapper=mapper, opt=mapper.opt, mcache=mcache, g=grad_protected):
@@ -228,7 +226,7 @@ def negatives_functions():
     """{case name: zero-argument callable} for ``select_negatives`` alone."""
     import numpy as np
 
-    from fairvfl.adversarial import ContrastiveContext, select_negatives
+    from fairvfl.adversarial import select_negatives
 
     rng = np.random.default_rng(0)
     cases = {}
@@ -236,8 +234,8 @@ def negatives_functions():
         protected = rng.normal(size=(n, 8))
         for values, prot in (("distinct", protected), ("ties", np.round(protected)),
                              ("equal", np.ones_like(protected))):
-            ctx = ContrastiveContext(prot, np.zeros((n, 1)), 5, np.random.default_rng(0))
-            cases[f"n{n}/{values}"] = lambda ctx=ctx: select_negatives(ctx)
+            cases[f"n{n}/{values}"] = lambda p=prot, r=np.random.default_rng(0): \
+                select_negatives(p, 5, r)
     return cases
 
 

@@ -32,38 +32,6 @@ from .models import BiasDiscriminator, ContrastiveDiscriminator, Mapper
 from .nn import Array, pairwise_contrastive_loss, softmax_cross_entropy, softplus
 
 
-@dataclass
-class LossWeights:
-    """Per-feature adversarial (lambda) and contrastive-adversarial (gamma) weights."""
-
-    lam: dict[str, float]
-    gamma: dict[str, float]
-
-    def __post_init__(self):
-        for name, table in (("lambda", self.lam), ("gamma", self.gamma)):
-            bad = {k: v for k, v in table.items() if v < 0}
-            if bad:
-                raise ProtocolError(f"{name} weights must be >= 0, got {bad}")
-
-
-@dataclass
-class ContrastiveContext:
-    """One feature's batch of (protected, unified) rows plus sampling state."""
-
-    protected: Array  # (E, H_i)
-    unified: Array  # (E, rep)
-    top_pool: int  # E_i
-    rng: np.random.Generator
-
-    def __post_init__(self):
-        if self.protected.shape[0] != self.unified.shape[0]:
-            raise DimensionError("protected/unified batch sizes differ")
-        if self.protected.shape[0] < 2:
-            raise ProtocolError("contrastive learning requires >=2 samples")
-        if self.top_pool < 1:
-            raise ProtocolError(f"top pool size must be >= 1, got {self.top_pool}")
-
-
 # ---------------------------------------------------------------------------
 # Negative sampling
 # ---------------------------------------------------------------------------
@@ -108,19 +76,24 @@ def _top_pools(neg: Array, k: int) -> Array:
     return np.argsort(neg, axis=1, kind="stable")[:, :k]
 
 
-def select_negatives(ctx: ContrastiveContext) -> Array:
-    """Negative index per batch row, drawn in row order from the context RNG.
+def select_negatives(protected: Array, top_pool: int, rng: np.random.Generator) -> Array:
+    """Negative index per row of one feature's (E, H_i) protected reps,
+    drawn in row order from ``rng``.
 
     Row j picks uniformly from its top pool: the ``min(top_pool, n - 1)``
     other rows of highest relevance (protected-rep dot product) to it, ties
     broken by ascending row index. Every row's pool of the self-masked relevance matrix
     is ranked at once, and one vector draw takes the same values, leaving the
     generator in the same state, as one scalar draw per row."""
-    relevance = ctx.protected @ ctx.protected.T
-    n = relevance.shape[0]
+    n = protected.shape[0]
+    if n < 2:
+        raise ProtocolError("contrastive learning requires >=2 samples")
+    if top_pool < 1:
+        raise ProtocolError(f"top pool size must be >= 1, got {top_pool}")
+    relevance = protected @ protected.T
     relevance[np.diag_indices(n)] = -np.inf
-    pools = _top_pools(np.negative(relevance, out=relevance), min(ctx.top_pool, n - 1))
-    return pools[np.arange(n), ctx.rng.integers(pools.shape[1], size=n)]
+    pools = _top_pools(np.negative(relevance, out=relevance), min(top_pool, n - 1))
+    return pools[np.arange(n), rng.integers(pools.shape[1], size=n)]
 
 
 # ---------------------------------------------------------------------------
@@ -204,23 +177,23 @@ def bias_loss_and_grad_frozen(disc: BiasDiscriminator, protected: Array,
 
 
 def combine_overall_grad(task_grad: Array, adv_grads: dict[str, Array],
-                         weights: LossWeights) -> Array:
+                         lam: dict[str, float]) -> Array:
     """Overall gradient on the unified rep: the task gradient minus each
-    weighted adversarial gradient. Contrastive terms contribute nothing here
-    (they stop at the mappers)."""
-    missing = set(weights.lam) - set(adv_grads)
+    adversarial gradient weighted by its feature's ``lam``. Contrastive terms
+    contribute nothing here (they stop at the mappers)."""
+    missing = set(lam) - set(adv_grads)
     if missing:
         raise ProtocolError(f"missing adversarial gradient for {sorted(missing)}")
     out = task_grad.copy()
-    for feature, lam in weights.lam.items():
+    for feature, weight in lam.items():
         g = adv_grads[feature]
         if g.shape != task_grad.shape:
             raise DimensionError(
                 f"adversarial gradient for {feature} has shape {g.shape}, "
                 f"expected {task_grad.shape}"
             )
-        if lam != 0.0:
-            out -= lam * g
+        if weight != 0.0:
+            out -= weight * g
     return out
 
 

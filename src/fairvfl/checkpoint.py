@@ -1,7 +1,8 @@
 """Binary checkpoint format: a JSON header (rep widths + block manifest)
 followed by the raw little-endian float64 buffers, in manifest order.
 Round-trips are bitwise exact. A NaN or an infinity in a block stops
-``save_checkpoint`` before it opens the file, and ``load_checkpoint``.
+``save_checkpoint`` before it opens the file, and ``load_checkpoint``
+rejects a file with a non-finite block before it loads anything.
 """
 
 from __future__ import annotations

@@ -8,9 +8,8 @@ import typing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .adversarial import LossWeights
 from .digest import digest_text
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError
 from .evaluation import AttackConfig
 from .models import OptimParams, RepWidths
 from .protocol.ldp import LdpConfig
@@ -100,9 +99,6 @@ class ExperimentConfig:
     def rep_widths(self) -> RepWidths:
         return _section(RepWidths, self.widths, "widths")
 
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(dict(self.lam), dict(self.gamma))
-
     def ldp_config(self) -> LdpConfig:
         return _section(LdpConfig, self.ldp, "ldp")
 
@@ -141,6 +137,8 @@ class ExperimentConfig:
             raise ConfigError("epochs, n_platforms, and top_pool must be >= 1")
         if self.seed < 0 or self.partition_seed < 0:
             raise ConfigError("seeds must be non-negative")
+        if not 0.0 <= self.p_drop < 1.0:
+            raise ConfigError(f"p_drop must be in [0, 1), got {self.p_drop}")
         widths = self.rep_widths()
         widths.validate()
         features = set(widths.protected)
@@ -153,10 +151,10 @@ class ExperimentConfig:
                 f"lambda/gamma keys {sorted(set(self.lam) | set(self.gamma))} "
                 f"must match protected widths {sorted(features)}"
             )
-        try:
-            self.loss_weights()
-        except ProtocolError as exc:
-            raise ConfigError(str(exc)) from exc
+        for name, table in (("lambda", self.lam), ("gamma", self.gamma)):
+            bad = {k: v for k, v in table.items() if v < 0}
+            if bad:
+                raise ConfigError(f"{name} weights must be >= 0, got {bad}")
         self.optim_params().validate()
         self.ldp_config().validate()
         self.attack_config().validate()

@@ -8,7 +8,7 @@ and sensitive labels in a separate table that no feature shard can reach.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

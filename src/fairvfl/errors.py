@@ -39,10 +39,6 @@ class NumericError(FairVflError):
     """Non-finite value produced where the contract requires finiteness."""
 
 
-class OracleError(FairVflError):
-    """Finite-difference oracle evaluated a non-finite objective."""
-
-
 class CheckpointError(FairVflError):
     """Unreadable or incompatible checkpoint file."""
 

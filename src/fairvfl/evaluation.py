@@ -184,7 +184,7 @@ class AttackerNet:
 
     def train_step(self, x: Array, y: Array) -> None:
         """One Adam step of every probe on its own batch: ``x`` (k, b, d),
-        ``y`` (k, b). The loss gradient is ``softmax_cross_entropy_grad``'s."""
+        ``y`` (k, b). The loss gradient is ``nn.softmax_cross_entropy``'s."""
         k, b = y.shape
         _, h, c = self.widths
         h1, logits = _forward(self.layers, x, self._h1[:k * b * h].reshape(k, b, h),

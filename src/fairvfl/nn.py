@@ -34,19 +34,16 @@ does) draws nothing: the ``Adam`` copies the loaded weights into its store.
 Building a second ``Adam`` over the same blocks moves them into the new
 one's buffers. A model component's ``Adam`` is the ``opt`` it carries:
 every update of it, the discriminator steps included, steps that one.
-
-``finite_difference_gradient`` is the independent oracle the test suite
-checks every analytic backward against.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, LabelError, OracleError
+from .errors import ConfigError, DimensionError, LabelError
 from .digest import digest_text
 
 Array = np.ndarray
@@ -331,9 +328,10 @@ def softmax(z: Array) -> Array:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _softmax_xent(logits: Array, targets: Array) -> tuple[Array, Array, Array]:
-    """Checks a (n, c) logits / (n,) targets pair; returns the max-shifted
-    logits, the row sums of their ``exp``, and the cross-entropy gradient."""
+def softmax_cross_entropy(logits: Array, targets: Array) -> tuple[float, Array]:
+    """Mean negative log-likelihood of (n,) targets under (n, c) logits, and
+    its gradient w.r.t. the logits."""
+    targets = np.asarray(targets)
     if logits.ndim != 2 or targets.shape != (logits.shape[0],):
         raise DimensionError(
             f"logits {logits.shape} vs targets {targets.shape}: need (n, c) and (n,)"
@@ -344,26 +342,14 @@ def _softmax_xent(logits: Array, targets: Array) -> tuple[Array, Array, Array]:
             f"min={targets.min()}, max={targets.max()}"
         )
     n = logits.shape[0]
+    rows = np.arange(n)
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     z = e.sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(z[:, 0]) - shifted[rows, targets]))
     grad = e / z  # softmax(logits), from the same shift and exp as the loss
-    grad[np.arange(n), targets] -= 1.0
-    return shifted, z, grad / n
-
-
-def softmax_cross_entropy(logits: Array, targets: Array) -> tuple[float, Array]:
-    """Mean negative log-likelihood and its gradient w.r.t. the logits."""
-    targets = np.asarray(targets)
-    shifted, z, grad = _softmax_xent(logits, targets)
-    loss = float(np.mean(np.log(z[:, 0]) - shifted[np.arange(logits.shape[0]), targets]))
-    return loss, grad
-
-
-def softmax_cross_entropy_grad(logits: Array, targets: Array) -> Array:
-    """The gradient ``softmax_cross_entropy`` returns, bit for bit, without
-    computing the loss."""
-    return _softmax_xent(logits, np.asarray(targets))[2]
+    grad[rows, targets] -= 1.0
+    return loss, grad / n
 
 
 def softplus(z: Array) -> Array:
@@ -393,30 +379,3 @@ def pairwise_contrastive_loss(pos_scores: Array, neg_scores: Array) -> tuple[flo
     loss = float(np.mean(softplus(delta)))
     g = sigmoid(delta) / n
     return loss, -g, g
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference oracle
-# ---------------------------------------------------------------------------
-
-
-def finite_difference_gradient(f: Callable[[Array], float], x: Array,
-                               h: float = 1e-5) -> Array:
-    """Central-difference gradient estimate of a scalar function."""
-    if h <= 0:
-        raise ConfigError(f"step size must be positive, got {h}")
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = x.ravel()
-    gflat = grad.ravel()
-    for k in range(flat.size):
-        orig = flat[k]
-        flat[k] = orig + h
-        f_plus = f(x)
-        flat[k] = orig - h
-        f_minus = f(x)
-        flat[k] = orig
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise OracleError(f"objective non-finite near coordinate {k}")
-        gflat[k] = (f_plus - f_minus) / (2.0 * h)
-    return grad

@@ -1,9 +1,14 @@
 """The simulated federation: platform actors, the serving flow, and the full
 training round.
 
-Actors communicate only through ``Federation.send``: it records a message in
-the transcript, checks its edge and that a float payload is all finite, and
-returns the payload it delivers. Each platform acts only on what ``send``
+Actors communicate only through ``Federation.send``, which takes a
+message's fields as its arguments: the round, the sending and receiving
+platforms themselves, the kind and the payload. It records the message in
+the transcript, checks the edge the two platforms' roles make and that a
+float payload is all finite, and returns the payload it delivers. The loss
+weights come straight from the run's config: ``cfg.lam`` scales each
+adversarial gradient in the overall gradient, ``cfg.gamma`` each mapper's
+contrastive ascent. Each platform acts only on what ``send``
 returned to it, one small method per step, so a round reads top to bottom in
 the fixed protocol order, with its state in local variables: ids out and
 local reps up, aggregation, the unified rep (LDP-perturbed where that
@@ -27,7 +32,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..adversarial import (
-    ContrastiveContext,
     SignLedger,
     UpdateEvent,
     bias_discriminator_step,
@@ -43,7 +47,7 @@ from ..errors import NumericError, ProtocolError
 from ..models import ModelBundle
 from ..nn import Array, rng_for, softmax_cross_entropy
 from .ldp import ldp_perturb
-from .messages import Kind, LEGAL_EDGES, Message, Role, Transcript, record_of
+from .messages import Kind, LEGAL_EDGES, Role, Transcript, record_of
 
 if TYPE_CHECKING:  # config imports this package
     from ..config import ExperimentConfig
@@ -176,7 +180,7 @@ class Federation:
             [shard.schema() for shard in feature_shards], cfg.rep_widths(),
             dataset.n_task_classes, sensitive_classes, seed, cfg.optim_params(),
             cfg.p_drop, checkpoint)
-        self.weights = cfg.loss_weights()
+        self.lam, self.gamma = cfg.lam, cfg.gamma
         self.ldp = cfg.ldp_config()
         self.top_pool = cfg.top_pool
         self.payload_digests = payload_digests
@@ -202,12 +206,6 @@ class Federation:
         self.sensitive = {f: SensitivePlatform(label_shards[f], bundle.bdiscs[f])
                           for f in bundle.features}
 
-        #: every platform by name; each carries its role, and an insensitive
-        #: platform its ``index``
-        self.platforms: dict[str, PlatformBase] = {
-            p.name: p for p in (self.task, self.server, *self.insensitive,
-                                *self.sensitive.values())}
-
     # -- plumbing ---------------------------------------------------------
 
     def record_update(self, component, terms: str | list) -> None:
@@ -223,23 +221,20 @@ class Federation:
             terms = [(terms, 1.0, applied)]
         self.events.append(UpdateEvent(component.name, terms, applied))
 
-    def send(self, msg: Message) -> Array:
-        """Records the message, checks its edge and that a float payload is
-        all finite, and returns the payload it delivers to the receiver."""
-        self.transcript.append(record_of(msg, phase=self.phase,
-                                         digest=self.payload_digests))
-        sender = self.platforms.get(msg.sender)
-        receiver = self.platforms.get(msg.receiver)
-        if sender is None or receiver is None:
-            raise ProtocolError(f"unknown platform in edge {msg.sender} -> {msg.receiver}")
-        if (sender.role, receiver.role) not in LEGAL_EDGES[msg.kind]:
+    def send(self, round_id: int, sender: PlatformBase, receiver: PlatformBase, kind: Kind,
+             payload: Array, ldp_applied: bool | None = None) -> Array:
+        """Records a ``kind`` message from the ``sender`` platform to the
+        ``receiver`` platform, checks the edge their roles make and that a
+        float payload is all finite, and returns the payload it delivers.
+        ``ldp_applied`` flags a unified-rep upload's perturbation."""
+        self.transcript.append(record_of(round_id, sender.name, receiver.name, kind, payload,
+                                         ldp_applied, self.phase, self.payload_digests))
+        if (sender.role, receiver.role) not in LEGAL_EDGES[kind]:
             raise ProtocolError(
-                f"illegal edge for {msg.kind.value}: {msg.sender} -> {msg.receiver}"
-            )
-        payload = msg.payload
+                f"illegal edge for {kind.value}: {sender.name} -> {receiver.name}")
         if payload.dtype.kind == "f" and not np.isfinite(payload).all():
-            raise NumericError(f"non-finite payload in round {msg.round_id}: "
-                               f"{msg.kind.value} {msg.sender} -> {msg.receiver}")
+            raise NumericError(f"non-finite payload in round {round_id}: "
+                               f"{kind.value} {sender.name} -> {receiver.name}")
         return payload
 
     def _local_reps(self, round_id: int, ids: Array, training: bool
@@ -248,10 +243,9 @@ class Federation:
         reps the server receives, in platform order, and the encoders' caches."""
         reps, caches = [], []
         for p in self.insensitive:
-            rep, cache = p.encode(self.send(Message(round_id, self.task.name, p.name,
-                                                    Kind.SAMPLE_IDS, ids)), training)
-            reps.append(self.send(Message(round_id, p.name, self.server.name,
-                                          Kind.LOCAL_REP_UPLOAD, rep)))
+            rep, cache = p.encode(self.send(round_id, self.task, p, Kind.SAMPLE_IDS, ids),
+                                  training)
+            reps.append(self.send(round_id, p, self.server, Kind.LOCAL_REP_UPLOAD, rep))
             caches.append(cache)
         return reps, caches
 
@@ -263,8 +257,8 @@ class Federation:
             payload, flag = ldp_perturb(unified, cfg, self.server.ldp_rng), True
         else:
             payload, flag = unified, (False if cfg.enabled else None)
-        return self.send(Message(round_id, self.server.name, self.task.name,
-                                 Kind.UNIFIED_REP_TO_TASK, payload, ldp_applied=flag))
+        return self.send(round_id, self.server, self.task, Kind.UNIFIED_REP_TO_TASK,
+                         payload, flag)
 
     # -- serving ----------------------------------------------------------
 
@@ -291,13 +285,12 @@ class Federation:
         self._round_counter += 1
         start_mark = len(self.transcript)
         self.events = [] if self.verify_updates else None
-        task, server, weights = self.task, self.server, self.weights
+        task, server = self.task, self.server
         features = self.round_features
 
         # 1) batch ids out, local reps up; sensitive platforms only for the round's features
         reps, enc_caches = self._local_reps(round_id, ids, training=True)
-        label_ids = {f: self.send(Message(round_id, task.name, self.sensitive[f].name,
-                                          Kind.SAMPLE_IDS, ids))
+        label_ids = {f: self.send(round_id, task, self.sensitive[f], Kind.SAMPLE_IDS, ids)
                      for f in features}
 
         # 2) aggregate into the unified rep
@@ -307,8 +300,7 @@ class Federation:
         # 3) unified rep up, task head step, task gradient back
         task_loss, task_grad = task.train_step(ids, self._upload_unified(round_id, unified))
         self.record_update(task.head, "task")
-        task_grad = self.send(Message(round_id, task.name, server.name,
-                                      Kind.TASK_GRAD_DOWN, task_grad))
+        task_grad = self.send(round_id, task, server, Kind.TASK_GRAD_DOWN, task_grad)
 
         # 4) per-feature fairness machinery
         lp, lc, ld, la, adv_grads = {}, {}, {}, {}, {}
@@ -317,7 +309,7 @@ class Federation:
                 f, round_id, unified, label_ids[f])
 
         # 5) overall gradient on the unified rep
-        grad_unified = (combine_overall_grad(task_grad, adv_grads, weights)
+        grad_unified = (combine_overall_grad(task_grad, adv_grads, self.lam)
                         if features else task_grad)
 
         # 6) aggregator update. An instrumented round first passes each loss term
@@ -325,7 +317,7 @@ class Federation:
         pieces = defaultdict(list)
         if self.events is not None:
             terms = [("task", 1.0, task_grad)]
-            terms += [(f"adversarial/{f}", -weights.lam[f], adv_grads[f]) for f in features]
+            terms += [(f"adversarial/{f}", -self.lam[f], adv_grads[f]) for f in features]
             for term, coeff, gout in terms:
                 gstack = agg.backward(agg_cache, gout)
                 pieces[agg.name].append((term, coeff, agg.opt.grads.copy()))
@@ -338,9 +330,8 @@ class Federation:
 
         # 7) local-rep gradients down; each encoder steps on its own
         for p, cache in zip(self.insensitive, enc_caches):
-            p.update(cache, self.send(Message(round_id, server.name, p.name,
-                                              Kind.LOCAL_REP_GRAD_DOWN,
-                                              grad_stacked[:, p.index, :])))
+            p.update(cache, self.send(round_id, server, p, Kind.LOCAL_REP_GRAD_DOWN,
+                                      grad_stacked[:, p.index, :]))
             self.record_update(p.encoder, pieces[p.encoder.name])
 
         losses = RoundLosses(task_loss, lp, lc, ld, la)
@@ -363,13 +354,12 @@ class Federation:
 
         # contrastive discriminator: one descent step, representations fixed
         protected, mcache = mapper.forward(unified)
-        neg_idx = select_negatives(ContrastiveContext(protected, unified, self.top_pool,
-                                                      server.neg_rngs[feature]))
+        neg_idx = select_negatives(protected, self.top_pool, server.neg_rngs[feature])
         lp = contrastive_discriminator_step(cdisc, protected, unified, neg_idx)
         self.record_update(cdisc, f"contrastive/{feature}")
 
         # mapper ascent under the frozen, just-updated discriminator
-        gamma = self.weights.gamma[feature]
+        gamma = self.gamma[feature]
         lc, grad_protected = contrastive_adversarial_grad(cdisc, protected, unified, neg_idx)
         contribs = []
         if self.events is not None:
@@ -382,20 +372,19 @@ class Federation:
         # the recomputed protected rep up, a bias-discriminator step, and the
         # mapper's descent on the returned gradient
         protected, mcache = mapper.forward(unified)
-        ld, grad_protected = sensitive.bias_step(ids, self.send(Message(
-            round_id, server.name, sensitive.name, Kind.PROTECTED_REP_UPLOAD, protected)))
+        ld, grad_protected = sensitive.bias_step(ids, self.send(
+            round_id, server, sensitive, Kind.PROTECTED_REP_UPLOAD, protected))
         self.record_update(sensitive.bdisc, f"bias/{feature}")
-        mapper.backward(mcache, self.send(Message(
-            round_id, sensitive.name, server.name, Kind.BIAS_DISC_GRAD_DOWN, grad_protected)),
-            inputs=False)
+        mapper.backward(mcache, self.send(
+            round_id, sensitive, server, Kind.BIAS_DISC_GRAD_DOWN, grad_protected), inputs=False)
         mapper.opt.step()
         self.record_update(mapper, f"bias/{feature}")
 
         # the rep recomputed with the descended mapper up; the frozen
         # discriminator's gradient back through the frozen mapper
         protected, mcache = mapper.forward(unified)
-        la, grad_protected = sensitive.adversarial_grad(ids, self.send(Message(
-            round_id, server.name, sensitive.name, Kind.PROTECTED_REP_UPLOAD, protected)))
-        grad_protected = self.send(Message(round_id, sensitive.name, server.name,
-                                           Kind.ADV_GRAD_DOWN, grad_protected))
+        la, grad_protected = sensitive.adversarial_grad(ids, self.send(
+            round_id, server, sensitive, Kind.PROTECTED_REP_UPLOAD, protected))
+        grad_protected = self.send(round_id, sensitive, server, Kind.ADV_GRAD_DOWN,
+                                   grad_protected)
         return lp, lc, ld, la, mapper.backward(mcache, grad_protected, params=False)

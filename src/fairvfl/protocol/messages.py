@@ -1,9 +1,12 @@
-"""Typed protocol messages, edge legality, and the append-only transcript.
+"""Protocol message kinds and platform roles, edge legality, and the
+append-only transcript.
 
-Transcript records keep message metadata plus a BLAKE2b-64 digest of the
-little-endian payload bytes (``digest.digest_array``); payloads themselves
-are not retained, so two runs can be compared bitwise without storing
-gigabytes.
+A message exists only as the arguments of ``Federation.send``: its round,
+sender, receiver, kind, payload and, for unified-rep uploads, its LDP flag.
+``record_of`` turns those fields into the message's transcript record, which
+keeps the metadata plus a BLAKE2b-64 digest of the little-endian payload
+bytes (``digest.digest_array``); payloads themselves are not retained, so
+two runs can be compared bitwise without storing gigabytes.
 
 Only federations built with ``Federation(..., payload_digests=True)`` (what
 ``cmd_train`` uses for its exported ``transcript.ndjson``) hash payloads.
@@ -86,18 +89,6 @@ LEGAL_EDGES: dict[Kind, frozenset[tuple[Role, Role]]] = {
 }
 
 
-@dataclass
-class Message:
-    """An in-flight message; the payload array is consumed by the receiver."""
-
-    round_id: int
-    sender: str
-    receiver: str
-    kind: Kind
-    payload: np.ndarray
-    ldp_applied: bool | None = None  # only meaningful for unified-rep uploads
-
-
 #: one JSON value from a position in a string, as ``json.loads`` reads it
 _scan_once = json.JSONDecoder().scan_once
 
@@ -173,15 +164,14 @@ class TranscriptRecord:
             raise ParseError(f"bad transcript record: {exc}", line=lineno) from exc
 
 
-def record_of(msg: Message, phase: str, digest: bool) -> TranscriptRecord:
-    """The transcript record of a message; ``digest=False`` skips hashing the
-    payload and records ``digest=None``."""
-    payload = np.asarray(msg.payload)
-    return TranscriptRecord(
-        msg.round_id, msg.sender, msg.receiver,
-        msg.kind.value if isinstance(msg.kind, Kind) else str(msg.kind),
-        tuple(payload.shape), int(payload.size),
-        digest_array(payload) if digest else None, msg.ldp_applied, phase)
+def record_of(round_id: int, sender: str, receiver: str, kind: Kind, payload: np.ndarray,
+              ldp_applied: bool | None, phase: str, digest: bool) -> TranscriptRecord:
+    """The transcript record of one message: its fields, the payload's shape
+    and size, and the payload's digest, or ``None`` when ``digest`` is False.
+    ``ldp_applied`` is only meaningful for unified-rep uploads."""
+    return TranscriptRecord(round_id, sender, receiver, kind.value, payload.shape,
+                            payload.size, digest_array(payload) if digest else None,
+                            ldp_applied, phase)
 
 
 class Transcript:

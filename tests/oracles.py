@@ -1,17 +1,59 @@
-"""Reference implementations the tests check the package against: per-row
-negative sampling, the contrastive loss value, the adversarial gradient on the
-unified rep, and the aggregator's pooling weights. The package itself never
-calls them."""
+"""Reference implementations the tests check the package against: the
+central-difference gradient every analytic backward is checked against, the
+cross-entropy gradient alone, per-row negative sampling, the contrastive loss
+value, the adversarial gradient on the unified rep, and the aggregator's
+pooling weights. The package itself never calls them."""
+
+from typing import Callable
 
 import numpy as np
 
-from fairvfl.adversarial import (
-    ContrastiveContext,
-    _contrastive_forward,
-    bias_loss_and_grad_frozen,
-)
+from fairvfl.adversarial import _contrastive_forward, bias_loss_and_grad_frozen
+from fairvfl.errors import ConfigError, DimensionError, FairVflError, LabelError
 from fairvfl.models import BiasDiscriminator, ContrastiveDiscriminator, Mapper
 from fairvfl.nn import Array, pairwise_contrastive_loss
+
+
+class OracleError(FairVflError):
+    """Finite-difference oracle evaluated a non-finite objective."""
+
+
+def finite_difference_gradient(f: Callable[[Array], float], x: Array,
+                               h: float = 1e-5) -> Array:
+    """Central-difference gradient estimate of a scalar function."""
+    if h <= 0:
+        raise ConfigError(f"step size must be positive, got {h}")
+    x = np.asarray(x, dtype=np.float64)
+    grad = np.zeros_like(x)
+    flat = x.ravel()
+    gflat = grad.ravel()
+    for k in range(flat.size):
+        orig = flat[k]
+        flat[k] = orig + h
+        f_plus = f(x)
+        flat[k] = orig - h
+        f_minus = f(x)
+        flat[k] = orig
+        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+            raise OracleError(f"objective non-finite near coordinate {k}")
+        gflat[k] = (f_plus - f_minus) / (2.0 * h)
+    return grad
+
+
+def softmax_cross_entropy_grad(logits: Array, targets: Array) -> Array:
+    """The gradient ``nn.softmax_cross_entropy`` returns, computed without the
+    loss, with the same checks and the same float operations, so bit for bit
+    the same."""
+    targets = np.asarray(targets)
+    if logits.ndim != 2 or targets.shape != (logits.shape[0],):
+        raise DimensionError(f"logits {logits.shape} vs targets {targets.shape}")
+    if targets.min(initial=0) < 0 or targets.max(initial=-1) >= logits.shape[1]:
+        raise LabelError(f"target class outside [0, {logits.shape[1]})")
+    n = logits.shape[0]
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    grad = e / e.sum(axis=1, keepdims=True)
+    grad[np.arange(n), targets] -= 1.0
+    return grad / n
 
 
 def top_pool_indices(relevance: Array, query: int, top_pool: int) -> Array:
@@ -23,12 +65,13 @@ def top_pool_indices(relevance: Array, query: int, top_pool: int) -> Array:
     return order[: min(top_pool, r.shape[0] - 1)]
 
 
-def rank_and_select_negative(ctx: ContrastiveContext, query: int) -> int:
+def rank_and_select_negative(protected: Array, top_pool: int, rng: np.random.Generator,
+                             query: int) -> int:
     """Pick one negative for the query row, uniformly from its top pool: the
     per-row reference for ``select_negatives``."""
-    relevance = ctx.protected @ ctx.protected[query]
-    pool = top_pool_indices(relevance, query, ctx.top_pool)
-    return int(pool[ctx.rng.integers(pool.shape[0])])
+    relevance = protected @ protected[query]
+    pool = top_pool_indices(relevance, query, top_pool)
+    return int(pool[rng.integers(pool.shape[0])])
 
 
 def contrastive_loss_value(disc: ContrastiveDiscriminator, protected: Array,

@@ -15,9 +15,6 @@ import pytest
 
 from conftest import pack_blocks, pack_grads, unpack_blocks
 from fairvfl.adversarial import (
-    ContrastiveContext,
-    LossWeights,
-    bias_discriminator_step,
     bias_loss_and_grad_frozen,
     combine_overall_grad,
     contrastive_adversarial_grad,
@@ -34,22 +31,15 @@ from fairvfl.data import (
 from fairvfl.evaluation import (
     AttackConfig,
     attack_f1,
-    class_histogram,
-    shuffled_label_macro_f1,
     train_attacker_ensemble,
 )
 from fairvfl.models import (
     BiasDiscriminator,
     ContrastiveDiscriminator,
     Mapper,
-    ModelBundle,
     RepWidths,
 )
-from fairvfl.nn import (
-    Adam,
-    finite_difference_gradient,
-    softmax_cross_entropy,
-)
+from fairvfl.nn import Adam, softmax_cross_entropy
 from fairvfl.protocol import AuditPolicy, audit_transcript, fairness_comm_cost
 from fairvfl.protocol.audit import ViolationKind
 from fairvfl.protocol.messages import Role, TranscriptRecord
@@ -57,13 +47,17 @@ from fairvfl.runner import (
     _epoch_batch_seed,
     build_run_federation,
     cmd_attack,
-    cmd_sweep,
     cmd_train,
     representations,
     predict_classes,
     run_train_and_attack,
 )
-from oracles import adversarial_grad_on_unified, contrastive_loss_value, rank_and_select_negative
+from oracles import (
+    adversarial_grad_on_unified,
+    contrastive_loss_value,
+    finite_difference_gradient,
+    rank_and_select_negative,
+)
 
 ADULT_DIR = os.environ.get("FAIRVFL_ADULT_DIR", "data/adult")
 
@@ -254,9 +248,7 @@ class TestGradientOracle:
             for _attempt in range(50):
                 unified = rng.normal(size=(n, widths.rep))
                 protected, _ = mapper.forward(unified)
-                ctx = ContrastiveContext(protected, unified, 3,
-                                         np.random.default_rng(seed))
-                neg = select_negatives(ctx)
+                neg = select_negatives(protected, 3, np.random.default_rng(seed))
                 margin = _relu_margin(
                     (mapper, unified), (bdisc, protected),
                     (cdisc, (np.concatenate([protected, protected]),
@@ -371,8 +363,7 @@ class TestExactIdentities:
         bdisc = BiasDiscriminator("g", 2, widths, seed=2)
 
         protected, _ = mapper.forward(unified)
-        ctx = ContrastiveContext(protected, unified, 3, np.random.default_rng(0))
-        neg = select_negatives(ctx)
+        neg = select_negatives(protected, 3, np.random.default_rng(0))
         cdisc.opt = Adam(cdisc.blocks())
         contrastive_discriminator_step(cdisc, protected, unified, neg)
         l_c, _ = contrastive_adversarial_grad(cdisc, protected, unified, neg)
@@ -388,15 +379,12 @@ class TestExactIdentities:
         task_grad[0, 0] = -0.0
         adv = {"g": rng.normal(size=(n, widths.rep)), "h": rng.normal(size=(n, widths.rep))}
         lam = {"g": 3.0, "h": 0.5}
-        out = combine_overall_grad(task_grad, adv,
-                                   LossWeights(lam, {k: 0.0 for k in lam}))
+        out = combine_overall_grad(task_grad, adv, lam)
         manual = task_grad.copy()
         for k in lam:
             manual -= lam[k] * adv[k]
         id3 = np.array_equal(out, manual)
-        zero = combine_overall_grad(task_grad, adv,
-                                    LossWeights({k: 0.0 for k in lam},
-                                                {k: 0.0 for k in lam}))
+        zero = combine_overall_grad(task_grad, adv, {k: 0.0 for k in lam})
         id4 = zero.tobytes() == task_grad.tobytes()
 
         report("C7", id1 and id2 and id3 and id4,
@@ -428,9 +416,7 @@ class TestNegativeSamplingOracle:
             top = int(master.integers(1, 8))
             protected = master.normal(size=(n, 4))
             query = int(master.integers(n))
-            ctx = ContrastiveContext(protected, np.zeros((n, 4)), top,
-                                     np.random.default_rng(trial))
-            pick = rank_and_select_negative(ctx, query)
+            pick = rank_and_select_negative(protected, top, np.random.default_rng(trial), query)
             scores = sorted(((float(protected[query] @ protected[j]), -j)
                              for j in range(n) if j != query), reverse=True)
             pool = {-j for _, j in scores[:top]}

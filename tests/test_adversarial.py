@@ -14,9 +14,7 @@ from conftest import (
 )
 from fairvfl.adversarial import (
     ASCEND,
-    ContrastiveContext,
     DESCEND,
-    LossWeights,
     SignLedger,
     UpdateEvent,
     _contrastive_forward,
@@ -30,10 +28,11 @@ from fairvfl.adversarial import (
 )
 from fairvfl.errors import DimensionError, ProtocolError
 from fairvfl.models import BiasDiscriminator, ContrastiveDiscriminator, Mapper
-from fairvfl.nn import Adam, finite_difference_gradient, pairwise_contrastive_loss
+from fairvfl.nn import Adam, pairwise_contrastive_loss
 from oracles import (
     adversarial_grad_on_unified,
     contrastive_loss_value,
+    finite_difference_gradient,
     rank_and_select_negative,
     top_pool_indices,
 )
@@ -50,10 +49,9 @@ def brute_force_top_pool(protected, query, top_pool):
 class TestNegativeSampling:
     def test_forced_argmax(self):
         protected = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        ctx = ContrastiveContext(protected, np.zeros((3, 4)), top_pool=1,
-                                 rng=np.random.default_rng(0))
+        rng = np.random.default_rng(0)
         for _ in range(5):
-            assert rank_and_select_negative(ctx, 0) == 1
+            assert rank_and_select_negative(protected, 1, rng, 0) == 1
 
     def test_pool_has_exactly_top_pool_candidates(self):
         rng = np.random.default_rng(1)
@@ -74,9 +72,7 @@ class TestNegativeSampling:
         n = int(rng.integers(2, 24))
         top = int(rng.integers(1, 8))
         protected = rng.normal(size=(n, 5))
-        ctx = ContrastiveContext(protected, np.zeros((n, 4)), top_pool=top,
-                                 rng=np.random.default_rng(seed + 1))
-        chosen = select_negatives(ctx)
+        chosen = select_negatives(protected, top, np.random.default_rng(seed + 1))
         for j in range(n):
             pool = brute_force_top_pool(protected, j, top)
             assert chosen[j] != j
@@ -98,12 +94,11 @@ class TestNegativeSampling:
         # tie-heavy: one 0/1 column gives every row at most two relevances
         ties = rng.integers(0, 2, size=(n, 1)).astype(np.float64)
         for prot in (protected, ties):
-            unified = np.zeros((n, 4))
-            batch_ctx = ContrastiveContext(prot, unified, top, np.random.default_rng(seed + 100))
-            batch = select_negatives(batch_ctx)
-            ctx = ContrastiveContext(prot, unified, top, np.random.default_rng(seed + 100))
-            assert batch.tolist() == [rank_and_select_negative(ctx, j) for j in range(n)]
-            assert batch_ctx.rng.bit_generator.state == ctx.rng.bit_generator.state
+            batch_rng, ref_rng = (np.random.default_rng(seed + 100) for _ in range(2))
+            batch = select_negatives(prot, top, batch_rng)
+            assert batch.tolist() == [rank_and_select_negative(prot, top, ref_rng, j)
+                                      for j in range(n)]
+            assert batch_rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("n,top", [(500, 5), (640, 31), (1000, 5)])
     def test_full_batch_partition_matches_per_row_reference(self, n, top):
@@ -115,21 +110,19 @@ class TestNegativeSampling:
         still picks what the per-row reference picks and the RNG ends in the
         same state."""
         rng = np.random.default_rng(n + top)
-        unified = np.zeros((n, 4))
         for protected in (np.round(rng.normal(size=(n, 3))),  # exact, tie-heavy relevances
                           np.ones((n, 3)),
                           rng.integers(0, 2, size=(n, 1)).astype(np.float64),
                           (rng.random(size=(n, 1)) < 4 / n).astype(np.float64)):
-            batch_ctx = ContrastiveContext(protected, unified, top, np.random.default_rng(7))
-            batch = select_negatives(batch_ctx)
-            ctx = ContrastiveContext(protected, unified, top, np.random.default_rng(7))
-            assert batch.tolist() == [rank_and_select_negative(ctx, j) for j in range(n)]
-            assert batch_ctx.rng.bit_generator.state == ctx.rng.bit_generator.state
+            batch_rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+            batch = select_negatives(protected, top, batch_rng)
+            assert batch.tolist() == [rank_and_select_negative(protected, top, ref_rng, j)
+                                      for j in range(n)]
+            assert batch_rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_batch_of_one_rejected(self):
         with pytest.raises(ProtocolError, match="requires >=2"):
-            ContrastiveContext(np.zeros((1, 4)), np.zeros((1, 8)), 3,
-                               np.random.default_rng(0))
+            select_negatives(np.zeros((1, 4)), 3, np.random.default_rng(0))
 
 
 def _game_fixture(seed=0, n=12):
@@ -150,8 +143,7 @@ class TestContrastiveDiscriminatorStep:
             b.w[...] = 0.0
             b.b[...] = 0.0
         protected, _ = mapper.forward(unified)
-        neg = select_negatives(ContrastiveContext(protected, unified, 5,
-                                                  np.random.default_rng(0)))
+        neg = select_negatives(protected, 5, np.random.default_rng(0))
         cdisc.opt = Adam(cdisc.blocks(), lr=1e-3)
         loss = contrastive_discriminator_step(cdisc, protected, unified, neg)
         assert loss == pytest.approx(np.log(2.0), abs=1e-12)
@@ -161,8 +153,7 @@ class TestContrastiveDiscriminatorStep:
         protected, _ = mapper.forward(unified)
         p0, u0 = protected.copy(), unified.copy()
         mapper_grads0 = pack_grads(mapper.blocks()).copy()
-        neg = select_negatives(ContrastiveContext(protected, unified, 5,
-                                                  np.random.default_rng(1)))
+        neg = select_negatives(protected, 5, np.random.default_rng(1))
         # the same pass through an untouched copy of the discriminator
         ref = ContrastiveDiscriminator("attr", small_widths(), seed=2)
         ref_opt = Adam(ref.blocks())
@@ -219,8 +210,7 @@ class TestContrastiveAdversarialGrad:
         bitwise identical."""
         _, mapper, cdisc, _, unified, _, _ = _game_fixture(3)
         protected, _ = mapper.forward(unified)
-        neg = select_negatives(ContrastiveContext(protected, unified, 5,
-                                                  np.random.default_rng(3)))
+        neg = select_negatives(protected, 5, np.random.default_rng(3))
         cdisc.opt = Adam(cdisc.blocks())
         contrastive_discriminator_step(cdisc, protected, unified, neg)
         l_c, _ = contrastive_adversarial_grad(cdisc, protected, unified, neg)
@@ -230,8 +220,7 @@ class TestContrastiveAdversarialGrad:
     def test_zero_gamma_zero_contribution(self):
         _, mapper, cdisc, _, unified, _, _ = _game_fixture(4)
         protected, mcache = mapper.forward(unified)
-        neg = select_negatives(ContrastiveContext(protected, unified, 5,
-                                                  np.random.default_rng(4)))
+        neg = select_negatives(protected, 5, np.random.default_rng(4))
         _, ga = contrastive_adversarial_grad(cdisc, protected, unified, neg)
         cal_mapper_gradient(mapper, mcache, ga, gamma=0.0)
         assert np.all(pack_grads(mapper.blocks()) == 0.0)
@@ -240,8 +229,7 @@ class TestContrastiveAdversarialGrad:
     def test_mapper_gradient_matches_oracle(self, seed):
         _, mapper, cdisc, _, unified, _, _ = _game_fixture(seed)
         protected0, _ = mapper.forward(unified)
-        neg = select_negatives(ContrastiveContext(protected0, unified, 5,
-                                                  np.random.default_rng(seed)))
+        neg = select_negatives(protected0, 5, np.random.default_rng(seed))
 
         def f(vec):
             unpack_blocks(vec, mapper.blocks())
@@ -347,8 +335,7 @@ class TestFrozenPassesLeaveGradientStores:
     def test_contrastive_adversarial_grad(self):
         _, mapper, cdisc, _, unified, _, _ = _game_fixture(30)
         protected, _ = mapper.forward(unified)
-        neg = select_negatives(ContrastiveContext(protected, unified, 5,
-                                                  np.random.default_rng(0)))
+        neg = select_negatives(protected, 5, np.random.default_rng(0))
         opt = Adam(cdisc.blocks())
         before = _sentinel(opt)
         contrastive_adversarial_grad(cdisc, protected, unified, neg)
@@ -405,29 +392,22 @@ class TestCombineOverallGrad:
         task = rng.normal(size=(4, 16))
         task[0, 0] = -0.0  # sign-of-zero must survive
         adv = {"a": rng.normal(size=(4, 16)), "b": rng.normal(size=(4, 16))}
-        out = combine_overall_grad(task, adv, LossWeights({"a": 0.0, "b": 0.0},
-                                                          {"a": 0.0, "b": 0.0}))
+        out = combine_overall_grad(task, adv, {"a": 0.0, "b": 0.0})
         assert out.tobytes() == task.tobytes()
 
     def test_arithmetic_example(self):
         task = np.array([[1.0, 0.0]])
         adv = {"a": np.array([[0.5, 0.5]])}
-        out = combine_overall_grad(task, adv, LossWeights({"a": 2.0}, {"a": 0.0}))
+        out = combine_overall_grad(task, adv, {"a": 2.0})
         assert np.array_equal(out, np.array([[0.0, -1.0]]))
 
     def test_missing_feature_rejected(self):
         with pytest.raises(ProtocolError, match="missing"):
-            combine_overall_grad(np.zeros((2, 4)), {},
-                                 LossWeights({"a": 1.0}, {"a": 0.0}))
+            combine_overall_grad(np.zeros((2, 4)), {}, {"a": 1.0})
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            combine_overall_grad(np.zeros((2, 4)), {"a": np.zeros((2, 5))},
-                                 LossWeights({"a": 1.0}, {"a": 0.0}))
-
-    def test_negative_weights_rejected(self):
-        with pytest.raises(ProtocolError):
-            LossWeights({"a": -1.0}, {"a": 0.0})
+            combine_overall_grad(np.zeros((2, 4)), {"a": np.zeros((2, 5))}, {"a": 1.0})
 
 
 class TestAscentCheck:

@@ -3,7 +3,6 @@
 import copy
 import json
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,6 +93,8 @@ _BAD_CONFIGS = {
     "seed-string": ('{"seed": "x"}', "seed"),
     "seed-bool": ('{"seed": true}', "seed"),
     "p-drop-bool": ('{"p_drop": false}', "p_drop"),
+    "p-drop-above-one": ('{"p_drop": 1.5}', "p_drop"),
+    "p-drop-negative": ('{"p_drop": -0.1}', "p_drop"),
     "lam-int": ('{"lam": 3}', "lam"),
     "lam-negative": ('{"lam": {"attr": -1.0}}', "lambda weights must be >= 0"),
     "n-samples-string": ('{"dataset": {"kind": "synthetic", "n_samples": "x"}}',

@@ -13,7 +13,6 @@ from fairvfl.data import (
     iterate_batches,
     load_adult,
     partition_vertical,
-    synthetic_partition,
     write_shard_manifest,
 )
 from fairvfl.errors import ConfigError, DataError, ParseError

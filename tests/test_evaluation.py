@@ -27,7 +27,8 @@ from fairvfl.evaluation import (
     train_attacker_ensembles,
 )
 from fairvfl.models import TwoLayerMlp
-from fairvfl.nn import Adam, rng_for, softmax_cross_entropy_grad
+from fairvfl.nn import Adam, rng_for
+from oracles import softmax_cross_entropy_grad
 
 
 class TestTaskMetrics:

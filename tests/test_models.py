@@ -52,12 +52,11 @@ from fairvfl.nn import (
     Adam,
     Embedding,
     Linear,
-    finite_difference_gradient,
     rng_for,
     softmax_cross_entropy,
 )
 from fairvfl.runner import build_run_federation, make_dataset
-from oracles import pooling_weights
+from oracles import finite_difference_gradient, pooling_weights
 
 
 class TestLocalEncoder:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import pack_blocks, pack_grads, relative_error, unpack_blocks
-from fairvfl.errors import ConfigError, DimensionError, LabelError, OracleError
+from fairvfl.errors import ConfigError, DimensionError, LabelError
 from fairvfl.nn import (
     _ADAM_TILE,
     Adam,
@@ -14,14 +14,13 @@ from fairvfl.nn import (
     ParamBlock,
     dropout_apply,
     dropout_backward,
-    finite_difference_gradient,
     glorot_uniform,
     pairwise_contrastive_loss,
     relu,
     softmax,
     softmax_cross_entropy,
-    softmax_cross_entropy_grad,
 )
+from oracles import OracleError, finite_difference_gradient, softmax_cross_entropy_grad
 
 
 class TestLinear:

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import JSON_VALUES, make_federation, small_widths, train_batches
-from fairvfl.adversarial import LossWeights
 from fairvfl.config import preset
 from fairvfl.data import (
     SyntheticSpec,
@@ -36,7 +35,6 @@ from fairvfl.protocol import (
     Federation,
     Kind,
     LdpConfig,
-    Message,
     Transcript,
     audit_transcript,
     fairness_comm_cost,
@@ -49,7 +47,6 @@ from fairvfl.protocol.messages import (
     _CANONICAL,
     Role,
     TranscriptRecord,
-    record_of,
     write_records,
 )
 from fairvfl.runner import (
@@ -296,10 +293,9 @@ class TestTrainingRound:
     def test_illegal_edge_raises_and_is_recorded(self, tiny_dataset):
         ds, pa = tiny_dataset
         fed = make_federation(ds, pa)
-        bad = Message(0, "server", "sensitive/attr", Kind.UNIFIED_REP_TO_TASK,
-                      np.zeros((2, 16)))
         with pytest.raises(ProtocolError, match="illegal edge"):
-            fed.send(bad)
+            fed.send(0, fed.server, fed.sensitive["attr"], Kind.UNIFIED_REP_TO_TASK,
+                     np.zeros((2, 16)))
         assert fed.transcript.records[-1].kind == Kind.UNIFIED_REP_TO_TASK.value
         violations = audit_transcript(fed.transcript, _policy(fed))
         assert len(violations) == 1
@@ -349,10 +345,10 @@ class TestRoundLedger:
 
     def test_aggregator_adding_the_adversarial_gradient_is_rejected(self, tiny_dataset,
                                                                      monkeypatch):
-        def plus_lam(task_grad, adv_grads, weights):
+        def plus_lam(task_grad, adv_grads, lam):
             out = task_grad.copy()
-            for feature, lam in weights.lam.items():
-                out += lam * adv_grads[feature]
+            for feature, weight in lam.items():
+                out += weight * adv_grads[feature]
             return out
 
         monkeypatch.setattr(federation_mod, "combine_overall_grad", plus_lam)
@@ -371,10 +367,10 @@ class TestRoundLedger:
     def test_encoder_taking_a_scaled_gradient_is_rejected(self, tiny_dataset, monkeypatch):
         send = Federation.send
 
-        def scaled(self, msg):
-            if msg.kind is Kind.LOCAL_REP_GRAD_DOWN:
-                msg = dataclasses.replace(msg, payload=msg.payload * 1.5)
-            return send(self, msg)
+        def scaled(self, round_id, sender, receiver, kind, payload, ldp_applied=None):
+            if kind is Kind.LOCAL_REP_GRAD_DOWN:
+                payload = payload * 1.5
+            return send(self, round_id, sender, receiver, kind, payload, ldp_applied)
 
         monkeypatch.setattr(Federation, "send", scaled)
         with pytest.raises(ProtocolError, match="^encoder/0: "):
@@ -406,12 +402,11 @@ class TestDelivery:
         for target in range(n_sent):
             count = itertools.count()
 
-            def altered(self, msg, count=count, target=target):
-                if msg.kind is kind and next(count) == target:
-                    p = msg.payload
-                    msg = dataclasses.replace(
-                        msg, payload=p[::-1].copy() if p.dtype.kind == "i" else p * 1.5)
-                return send(self, msg)
+            def altered(self, round_id, sender, receiver, sent_kind, payload,
+                        ldp_applied=None, count=count, target=target):
+                if sent_kind is kind and next(count) == target:
+                    payload = payload[::-1].copy() if payload.dtype.kind == "i" else payload * 1.5
+                return send(self, round_id, sender, receiver, sent_kind, payload, ldp_applied)
 
             monkeypatch.setattr(Federation, "send", altered)
             assert self._outcome(make_federation(ds, pa, seed=19), ids) != plain, target

@@ -1,10 +1,17 @@
-"""The benchmark tracer's hooks (fvbench/spans.py) against this package: every
-class and module it names exists, and the names it cannot find are known."""
+"""Repository hygiene: the benchmark tracer's hooks (fvbench/spans.py) against
+this package, where every class and module it names exists and the names it
+cannot find are known; and no module imports a name it never reads."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "fvbench" / "spans.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "fvbench" / "spans.py"
+#: the trees the unused-import scan covers; fvbench/ is the benchmark's own
+SCANNED = ("src", "tests", "benchmarks")
 
 # targets the tracer looks for and this package no longer defines: the
 # zero_grad methods (backward passes overwrite the gradient stores),
@@ -40,3 +47,33 @@ def test_tracer_targets_resolve_with_known_missing_names():
     tracer.uninstall()
     # a renamed function shows up here instead of reading 0 in the benchmark
     assert tracer.missing == KNOWN_MISSING
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names ``source`` imports and never reads, leaving out ``__future__``
+    imports and the names its ``__all__`` lists."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names if a.name != "*"]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    read |= {elt.value for node in tree.body if isinstance(node, ast.Assign)
+             for target in node.targets if getattr(target, "id", None) == "__all__"
+             for elt in node.value.elts}
+    return [name for name in imported if name not in read]
+
+
+def test_unused_import_scan_finds_what_it_should():
+    source = ("from __future__ import annotations\nimport os.path\nimport json as js\n"
+              "from a import b, c\n__all__ = ['c']\nprint(os.sep)\n")
+    assert unused_imports(source) == ["js", "b"]
+
+
+@pytest.mark.parametrize("tree", SCANNED)
+def test_no_unused_imports(tree):
+    found = {str(path.relative_to(ROOT)): names for path in sorted((ROOT / tree).rglob("*.py"))
+             if (names := unused_imports(path.read_text(encoding="utf-8")))}
+    assert found == {}
