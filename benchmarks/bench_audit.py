@@ -10,13 +10,22 @@ Measures, with one BLAS thread:
   that ``fairvfl train --preset synthetic-smoke --seed 1`` exports;
 - ``write_us_per_record``: ``TranscriptRecord.to_line`` over that
   transcript's records, the lines ``fairvfl train`` writes;
-- ``audit_command_ms``: ``runner.cmd_audit`` on that transcript (read,
-  audit, traffic accounting), what ``fairvfl audit`` runs;
-- ``scale_read``: ``Transcript.read`` of that transcript concatenated
-  ``SCALE_COPIES`` times (about 30k lines): ``us_per_line``, and from one more
-  read under ``tracemalloc`` the ``records_mb`` the result holds and the
-  ``peak_mb`` of the read, which exceeds ``records_mb`` by what the reader
-  holds on the side (a line-by-line read: one line; a chunked read: a chunk).
+- ``audit_command_ms``: ``runner.cmd_audit`` on that transcript (audit and
+  traffic accounting), what ``fairvfl audit`` runs;
+- ``scale_read``: ``Transcript.read`` of that transcript repeated
+  ``SCALE_COPIES`` times, each copy's round ids after the previous copy's
+  (about 30k lines, 2,280 rounds, auditing clean): ``us_per_line``, and from
+  one more read under ``tracemalloc`` the ``records_mb`` the result holds and
+  the ``peak_mb`` of the read, which exceeds ``records_mb`` by what the
+  reader holds on the side (a line-by-line read: one line; a chunked read: a
+  chunk);
+- ``scale_audit``: ``runner.cmd_audit`` on that repeated file:
+  ``us_per_line``, and from one more call under ``tracemalloc`` the
+  ``report_mb`` the returned report holds (its per-round traffic table) and
+  the ``peak_mb`` of the call, next to ``base_peak_mb``, the peak of one call
+  on the one-copy transcript. A command that holds the whole file peaks near
+  ``scale_read``'s ``peak_mb``; a streamed one near its base plus the
+  report's growth.
 
 Every figure is the median over timed blocks. Compare two commits on one
 machine by running the script against each tree's ``src/`` with its own
@@ -29,6 +38,7 @@ label; every run adds or replaces its label's entry in the output file:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -83,11 +93,20 @@ def main() -> int:
         sys.exit(f"bench_audit: imported fairvfl from outside {args.src}")
     from fairvfl.config import preset
     from fairvfl.protocol.audit import audit_transcript
-    from fairvfl.protocol.messages import Transcript
+    from fairvfl.protocol.messages import Transcript, write_records
     from fairvfl.runner import cmd_audit, cmd_train
 
     def timed(fn):
         return ms_per_call(fn, args.block_s, args.repeats)
+
+    def traced(fn):
+        """The bytes ``fn``'s result holds and the peak during the call."""
+        tracemalloc.start()
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()  # while the result is alive
+        tracemalloc.stop()
+        del result
+        return held, peak
 
     audit_us = {}
     for widths_name in ("paper", "c12"):
@@ -110,20 +129,31 @@ def main() -> int:
         command_ms = round(timed(lambda: cmd_audit(path, cfg)), 4)
 
         big = Path(tmp) / "scaled.ndjson"
-        big.write_text(path.read_text(encoding="utf-8") * SCALE_COPIES, encoding="utf-8")
+        n_rounds = records[-1].round_id + 1
+        with open(big, "w", encoding="utf-8") as fh:
+            for copy in range(SCALE_COPIES):
+                write_records(fh, [dataclasses.replace(rec, round_id=rec.round_id + copy * n_rounds)
+                                   for rec in records])
         n_big = n_lines * SCALE_COPIES
         scale_us = round(timed(lambda: Transcript.read(big)) * 1e3 / n_big, 4)
-        tracemalloc.start()
-        held = Transcript.read(big)
-        records_b, peak_b = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        del held
+        records_b, peak_b = traced(lambda: Transcript.read(big))
+        if not cmd_audit(big, cfg).ok:
+            sys.exit("bench_audit: the repeated transcript does not audit clean")
+        scale_audit_us = round(timed(lambda: cmd_audit(big, cfg)) * 1e3 / n_big, 4)
+        report_b, audit_peak_b = traced(lambda: cmd_audit(big, cfg))
+        _, base_peak_b = traced(lambda: cmd_audit(path, cfg))
     print(f"read: {n_lines} lines, {read_us:.3f} us/line; write {write_us:.3f} us/record; "
           f"cmd_audit {command_ms:.3f} ms")
     scale = {"lines": n_big, "us_per_line": scale_us,
              "records_mb": round(records_b / 1e6, 3), "peak_mb": round(peak_b / 1e6, 3)}
     print(f"read x{SCALE_COPIES}: {n_big} lines, {scale_us:.3f} us/line; records "
           f"{scale['records_mb']:.1f} MB, peak {scale['peak_mb']:.1f} MB (tracemalloc)")
+    scale_audit = {"lines": n_big, "us_per_line": scale_audit_us,
+                   "report_mb": round(report_b / 1e6, 3), "peak_mb": round(audit_peak_b / 1e6, 3),
+                   "base_peak_mb": round(base_peak_b / 1e6, 3)}
+    print(f"cmd_audit x{SCALE_COPIES}: {scale_audit_us:.3f} us/line; report "
+          f"{scale_audit['report_mb']:.1f} MB, peak {scale_audit['peak_mb']:.1f} MB, "
+          f"one copy's peak {scale_audit['base_peak_mb']:.1f} MB (tracemalloc)")
 
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.is_file() else {}
     doc[args.label] = {
@@ -136,7 +166,8 @@ def main() -> int:
         "write_us_per_record": write_us,
         "audit_command_ms": command_ms,
         "scale_read": scale,
-        "unit": "median over timed blocks; scale_read MB from tracemalloc",
+        "scale_audit": scale_audit,
+        "unit": "median over timed blocks; scale_read and scale_audit MB from tracemalloc",
     }
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0

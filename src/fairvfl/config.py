@@ -180,10 +180,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**obj)
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        return cls.from_dict(read_config_object(path))
-
     def with_overrides(self, **kw) -> "ExperimentConfig":
         obj = self.to_dict()
         obj.update(kw)

@@ -43,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, LabelError
+from .errors import ConfigError, DimensionError, LabelError, NumericError
 from .digest import digest_text
 
 Array = np.ndarray
@@ -369,6 +369,7 @@ def pairwise_contrastive_loss(pos_scores: Array, neg_scores: Array) -> tuple[flo
     """Mean of -log[exp(p) / (exp(p) + exp(q))] over (p, q) score pairs.
 
     Returns the loss and its gradients w.r.t. the positive and negative scores.
+    A pair whose loss is not finite raises ``NumericError`` naming its sample.
     """
     if pos_scores.shape != neg_scores.shape:
         raise DimensionError(
@@ -376,6 +377,11 @@ def pairwise_contrastive_loss(pos_scores: Array, neg_scores: Array) -> tuple[flo
         )
     n = pos_scores.shape[0]
     delta = neg_scores - pos_scores
-    loss = float(np.mean(softplus(delta)))
+    per_sample = softplus(delta)
+    loss = float(np.mean(per_sample))
+    if not math.isfinite(loss):  # terms are >= 0 or NaN: a finite mean has all finite
+        bad = np.flatnonzero(~np.isfinite(per_sample))
+        if bad.size:
+            raise NumericError(f"non-finite contrastive loss at sample {int(bad[0])}")
     g = sigmoid(delta) / n
     return loss, -g, g

@@ -19,20 +19,36 @@ The classifier is table-driven: the kind strings, the roles and the edge
 table keyed by kind string (records carry ``kind`` as a plain ``str``) are
 resolved once at import, so a record costs a few dict lookups and string
 comparisons, well under a microsecond, and no enum lookup.
+
+``audit_file``, what ``fairvfl audit`` runs, streams an exported transcript
+in ``Transcript.read``'s chunks of whole lines, matched by the same canonical
+pattern. An exported record's verdict depends only on its sender, receiver,
+kind and shape (it carries no LDP flag), so each distinct signature is
+classified once and a record is built only for a line that violates; the
+fairness lines' traffic is added up through ``per_round_fairness_cost``'s
+own ``_FairnessTraffic``. Memory is one chunk, the violations and the
+per-round table, however long the file. A file the pattern does not take
+whole (a line in another JSON form, a blank line, bytes that are not UTF-8,
+a number ``int()`` refuses, an unreadable path) goes whole through
+``Transcript.read``, ``audit_transcript`` and ``per_round_fairness_cost``, so
+its report or ``ParseError`` is theirs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 
 from .messages import (
+    _CANONICAL_LINE,
     FAIRNESS_KINDS,
     Kind,
     LEGAL_EDGES,
     Role,
     Transcript,
     TranscriptRecord,
+    _line_chunks,
 )
 
 
@@ -170,21 +186,84 @@ def fairness_comm_cost(transcript: Transcript | list[TranscriptRecord]) -> int:
     return sum(r.float_count for r in transcript if r.kind in _FAIRNESS)
 
 
+class _FairnessTraffic:
+    """Per-round fairness traffic, added up one fairness record at a time."""
+
+    def __init__(self):
+        self.rounds: dict[int, dict[str, int]] = {}
+        self.widths: dict[int, dict[str, int]] = {}  # round -> receiver -> H_i
+
+    def add(self, round_id: int, receiver: str, kind: str, shape: tuple[int, ...],
+            float_count: int) -> None:
+        slot = self.rounds.setdefault(round_id, {"actual": 0, "batch": 0})
+        slot["actual"] += float_count
+        if kind == _PROTECTED_REP and len(shape) == 2:
+            slot["batch"] = shape[0]
+            self.widths.setdefault(round_id, {})[receiver] = shape[1]
+
+    def table(self) -> dict[int, dict[str, int]]:
+        """Each round's actual traffic, batch size and 4*E*sum(H_i) prediction."""
+        for rid, slot in self.rounds.items():
+            slot["expected"] = 4 * slot["batch"] * sum(self.widths.get(rid, {}).values())
+        return self.rounds
+
+
 def per_round_fairness_cost(transcript: Transcript | list[TranscriptRecord]
                             ) -> dict[int, dict[str, int]]:
     """Per round: actual fairness traffic, the 4*E*sum(H_i) prediction from the
     observed batch size, and the batch size itself."""
-    rounds: dict[int, dict[str, int]] = {}
-    widths: dict[int, dict[str, int]] = {}
+    traffic = _FairnessTraffic()
     for rec in transcript:
-        if rec.kind not in _FAIRNESS:
-            continue
-        slot = rounds.setdefault(rec.round_id, {"actual": 0, "batch": 0})
-        slot["actual"] += rec.float_count
-        if rec.kind == _PROTECTED_REP and len(rec.shape) == 2:
-            slot["batch"] = rec.shape[0]
-            widths.setdefault(rec.round_id, {})[rec.receiver] = rec.shape[1]
-    for rid, slot in rounds.items():
-        h_sum = sum(widths.get(rid, {}).values())
-        slot["expected"] = 4 * slot["batch"] * h_sum
-    return rounds
+        if rec.kind in _FAIRNESS:
+            traffic.add(rec.round_id, rec.receiver, rec.kind, rec.shape, rec.float_count)
+    return traffic.table()
+
+
+def audit_file(path: str | Path, policy: AuditPolicy
+               ) -> tuple[list[Violation], dict[int, dict[str, int]], int]:
+    """The violations, per-round fairness traffic and record count of the
+    exported transcript at ``path``: streamed if every line is canonical,
+    else from ``Transcript.read`` (which raises its ``ParseError``)."""
+    streamed = _audit_canonical(path, policy)
+    if streamed is not None:
+        return streamed
+    transcript = Transcript.read(path)
+    return (audit_transcript(transcript, policy), per_round_fairness_cost(transcript),
+            len(transcript))
+
+
+def _audit_canonical(path: str | Path, policy: AuditPolicy
+                     ) -> tuple[list[Violation], dict[int, dict[str, int]], int] | None:
+    """``audit_file``'s result, one chunk at a time, if every line of the
+    file is canonical with numbers ``int()`` takes; else None."""
+    # (sender, receiver, kind, shape text) -> (violation or None, shape, is fairness)
+    verdicts: dict[tuple[str, str, str, str], tuple] = {}
+    violations: list[Violation] = []
+    traffic = _FairnessTraffic()
+    n_records = 0
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for chunk in _line_chunks(fh):
+                rows = _CANONICAL_LINE.findall(chunk)
+                if len(rows) != chunk.count("\n"):
+                    return None
+                for rid, sender, receiver, kind, shape, count, digest in rows:
+                    rid, count = int(rid), int(count)
+                    sig = (sender, receiver, kind, shape)
+                    verdict = verdicts.get(sig)
+                    if verdict is None:
+                        dims = tuple(map(int, shape.split(","))) if shape else ()
+                        probe = TranscriptRecord(0, sender, receiver, kind, dims, 0, None)
+                        verdict = verdicts[sig] = (_classify(probe, policy), dims,
+                                                   kind in _FAIRNESS)
+                    found, dims, fairness = verdict
+                    if found is not None:
+                        rec = TranscriptRecord(rid, sender, receiver, kind, dims, count,
+                                               int(digest, 16) if digest else None)
+                        violations.append(Violation(found.kind, rec, found.detail))
+                    if fairness:
+                        traffic.add(rid, receiver, kind, dims, count)
+                n_records += len(rows)
+    except (OSError, ValueError):  # unreadable, not UTF-8, or past int()'s digit limit
+        return None
+    return violations, traffic.table(), n_records

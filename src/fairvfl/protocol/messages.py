@@ -37,6 +37,11 @@ then a break only at a line feed, never at U+2028 or the other breaks
 ``str.splitlines`` knows, which a JSON string may hold raw. A file that
 fails is read once more line by line, so which error it reports (a bad
 record, or bytes that are not UTF-8) is what a line-by-line read meets first.
+
+``fairvfl audit`` does not hold the records: ``audit.audit_file`` streams the
+same chunks through the same pattern, builds a record only for a line that
+violates, and reads a file the pattern does not take whole with
+``Transcript.read``.
 """
 
 from __future__ import annotations

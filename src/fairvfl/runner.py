@@ -37,8 +37,8 @@ from .evaluation import (
     train_attacker_ensembles,
 )
 from .models import ModelBundle, forward_unified
-from .protocol import AuditPolicy, Federation, Transcript, audit_transcript
-from .protocol.audit import fairness_comm_cost, per_round_fairness_cost
+from .protocol import AuditPolicy, Federation
+from .protocol.audit import audit_file, fairness_comm_cost
 from .protocol.messages import write_records
 
 
@@ -325,12 +325,10 @@ def audit_policy_from_config(cfg: ExperimentConfig) -> AuditPolicy:
 
 
 def cmd_audit(transcript_path: str | Path, cfg: ExperimentConfig) -> AuditReport:
+    """Audits an exported transcript against the run's policy, streaming the
+    file when every line is canonical (``audit_file``)."""
     cfg.validate()
-    transcript = Transcript.read(transcript_path)
-    policy = audit_policy_from_config(cfg)
-    violations = audit_transcript(transcript, policy)
-    traffic = per_round_fairness_cost(transcript)
-    return AuditReport(violations, traffic, len(transcript))
+    return AuditReport(*audit_file(transcript_path, audit_policy_from_config(cfg)))
 
 
 # -- sweeps ----------------------------------------------------------------

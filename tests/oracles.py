@@ -1,17 +1,21 @@
 """Reference implementations the tests check the package against: the
 central-difference gradient every analytic backward is checked against, the
 cross-entropy gradient alone, per-row negative sampling, the contrastive loss
-value, the adversarial gradient on the unified rep, and the aggregator's
-pooling weights. The package itself never calls them."""
+value, the adversarial gradient on the unified rep, the aggregator's pooling
+weights, and the whole-file transcript audit. The package itself never calls
+them."""
 
 from typing import Callable
 
 import numpy as np
 
 from fairvfl.adversarial import _contrastive_forward, bias_loss_and_grad_frozen
-from fairvfl.errors import ConfigError, DimensionError, FairVflError, LabelError
+from fairvfl.errors import ConfigError, FairVflError
 from fairvfl.models import BiasDiscriminator, ContrastiveDiscriminator, Mapper
 from fairvfl.nn import Array, pairwise_contrastive_loss
+from fairvfl.protocol import Transcript, audit_transcript
+from fairvfl.protocol.audit import per_round_fairness_cost
+from fairvfl.runner import AuditReport, audit_policy_from_config
 
 
 class OracleError(FairVflError):
@@ -41,14 +45,9 @@ def finite_difference_gradient(f: Callable[[Array], float], x: Array,
 
 
 def softmax_cross_entropy_grad(logits: Array, targets: Array) -> Array:
-    """The gradient ``nn.softmax_cross_entropy`` returns, computed without the
-    loss, with the same checks and the same float operations, so bit for bit
-    the same."""
-    targets = np.asarray(targets)
-    if logits.ndim != 2 or targets.shape != (logits.shape[0],):
-        raise DimensionError(f"logits {logits.shape} vs targets {targets.shape}")
-    if targets.min(initial=0) < 0 or targets.max(initial=-1) >= logits.shape[1]:
-        raise LabelError(f"target class outside [0, {logits.shape[1]})")
+    """The gradient ``nn.softmax_cross_entropy`` returns for (n, c) logits
+    and (n,) in-range targets, computed without the loss, with the same float
+    operations, so bit for bit the same. It checks nothing."""
     n = logits.shape[0]
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     grad = e / e.sum(axis=1, keepdims=True)
@@ -99,3 +98,15 @@ def pooling_weights(aggregator_cache: tuple) -> Array:
     """The attention-pooling weights, (batch, n_platforms), held in an
     ``Aggregator.forward`` cache."""
     return aggregator_cache[1][3]
+
+
+def whole_file_audit(transcript_path, cfg) -> AuditReport:
+    """``fairvfl audit``'s report from the whole file in memory: the
+    transcript read, audited and its fairness traffic counted, the reference
+    for the streamed ``runner.cmd_audit``."""
+    cfg.validate()
+    transcript = Transcript.read(transcript_path)
+    policy = audit_policy_from_config(cfg)
+    violations = audit_transcript(transcript, policy)
+    traffic = per_round_fairness_cost(transcript)
+    return AuditReport(violations, traffic, len(transcript))

@@ -26,7 +26,7 @@ from fairvfl.adversarial import (
     contrastive_discriminator_step,
     select_negatives,
 )
-from fairvfl.errors import DimensionError, ProtocolError
+from fairvfl.errors import DimensionError, NumericError, ProtocolError
 from fairvfl.models import BiasDiscriminator, ContrastiveDiscriminator, Mapper
 from fairvfl.nn import Adam, pairwise_contrastive_loss
 from oracles import (
@@ -168,17 +168,19 @@ class TestContrastiveDiscriminatorStep:
         assert ref_opt.grads.any()
         assert np.array_equal(cdisc.opt.grads, ref_opt.grads)  # its own gradient, nothing else
 
-    def test_non_finite_loss_names_the_sample(self):
+    @pytest.mark.parametrize("step", [contrastive_discriminator_step,
+                                      contrastive_adversarial_grad],
+                             ids=["discriminator-step", "adversarial-grad"])
+    def test_non_finite_loss_names_the_sample(self, step):
         _, mapper, cdisc, _, unified, _, _ = _game_fixture(11)
         protected, _ = mapper.forward(unified)
         protected = protected.copy()
         protected[3, 0] = np.inf
         neg = np.roll(np.arange(unified.shape[0]), 1)
-        from fairvfl.errors import NumericError
 
         cdisc.opt = Adam(cdisc.blocks())
         with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="sample 3"):
-            contrastive_discriminator_step(cdisc, protected, unified, neg)
+            step(cdisc, protected, unified, neg)
 
     def test_separable_pairs_drive_loss_down(self):
         # positives contain a shared signal; negatives are pure noise

@@ -17,7 +17,7 @@ from conftest import (
 
 from fairvfl import runner
 from fairvfl.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
-from fairvfl.config import ExperimentConfig, preset
+from fairvfl.config import ExperimentConfig, preset, read_config_object
 from fairvfl.errors import ConfigError
 from fairvfl.runner import apply_axis, cmd_sweep
 
@@ -61,7 +61,7 @@ class TestPresets:
         cfg = preset("synthetic-smoke")
         path = tmp_path / "cfg.json"
         cfg.write(path)
-        back = ExperimentConfig.from_file(path)
+        back = ExperimentConfig.from_dict(read_config_object(path))
         assert back.to_dict() == cfg.to_dict()
         assert back.fingerprint() == cfg.fingerprint()
 
@@ -233,7 +233,7 @@ class TestCliCommands:
         assert (out / "checkpoint.fvfl").exists()
         assert (out / "transcript.ndjson").exists()
         assert (out / "metrics.json").exists()
-        saved = ExperimentConfig.from_file(out / "config.json")
+        saved = ExperimentConfig.from_dict(read_config_object(out / "config.json"))
         assert saved.seed == 3
         assert saved.fingerprint() == saved.fingerprint()
 
@@ -549,13 +549,13 @@ class TestPresetRuns:
         out1 = tmp_path / "r1"
         assert main(["train", "--preset", "synthetic-smoke", "--config", str(cfg_path),
                      "--seed", "7", "--out", str(out1)]) == EXIT_OK
-        saved = ExperimentConfig.from_file(out1 / "config.json")
+        saved = ExperimentConfig.from_dict(read_config_object(out1 / "config.json"))
         from fairvfl.runner import cmd_train
 
         out2 = tmp_path / "r2"
         cmd_train(saved, out2)
         assert (out1 / "metrics.json").read_bytes() == (out2 / "metrics.json").read_bytes()
-        rerun_cfg = ExperimentConfig.from_file(out2 / "config.json")
+        rerun_cfg = ExperimentConfig.from_dict(read_config_object(out2 / "config.json"))
         assert rerun_cfg.fingerprint() == saved.fingerprint()
 
     def test_attack_on_random_checkpoint_reports_near_baseline(self, tmp_path):

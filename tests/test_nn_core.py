@@ -82,11 +82,14 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(LabelError):
             softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
 
-    def test_grad_only_checks_labels_and_shapes(self):
-        with pytest.raises(LabelError):
-            softmax_cross_entropy_grad(np.zeros((2, 3)), np.array([0, 3]))
-        with pytest.raises(DimensionError):
-            softmax_cross_entropy_grad(np.zeros((2, 3)), np.array([0, 1, 2]))
+    @pytest.mark.parametrize("logits, targets", [
+        (np.zeros((2, 3)), np.array([0, 1, 2])),  # one target too many
+        (np.zeros((2, 3)), np.array([[0], [1]])),  # targets not (n,)
+        (np.zeros(3), np.array([0, 1, 2])),  # logits not (n, c)
+    ], ids=["extra-target", "column-targets", "flat-logits"])
+    def test_mismatched_shapes(self, logits, targets):
+        with pytest.raises(DimensionError, match="need \\(n, c\\) and \\(n,\\)"):
+            softmax_cross_entropy(logits, targets)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_grad_only_is_bitwise_the_full_gradient(self, seed):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import JSON_VALUES, make_federation, small_widths, train_batches
-from fairvfl.config import preset
+from fairvfl.config import ExperimentConfig, preset
 from fairvfl.data import (
     SyntheticSpec,
     generate_synthetic,
@@ -52,9 +52,11 @@ from fairvfl.protocol.messages import (
 from fairvfl.runner import (
     audit_policy_from_config,
     build_run_federation,
+    cmd_audit,
     cmd_train,
     make_dataset,
 )
+from oracles import whole_file_audit
 
 
 def _policy(fed):
@@ -1210,3 +1212,108 @@ class TestChunkedRead:
         want = self._check(path, 1 << 18)
         assert want[1][0] == (None if gap == 1 else 1)
         self._check(path, 16)
+
+
+@pytest.fixture(scope="module")
+def audited_run():
+    """A small run's config and the lines of its first two exported rounds."""
+    cfg = ExperimentConfig(
+        dataset={"kind": "synthetic", "n_samples": 300, "n_platforms": 2, "seed": 5},
+        n_platforms=2, widths=dataclasses.asdict(small_widths()), lam={"attr": 2.0},
+        gamma={"attr": 0.25}, batch_size=16, seed=11)
+    ds, pa = make_dataset(cfg)
+    fed = build_run_federation(cfg, ds, pa, payload_digests=True)
+    for ids in train_batches(ds)[:2]:
+        fed.run_training_round(ids)
+    return cfg, [rec.to_line() for rec in fed.transcript]
+
+
+def _audit_lines(cfg, lines):
+    """Transcript lines for the audit: the run's own records in any round,
+    and the same with platforms, kind and shape swapped for legal and illegal
+    ones, so that each violation kind a file can show occurs."""
+    records = [TranscriptRecord.from_line(line, 1) for line in lines]
+    names = [*audit_policy_from_config(cfg).roles, "stranger"]
+    shapes = sorted({rec.shape for rec in records}) + [(), (16, 7), (16, 16, 8)]
+    own = st.builds(lambda rec, rid: dataclasses.replace(rec, round_id=rid),
+                    st.sampled_from(records), st.integers(0, 3))
+    edited = st.builds(
+        dataclasses.replace, own, sender=st.sampled_from(names),
+        receiver=st.sampled_from(names),
+        kind=st.sampled_from([k.value for k in Kind] + ["RawDump"]),
+        shape=st.sampled_from(shapes))
+    return (own | edited).map(TranscriptRecord.to_line)
+
+
+class TestStreamedAudit:
+    """``cmd_audit`` streams a canonical file and reads any other whole; both
+    give ``whole_file_audit``'s report, or its ParseError."""
+
+    @staticmethod
+    def _check(cfg, path, chunk=1 << 18):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(messages, "_CHUNK_CHARS", chunk)
+            got = _outcome(lambda p: cmd_audit(p, cfg), path)
+            want = _outcome(lambda p: whole_file_audit(p, cfg), path)
+        assert got == want
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(), chunk=_CHUNKS)
+    def test_report_equals_whole_file_audit(self, tmp_path_factory, audited_run, data, chunk):
+        cfg, lines = audited_run
+        strategy = _audit_lines(cfg, lines)
+        if data.draw(st.booleans()):  # some lines the canonical pass does not take
+            strategy = strategy | _LINES
+        drawn = data.draw(st.lists(strategy, max_size=40))
+        ends = data.draw(st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r"]),
+                                  min_size=len(drawn), max_size=len(drawn)))
+        if ends and data.draw(st.booleans()):
+            ends[-1] = ""  # no final newline
+        raw = [(line + end).encode("utf-8") for line, end in zip(drawn, ends)]
+        if data.draw(st.integers(0, 9)) == 0:
+            raw.insert(0, "\ufeff".encode("utf-8"))
+        if data.draw(st.integers(0, 9)) == 0:  # bytes that are not UTF-8
+            raw.insert(data.draw(st.integers(0, len(raw))), b"\xff\n")
+        path = tmp_path_factory.getbasetemp() / "audited.ndjson"
+        path.write_bytes(b"".join(raw))
+        self._check(cfg, path, chunk)
+
+    def test_canonical_file_is_streamed(self, tmp_path, audited_run, monkeypatch):
+        """A canonical file with violations and a traffic mismatch is audited
+        without a whole-file read, and reports what the whole-file read does."""
+        cfg, lines = audited_run
+        misroute = dataclasses.replace(TranscriptRecord.from_line(lines[1], 1), receiver="task")
+        path = tmp_path / "t.ndjson"
+        path.write_text("\n".join(lines * 3 + [misroute.to_line(), lines[-3]]) + "\n",
+                        encoding="utf-8")
+        want = whole_file_audit(path, cfg)
+        assert want.violations and not want.ok
+        monkeypatch.setattr(Transcript, "read", None)
+        for chunk in (1, 1000, 1 << 18):
+            monkeypatch.setattr(messages, "_CHUNK_CHARS", chunk)
+            assert cmd_audit(path, cfg) == want
+
+    @pytest.mark.parametrize("edit", [
+        lambda line: " " + line,
+        lambda line: line + "\n",  # a blank line
+        lambda line: line.replace('"round":1', '"round":' + "9" * 5000),
+        lambda line: line.replace("[", "[" + "9" * 5000 + ","),
+    ], ids=["padded", "blank-line", "huge-round", "huge-dim"])
+    def test_other_files_are_read_whole(self, tmp_path, audited_run, edit, monkeypatch):
+        cfg, lines = audited_run
+        path = tmp_path / "t.ndjson"
+        path.write_text("\n".join([*lines[:-1], edit(lines[-1])]) + "\n", encoding="utf-8")
+        want = _outcome(lambda p: whole_file_audit(p, cfg), path)
+        read, reads = Transcript.read.__func__, []
+        monkeypatch.setattr(Transcript, "read",
+                            classmethod(lambda cls, p: reads.append(p) or read(cls, p)))
+        monkeypatch.setattr(messages, "_CHUNK_CHARS", 1000)
+        assert _outcome(lambda p: cmd_audit(p, cfg), path) == want
+        assert reads == [path]
+
+    def test_unreadable_path_is_the_readers_parse_error(self, tmp_path, audited_run):
+        cfg, _ = audited_run
+        for path in (tmp_path / "missing.ndjson", tmp_path):
+            with pytest.raises(ParseError, match="cannot read transcript"):
+                cmd_audit(path, cfg)
+            self._check(cfg, path)
