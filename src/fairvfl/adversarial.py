@@ -16,14 +16,11 @@ Contrastive gradients never reach the unified rep: they stop at the mapper.
 Every step's one parameter backward sets its group's gradient, and frozen
 passes compute no parameter gradients at all (the contract in
 ``fairvfl.nn``); a step updates a component through the ``opt`` it carries.
-``SignLedger`` declares, per model component (by its ``name``), exactly which
-loss terms may update it and in which direction; instrumented rounds verify
-every applied update against it.
+Each component steps right after its only parameter backward, so a bundle's
+components can share one gradient buffer.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -186,85 +183,3 @@ def combine_overall_grad(task_grad: Array, adv_grads: dict[str, Array],
         if weight != 0.0:
             out -= weight * g
     return out
-
-
-# ---------------------------------------------------------------------------
-# Sign ledger
-# ---------------------------------------------------------------------------
-
-DESCEND = "descend"
-ASCEND = "ascend"
-LEDGER_TOL = 1e-9  # the largest deviation of an applied update from its declared sum
-
-
-@dataclass
-class UpdateEvent:
-    """One optimizer step: the group's applied flat gradient (a copy of
-    ``opt.grads``) and the per-loss pieces, each the flat gradient of one term
-    alone, that it is supposed to be a signed combination of."""
-
-    component: str
-    # (loss term, coefficient, flat gradient); applied = sum coeff * piece
-    contributions: list[tuple[str, float, Array]]
-    applied: Array
-
-
-@dataclass
-class SignLedger:
-    """Declares which loss terms may update each parameter-block group."""
-
-    declared: dict[str, dict[str, str]] = field(default_factory=dict)
-
-    @classmethod
-    def default(cls, features: list[str]) -> "SignLedger":
-        decl: dict[str, dict[str, str]] = {
-            "task_head": {"task": DESCEND},
-            "aggregator": {"task": DESCEND},
-        }
-        decl["encoder/*"] = {"task": DESCEND}
-        for f in features:
-            decl[f"cdisc/{f}"] = {f"contrastive/{f}": DESCEND}
-            decl[f"bdisc/{f}"] = {f"bias/{f}": DESCEND}
-            decl[f"mapper/{f}"] = {f"contrastive_adv/{f}": ASCEND, f"bias/{f}": DESCEND}
-            decl["aggregator"][f"adversarial/{f}"] = ASCEND
-            decl["encoder/*"][f"adversarial/{f}"] = ASCEND
-        return cls(decl)
-
-    def _rules_for(self, component: str) -> dict[str, str]:
-        if component in self.declared:
-            return self.declared[component]
-        head = component.split("/", 1)[0]
-        wild = f"{head}/*"
-        if wild in self.declared:
-            return self.declared[wild]
-        raise ProtocolError(f"no ledger entry for component {component}")
-
-    def verify(self, event: UpdateEvent) -> float:
-        """Checks one update event; returns the max absolute deviation between
-        the applied gradient and the declared signed sum of pieces."""
-        rules = self._rules_for(event.component)
-        for term, coeff, _ in event.contributions:
-            if term not in rules:
-                raise ProtocolError(
-                    f"{event.component} updated by undeclared loss term {term}"
-                )
-            direction = rules[term]
-            if direction == DESCEND and coeff < 0:
-                raise ProtocolError(
-                    f"{event.component}: {term} declared {direction} but coeff={coeff}"
-                )
-            if direction == ASCEND and coeff > 0:
-                raise ProtocolError(
-                    f"{event.component}: {term} declared {direction} but coeff={coeff}"
-                )
-
-        acc = np.zeros_like(event.applied)
-        for _, coeff, piece in event.contributions:
-            acc += coeff * piece
-        max_dev = float(np.max(np.abs(acc - event.applied), initial=0.0))
-        if max_dev > LEDGER_TOL:
-            raise ProtocolError(
-                f"{event.component}: applied update deviates from declared "
-                f"signed sum by {max_dev:.3e} (> {LEDGER_TOL:.0e})"
-            )
-        return max_dev

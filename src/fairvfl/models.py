@@ -319,14 +319,12 @@ class ModelBundle:
     """All trainable ``components``, in checkpoint order: the encoders, the
     aggregator, the task head, then each feature's mapper, contrastive and
     bias discriminator. Each carries its ``name``, which prefixes its blocks'
-    names and keys its sign-ledger entry, and its ``opt``, an ``Adam`` that
-    holds its parameters in one flat store.
+    names, and its ``opt``, an ``Adam`` that holds its parameters in one flat
+    store.
 
     The optimizers share one zeroed gradient buffer, as long as the largest
     store, and each ``grads`` is a prefix of it. That is safe because each
-    component steps right after its only parameter backward, and the sign
-    ledger copies the gradient right after the step, having run all its
-    per-term passes before the aggregator's real backward (see ``nn``).
+    component steps right after its only parameter backward (see ``nn``).
     So a trained bundle's state is each optimizer's ``params``, ``m``, ``v``
     and ``t`` alone; its gradient stores hold whatever the last backward left.
 

@@ -6,13 +6,13 @@ backward passes; there is no autodiff tape.
 A parameter backward sets its group's gradient, writing over whatever the
 store held; ``Adam.step`` reads it and leaves it as it was. Every update of
 a group comes from one parameter backward, so nothing ever zeroes a store,
-and a gradient is live only from that backward to its step. No two groups'
-gradients are live at once, so the optimizers of a ``models.ModelBundle``'s
-components share one gradient buffer, each store a prefix of it. The sign
-ledger copies each update right after its step, and its per-term backward
-passes all run before the aggregator's real backward. Between steps a store
-holds whatever the last backward wrote into the buffer, so a model's
-training state is each group's ``params``, ``m``, ``v`` and ``t`` alone.
+and a gradient is live only from that backward to its step. Each component
+steps right after its only parameter backward, so no two groups' gradients
+are live at once, and the optimizers of a ``models.ModelBundle``'s
+components share one gradient buffer, each store a prefix of it. Between
+steps a store holds whatever the last backward wrote into the buffer, so a
+model's training state is each group's ``params``, ``m``, ``v`` and ``t``
+alone.
 
 A backward pass computes only what its caller reads: ``params=False`` skips
 the parameter gradients, ``inputs=False`` the input gradient (both default

@@ -13,7 +13,9 @@ returned to it, one small method per step, so a round reads top to bottom in
 the fixed protocol order, with its state in local variables: ids out and
 local reps up, aggregation, the unified rep (LDP-perturbed where that
 applies) to the task platform and the task gradient back, per-feature
-fairness machinery, overall-gradient assembly, local updates.
+fairness machinery, overall-gradient assembly, local updates. Each
+component steps right after its only parameter backward, so a bundle's
+components can share one gradient buffer (``models.ModelBundle``).
 
 Training-round order per sensitive feature: contrastive-discriminator step,
 mapper ascent on the contrastive-adversarial loss, protected-rep recompute and
@@ -25,15 +27,12 @@ forward pass (the update lands after both are taken).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..adversarial import (
-    SignLedger,
-    UpdateEvent,
     bias_discriminator_step,
     bias_loss_and_grad_frozen,
     cal_mapper_gradient,
@@ -78,7 +77,6 @@ class RoundResult:
     round_id: int
     losses: RoundLosses
     records: list
-    ledger_max_dev: float | None = None
 
 
 class PlatformBase:
@@ -165,12 +163,10 @@ class Federation:
     file's weights. The mode fixes the features whose fairness machinery runs
     each round: all of them for fairvfl, none for vfl. ``payload_digests``
     hashes every payload into its transcript record (only an exported
-    transcript reads them); ``verify_updates`` checks every round against the
-    sign ledger."""
+    transcript reads them)."""
 
     def __init__(self, cfg: ExperimentConfig, dataset, partition, *,
-                 payload_digests: bool = False, verify_updates: bool = False,
-                 checkpoint=None):
+                 payload_digests: bool = False, checkpoint=None):
         if cfg.mode not in ("fairvfl", "vfl"):
             raise ProtocolError(f"unknown mode {cfg.mode!r}")
         seed = cfg.seed
@@ -184,13 +180,10 @@ class Federation:
         self.ldp = cfg.ldp_config()
         self.top_pool = cfg.top_pool
         self.payload_digests = payload_digests
-        self.verify_updates = verify_updates
         #: the features whose fairness machinery runs: none in a vfl round
         self.round_features = bundle.features if cfg.mode == "fairvfl" else []
         self.phase = "idle"
         self.transcript = Transcript()
-        self.events: list[UpdateEvent] | None = None
-        self.ledger = SignLedger.default(bundle.features)
         self._round_counter = 0
 
         self.task = TaskPlatform(task_shard, bundle.task_head, rng_for(seed, "dropout/task_head"))
@@ -207,19 +200,6 @@ class Federation:
                           for f in bundle.features}
 
     # -- plumbing ---------------------------------------------------------
-
-    def record_update(self, component, terms: str | list) -> None:
-        """On instrumented rounds, right after ``component.opt.step()``, logs
-        under its name the update applied: a copy of its gradient store, which
-        the step leaves as it was, checked against ``terms``: the (loss term,
-        coefficient, flat gradient) pieces, all computed before the aggregator's
-        real backward, that it must be the signed sum of, or the one loss term."""
-        if self.events is None:
-            return
-        applied = component.opt.grads.copy()
-        if isinstance(terms, str):
-            terms = [(terms, 1.0, applied)]
-        self.events.append(UpdateEvent(component.name, terms, applied))
 
     def send(self, round_id: int, sender: PlatformBase, receiver: PlatformBase, kind: Kind,
              payload: Array, ldp_applied: bool | None = None) -> Array:
@@ -284,7 +264,6 @@ class Federation:
         round_id = self._round_counter
         self._round_counter += 1
         start_mark = len(self.transcript)
-        self.events = [] if self.verify_updates else None
         task, server = self.task, self.server
         features = self.round_features
 
@@ -299,7 +278,6 @@ class Federation:
 
         # 3) unified rep up, task head step, task gradient back
         task_loss, task_grad = task.train_step(ids, self._upload_unified(round_id, unified))
-        self.record_update(task.head, "task")
         task_grad = self.send(round_id, task, server, Kind.TASK_GRAD_DOWN, task_grad)
 
         # 4) per-feature fairness machinery
@@ -312,38 +290,21 @@ class Federation:
         grad_unified = (combine_overall_grad(task_grad, adv_grads, self.lam)
                         if features else task_grad)
 
-        # 6) aggregator update. An instrumented round first passes each loss term
-        # alone through the aggregator and each encoder's cached forward.
-        pieces = defaultdict(list)
-        if self.events is not None:
-            terms = [("task", 1.0, task_grad)]
-            terms += [(f"adversarial/{f}", -self.lam[f], adv_grads[f]) for f in features]
-            for term, coeff, gout in terms:
-                gstack = agg.backward(agg_cache, gout)
-                pieces[agg.name].append((term, coeff, agg.opt.grads.copy()))
-                for p, cache in zip(self.insensitive, enc_caches):
-                    p.encoder.backward(cache, gstack[:, p.index, :])
-                    pieces[p.encoder.name].append((term, coeff, p.encoder.opt.grads.copy()))
+        # 6) aggregator update
         grad_stacked = agg.backward(agg_cache, grad_unified)
         agg.opt.step()
-        self.record_update(agg, pieces[agg.name])
 
         # 7) local-rep gradients down; each encoder steps on its own
         for p, cache in zip(self.insensitive, enc_caches):
             p.update(cache, self.send(round_id, server, p, Kind.LOCAL_REP_GRAD_DOWN,
                                       grad_stacked[:, p.index, :]))
-            self.record_update(p.encoder, pieces[p.encoder.name])
 
         losses = RoundLosses(task_loss, lp, lc, ld, la)
         if not losses.all_finite():
             raise NumericError(f"non-finite loss in round {round_id}: {losses.flat()}")
-
-        max_dev = None
-        if self.events is not None:
-            max_dev = max((self.ledger.verify(e) for e in self.events), default=0.0)
         records = self.transcript.records[start_mark:]
         self.phase = "idle"
-        return RoundResult(round_id, losses, records, max_dev)
+        return RoundResult(round_id, losses, records)
 
     def _fairness_steps(self, feature: str, round_id: int, unified: Array, ids: Array
                         ) -> tuple[float, float, float, float, Array]:
@@ -356,29 +317,20 @@ class Federation:
         protected, mcache = mapper.forward(unified)
         neg_idx = select_negatives(protected, self.top_pool, server.neg_rngs[feature])
         lp = contrastive_discriminator_step(cdisc, protected, unified, neg_idx)
-        self.record_update(cdisc, f"contrastive/{feature}")
 
         # mapper ascent under the frozen, just-updated discriminator
-        gamma = self.gamma[feature]
         lc, grad_protected = contrastive_adversarial_grad(cdisc, protected, unified, neg_idx)
-        contribs = []
-        if self.events is not None:
-            mapper.backward(mcache, grad_protected, inputs=False)
-            contribs = [(f"contrastive_adv/{feature}", -gamma, mapper.opt.grads.copy())]
-        cal_mapper_gradient(mapper, mcache, grad_protected, gamma)
+        cal_mapper_gradient(mapper, mcache, grad_protected, self.gamma[feature])
         mapper.opt.step()
-        self.record_update(mapper, contribs)
 
         # the recomputed protected rep up, a bias-discriminator step, and the
         # mapper's descent on the returned gradient
         protected, mcache = mapper.forward(unified)
         ld, grad_protected = sensitive.bias_step(ids, self.send(
             round_id, server, sensitive, Kind.PROTECTED_REP_UPLOAD, protected))
-        self.record_update(sensitive.bdisc, f"bias/{feature}")
         mapper.backward(mcache, self.send(
             round_id, sensitive, server, Kind.BIAS_DISC_GRAD_DOWN, grad_protected), inputs=False)
         mapper.opt.step()
-        self.record_update(mapper, f"bias/{feature}")
 
         # the rep recomputed with the descended mapper up; the frozen
         # discriminator's gradient back through the frozen mapper

@@ -27,7 +27,7 @@ from .data import (
     synthetic_partition,
     write_shard_manifest,
 )
-from .errors import ConfigError, EvaluationError
+from .errors import ConfigError, EvaluationError, NumericError
 from .evaluation import (
     MetricsReport,
     attack_f1,
@@ -165,6 +165,15 @@ def _restore_params(bundle: ModelBundle, snap: dict[str, np.ndarray]) -> None:
         opt.params[...] = snap[key]
 
 
+def _check_finite(bundle: ModelBundle, epoch: int) -> None:
+    """Raises ``NumericError`` naming the epoch and the first component whose
+    store holds a non-finite weight: a last-round step can leave one while
+    every payload it sent was finite."""
+    for key, opt in bundle.optim.items():
+        if not np.isfinite(opt.params).all():
+            raise NumericError(f"non-finite weight in {key} after epoch {epoch}")
+
+
 @dataclass
 class RunResult:
     out_dir: Path
@@ -177,6 +186,7 @@ class RunResult:
 
 def cmd_train(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
     """Full training run: streams the transcript, tracks per-epoch losses,
+    checks every weight is finite before each epoch's validation,
     checkpoints the best-by-validation-accuracy parameters, and reports task
     metrics of the selected checkpoint."""
     cfg.validate()
@@ -212,6 +222,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
                 comm["rounds"] += 1
                 comm["total_floats"] += sum(rec.float_count for rec in records)
                 comm["fairness_floats"] += fairness_comm_cost(records)
+            _check_finite(fed.bundle, epoch)
             s_val, _ = representations(fed.bundle, feature_shards, val_ids, protected=False)
             val_pred = predict_classes(fed.bundle, s_val)
             val_acc = float(np.mean(val_pred == val_labels))

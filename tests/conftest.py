@@ -12,6 +12,7 @@ from fairvfl.config import ExperimentConfig
 from fairvfl.data import SyntheticSpec, generate_synthetic, iterate_batches, synthetic_partition
 from fairvfl.models import RepWidths
 from fairvfl.protocol import Federation
+from reference_round import ReferenceRound
 
 
 # arbitrary JSON values, for fuzz tests that put them in place of a field of
@@ -114,12 +115,13 @@ def tiny_dataset():
     return generate_synthetic(spec), synthetic_partition(spec)
 
 
-def make_federation(ds, pa, *, lam=2.0, gamma=0.25, seed=11, mode="fairvfl",
-                    ldp=None, verify=False, widths=None, top_pool=5,
-                    lr=1e-3, payload_digests=True):
+def make_config(*, lam=2.0, gamma=0.25, seed=11, mode="fairvfl", ldp=None, widths=None,
+                top_pool=5, lr=1e-3):
+    """A small run config with the same weights for every feature ``widths``
+    declares."""
     widths = widths or small_widths()
     features = list(widths.protected)
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         mode=mode,
         widths=dataclasses.asdict(widths),
         lam={f: lam for f in features},
@@ -129,7 +131,16 @@ def make_federation(ds, pa, *, lam=2.0, gamma=0.25, seed=11, mode="fairvfl",
         top_pool=top_pool,
         seed=seed,
     )
-    return Federation(cfg, ds, pa, payload_digests=payload_digests, verify_updates=verify)
+
+
+def make_federation(ds, pa, *, payload_digests=True, **kwargs):
+    return Federation(make_config(**kwargs), ds, pa, payload_digests=payload_digests)
+
+
+def reference_twins(ds, pa, **kwargs):
+    """A federation and a ``ReferenceRound`` built from one small config."""
+    cfg = make_config(**kwargs)
+    return Federation(cfg, ds, pa), ReferenceRound(cfg, ds, pa)
 
 
 @pytest.fixture()

@@ -3,7 +3,8 @@ central-difference gradient every analytic backward is checked against, the
 cross-entropy gradient alone, per-row negative sampling, the contrastive loss
 value, the adversarial gradient on the unified rep, the aggregator's pooling
 weights, and the whole-file transcript audit. The package itself never calls
-them."""
+them. The whole training round has its reference apart, with the sign ledger
+that checks its updates: ``ReferenceRound`` in tests/reference_round.py."""
 
 from typing import Callable
 

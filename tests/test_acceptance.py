@@ -394,17 +394,22 @@ class TestExactIdentities:
 
 class TestSignLedgerRounds:
     def test_c8_instrumented_rounds_respect_the_ledger(self, tiny_dataset):
-        from conftest import make_federation, train_batches
+        """Five instrumented reference rounds (tests/reference_round.py) keep
+        the sign ledger, and the federation's rounds equal them bit for bit."""
+        from conftest import reference_twins, train_batches
+        from reference_round import compare_round
 
         ds, pa = tiny_dataset
-        fed = make_federation(ds, pa, lam=3.0, gamma=0.5, verify=True, seed=19)
-        max_dev = 0.0
+        fed, ref = reference_twins(ds, pa, lam=3.0, gamma=0.5, seed=19)
+        max_dev, diffs = 0.0, []
         for ids in train_batches(ds)[:5]:
-            result = fed.run_training_round(ids)
+            diff, result = compare_round(fed, ref, ids)
             max_dev = max(max_dev, result.ledger_max_dev)
-        ok = max_dev < 1e-9
-        report("C8", ok, f"5 instrumented rounds, max applied-vs-declared "
-                         f"deviation {max_dev:.2e} < 1e-9")
+            diffs.append(diff)
+        same = diffs == [None] * 5
+        ok = max_dev < 1e-9 and same
+        report("C8", ok, f"5 instrumented reference rounds, max applied-vs-declared "
+                         f"deviation {max_dev:.2e} < 1e-9; federation bitwise equal: {same}")
 
 
 class TestNegativeSamplingOracle:

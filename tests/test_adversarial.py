@@ -1,6 +1,6 @@
 """Adversarial machinery: negative sampling against a brute-force oracle, the
 two discriminator games, exact formula identities, gradient assembly, and the
-sign ledger."""
+sign ledger (tests/reference_round.py)."""
 
 import numpy as np
 import pytest
@@ -13,10 +13,6 @@ from conftest import (
     unpack_blocks,
 )
 from fairvfl.adversarial import (
-    ASCEND,
-    DESCEND,
-    SignLedger,
-    UpdateEvent,
     _contrastive_forward,
     bias_discriminator_step,
     bias_loss_and_grad_frozen,
@@ -36,6 +32,7 @@ from oracles import (
     rank_and_select_negative,
     top_pool_indices,
 )
+from reference_round import ASCEND, DESCEND, SignLedger, UpdateEvent
 
 
 def brute_force_top_pool(protected, query, top_pool):

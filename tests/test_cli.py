@@ -1,8 +1,10 @@
 """Command surface: presets, config plumbing, exit codes, and the sweep."""
 
 import copy
+import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -358,6 +360,45 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"block {name} holds a non-finite weight" in err
         assert not (out / "attack").exists()
+
+    def test_train_stops_at_a_non_finite_weight(self, tmp_path, monkeypatch, capsys):
+        """The last round's task-head step leaves a NaN weight while every
+        payload stays finite: ``fairvfl train`` exits 2 naming the epoch and
+        ``task_head`` before that epoch's validation, and writes no checkpoint."""
+        from fairvfl.data import iterate_batches
+        from fairvfl.protocol import federation
+
+        cfg_path = _smoke_overrides(tmp_path, epochs=2)
+        base = preset("synthetic-smoke").to_dict()
+        base.update(json.loads(cfg_path.read_text()))
+        cfg = ExperimentConfig.from_dict(base)
+        ds, _ = runner.make_dataset(cfg)
+        n_rounds = cfg.epochs * len(iterate_batches(ds, "train", cfg.batch_size, 0))
+        rounds, validations = itertools.count(1), []
+        train_step, representations = federation.TaskPlatform.train_step, runner.representations
+
+        def poisoned(platform, ids, unified):
+            out = train_step(platform, ids, unified)
+            if next(rounds) == n_rounds:
+                platform.head.opt.params[0] = np.nan
+            return out
+
+        def validate(*args, **kwargs):
+            validations.append(args[2].size)
+            return representations(*args, **kwargs)
+
+        monkeypatch.setattr(federation.TaskPlatform, "train_step", poisoned)
+        monkeypatch.setattr(runner, "representations", validate)
+        out = tmp_path / "run"
+        rc = main(["train", "--preset", "synthetic-smoke", "--config", str(cfg_path),
+                   "--out", str(out)])
+        assert rc == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:")
+        assert "non-finite weight in task_head after epoch 1" in err
+        assert len(validations) == 1  # epoch 0's only
+        assert next(rounds) == n_rounds + 1
+        assert not (out / "checkpoint.fvfl").exists()
 
     def test_attack_passes_every_attack_field_to_the_probes(self, tmp_path, monkeypatch):
         """Every ensemble, fairness and privacy alike, trains with the

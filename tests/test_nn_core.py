@@ -154,8 +154,9 @@ class TestAdam:
         block.gw[...] = 3.0
         opt.step()
         assert np.all(block.gw == 3.0)
-        # a store of several tiles: the sign ledger copies ``grads`` after
-        # the step, so every tile's gradients must come out as they went in
+        # a store of several tiles: the reference round's sign ledger copies
+        # ``grads`` after the step, so every tile's gradients must come out as
+        # they went in
         opt = Adam(self._mixed_blocks(3))
         opt.grads[...] = np.random.default_rng(4).normal(size=opt.grads.size)
         before = opt.grads.tobytes()

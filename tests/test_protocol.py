@@ -3,6 +3,7 @@ properties, determinism, transcript mechanics, auditing, and traffic
 accounting."""
 
 import dataclasses
+import functools
 import itertools
 import json
 from collections import Counter
@@ -12,7 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import JSON_VALUES, make_federation, small_widths, train_batches
+import reference_round
+from conftest import (
+    JSON_VALUES,
+    make_federation,
+    reference_twins,
+    small_widths,
+    train_batches,
+)
 from fairvfl.config import ExperimentConfig, preset
 from fairvfl.data import (
     SyntheticSpec,
@@ -57,6 +65,7 @@ from fairvfl.runner import (
     make_dataset,
 )
 from oracles import whole_file_audit
+from reference_round import compare_round, first_difference
 
 
 def _policy(fed):
@@ -222,11 +231,13 @@ class TestTrainingRound:
             dict.fromkeys(fed.bundle.optim, 0)
 
     def test_sign_ledger_holds_on_instrumented_rounds(self, tiny_dataset):
+        """Five reference rounds keep every update within 1e-9 of its declared
+        signed sum, and the federation's rounds equal them bit for bit."""
         ds, pa = tiny_dataset
-        fed = make_federation(ds, pa, verify=True, lam=3.0, gamma=0.5)
-        for ids in train_batches(ds)[:3]:
-            result = fed.run_training_round(ids)
-            assert result.ledger_max_dev is not None
+        fed, ref = reference_twins(ds, pa, lam=3.0, gamma=0.5, seed=19)
+        for r, ids in enumerate(train_batches(ds)[:5]):
+            diff, result = compare_round(fed, ref, ids)
+            assert diff is None, f"round {r}: first difference at {diff}"
             assert result.ledger_max_dev < 1e-9
 
     def test_contrastive_gradients_stop_at_mappers(self, tiny_dataset):
@@ -318,8 +329,10 @@ class TestTrainingRound:
 
 
 class TestRoundLedger:
-    """An instrumented round records every update, in protocol order, and
-    a sign flipped anywhere in the round makes the ledger reject it."""
+    """The reference round records every update, in protocol order, and a
+    sign flipped anywhere in the federation's round makes it differ from the
+    reference, first at the component the flip reaches first. The same flip
+    in the reference's own step functions makes its ledger reject it."""
 
     _ADV = ["task", "adversarial/attr"]
     EVENTS = {
@@ -333,15 +346,18 @@ class TestRoundLedger:
 
     @staticmethod
     def _round(dataset, mode="fairvfl"):
+        """The first difference between a federation's round and the
+        reference's, and the reference's result."""
         ds, pa = dataset
-        fed = make_federation(ds, pa, verify=True, lam=3.0, gamma=0.5, mode=mode)
-        result = fed.run_training_round(train_batches(ds)[0])
-        return fed, result
+        fed, ref = reference_twins(ds, pa, lam=3.0, gamma=0.5, mode=mode)
+        return compare_round(fed, ref, train_batches(ds)[0])
 
     @pytest.mark.parametrize("mode", ["fairvfl", "vfl"])
     def test_event_list(self, tiny_dataset, mode):
-        fed, result = self._round(tiny_dataset, mode)
-        events = [(e.component, [term for term, _, _ in e.contributions]) for e in fed.events]
+        diff, result = self._round(tiny_dataset, mode)
+        assert diff is None
+        events = [(e.component, [term for term, _, _ in e.contributions])
+                  for e in result.events]
         assert events == self.EVENTS[mode]
         assert result.ledger_max_dev < 1e-9
 
@@ -354,6 +370,8 @@ class TestRoundLedger:
             return out
 
         monkeypatch.setattr(federation_mod, "combine_overall_grad", plus_lam)
+        assert self._round(tiny_dataset)[0] == "aggregator"
+        monkeypatch.setattr(reference_round, "combine_overall_grad", plus_lam)
         with pytest.raises(ProtocolError, match="^aggregator: "):
             self._round(tiny_dataset)
 
@@ -363,6 +381,8 @@ class TestRoundLedger:
             mapper.backward(mapper_cache, grad_protected * gamma, inputs=False)
 
         monkeypatch.setattr(federation_mod, "cal_mapper_gradient", plus_gamma)
+        assert self._round(tiny_dataset)[0] == "mapper/attr"
+        monkeypatch.setattr(reference_round, "cal_mapper_gradient", plus_gamma)
         with pytest.raises(ProtocolError, match="^mapper/attr: "):
             self._round(tiny_dataset)
 
@@ -375,8 +395,42 @@ class TestRoundLedger:
             return send(self, round_id, sender, receiver, kind, payload, ldp_applied)
 
         monkeypatch.setattr(Federation, "send", scaled)
-        with pytest.raises(ProtocolError, match="^encoder/0: "):
-            self._round(tiny_dataset)
+        assert self._round(tiny_dataset)[0] == "encoder/0"
+
+
+#: the sensitive features of the reference-round datasets, taken 1 to 3 at a time
+_REF_FEATURES = {"attr": 2, "age": 3, "region": 2}
+_REF_LDP = {"ldp-off": None, "ldp-on": LdpConfig(enabled=True),
+            "ldp-serve-only": LdpConfig(enabled=True, perturb_training=False)}
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_dataset(n_features):
+    spec = SyntheticSpec(n_samples=120, n_platforms=2, seed=5, sensitive_classes=dict(
+        itertools.islice(_REF_FEATURES.items(), n_features)))
+    return generate_synthetic(spec), synthetic_partition(spec)
+
+
+class TestReferenceRound:
+    """``Federation.run_training_round`` equals a message-free round written
+    from the protocol order (tests/reference_round.py), bit for bit: every
+    component's ``params``, ``m``, ``v`` and ``t``, and the round's losses."""
+
+    @pytest.mark.parametrize("n_features", [1, 2, 3])
+    @pytest.mark.parametrize("ldp", list(_REF_LDP))
+    @pytest.mark.parametrize("mode", ["fairvfl", "vfl"])
+    def test_federation_equals_the_reference(self, mode, ldp, n_features):
+        ds, pa = _reference_dataset(n_features)
+        widths = dataclasses.replace(small_widths(), protected={
+            f: 4 + 2 * k for k, f in enumerate(ds.sensitive)})
+        fed, ref = reference_twins(ds, pa, lam=3.0, gamma=0.5, seed=17, mode=mode,
+                                   ldp=_REF_LDP[ldp], widths=widths, top_pool=4)
+        assert first_difference(fed.bundle, ref.bundle, {}, {}) is None
+        for r, ids in enumerate(train_batches(ds)[:3]):
+            diff, _ = compare_round(fed, ref, ids)
+            assert diff is None, f"round {r}: first difference at {diff}"
+        assert ref.bundle.task_head.opt.t == 3
+        assert ref.bundle.mappers["attr"].opt.t == (6 if mode == "fairvfl" else 0)
 
 
 class TestDelivery:
@@ -416,40 +470,24 @@ class TestDelivery:
 
 class TestGradientsAtRest:
     def test_instrumented_rounds_train_alike_and_leave_grads_zero(self, tiny_dataset):
-        """The ledger's extra per-term backward passes change no loss, no
-        parameter bit and no gradient bit: each group's store, a prefix of
-        the bundle's shared gradient buffer, holds the same bytes with and
-        without the ledger, after each round and after serving.
+        """Serving touches no gradient store: after five rounds each group's
+        store, a prefix of the bundle's shared gradient buffer, holds the
+        same bytes before and after serving.
 
         The name is kept from earlier contracts: every store was once zeroed
         after use, and later held its own group's last gradient. The groups
         now share one buffer, which holds whatever the last backward wrote,
-        so the test checks that the stores are equal and not all zero, and
-        that serving leaves them unchanged."""
+        so the test checks that the stores are not all zero after training,
+        and that serving leaves them unchanged."""
         ds, pa = tiny_dataset
-        feds = [make_federation(ds, pa, lam=3.0, gamma=0.5, verify=verify, seed=23)
-                for verify in (True, False)]
-
-        def check_grads_equal():
-            for key, opt in feds[0].bundle.optim.items():
-                assert opt.grads.any(), key
-                assert opt.grads.tobytes() == feds[1].bundle.optim[key].grads.tobytes(), key
-
+        fed = make_federation(ds, pa, lam=3.0, gamma=0.5, seed=23)
         for ids in train_batches(ds)[:5]:
-            losses = [fed.run_training_round(ids).losses.flat() for fed in feds]
-            assert list(losses[0]) == list(losses[1])
-            assert np.array(list(losses[0].values())).tobytes() == \
-                np.array(list(losses[1].values())).tobytes()
-            for key, opt in feds[0].bundle.optim.items():
-                assert opt.params.tobytes() == feds[1].bundle.optim[key].params.tobytes(), key
-            check_grads_equal()
-        test_ids = ds.split_ids("test")
-        stores = [opt.grads.copy() for opt in feds[0].bundle.optim.values()]
-        preds = [fed.serve(test_ids) for fed in feds]
-        assert preds[0].tobytes() == preds[1].tobytes()
-        check_grads_equal()
-        for before, opt in zip(stores, feds[0].bundle.optim.values()):
-            assert opt.grads.tobytes() == before.tobytes()
+            fed.run_training_round(ids)
+        stores = {key: opt.grads.copy() for key, opt in fed.bundle.optim.items()}
+        assert all(store.any() for store in stores.values())
+        fed.serve(ds.split_ids("test"))
+        for key, opt in fed.bundle.optim.items():
+            assert opt.grads.tobytes() == stores[key].tobytes(), key
 
 
 class TestSharedGradientBuffer:
@@ -469,11 +507,10 @@ class TestSharedGradientBuffer:
         assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(stores, 2))
         return fed
 
-    @pytest.mark.parametrize("mode, verify", [("fairvfl", False), ("fairvfl", True),
-                                              ("vfl", False)])
-    def test_trains_like_private_stores(self, tiny_dataset, mode, verify):
+    @pytest.mark.parametrize("mode", ["fairvfl", "vfl"])
+    def test_trains_like_private_stores(self, tiny_dataset, mode):
         ds, pa = tiny_dataset
-        kwargs = dict(lam=3.0, gamma=0.5, seed=29, mode=mode, verify=verify)
+        kwargs = dict(lam=3.0, gamma=0.5, seed=29, mode=mode)
         shared = make_federation(ds, pa, **kwargs)
         private = self._private_reference(ds, pa, **kwargs)
         pairs = list(zip(shared.bundle.components, private.bundle.components, strict=True))
@@ -484,7 +521,6 @@ class TestSharedGradientBuffer:
             assert list(losses[0]) == list(losses[1])
             assert np.array(list(losses[0].values())).tobytes() == \
                 np.array(list(losses[1].values())).tobytes()
-            assert results[0].ledger_max_dev == results[1].ledger_max_dev
             for c, ref_c in pairs:
                 assert c.opt.t == ref_c.opt.t, c.name
                 for name in ("params", "m", "v"):  # the moments are None until a step
@@ -521,11 +557,12 @@ class TestMapperAdamSharing:
 class TestLedgerEventNames:
     @pytest.mark.parametrize("mode", ["fairvfl", "vfl"])
     def test_events_name_the_components_that_stepped(self, tiny_dataset, monkeypatch, mode):
-        """An instrumented round logs one ledger event per optimizer step,
-        in step order, each under the name of the component that stepped."""
+        """A reference round logs one ledger event per optimizer step, in step
+        order, each under the name of the component that stepped, and the
+        federation's round steps the same components in the same order."""
         ds, pa = tiny_dataset
-        fed = make_federation(ds, pa, lam=3.0, gamma=0.5, mode=mode, verify=True)
-        owner = {id(c.opt): c.name for c in fed.bundle.components}
+        fed, ref = reference_twins(ds, pa, lam=3.0, gamma=0.5, mode=mode)
+        owner = {id(c.opt): c.name for b in (fed.bundle, ref.bundle) for c in b.components}
         stepped = []
 
         def step(opt, step=Adam.step):
@@ -533,8 +570,11 @@ class TestLedgerEventNames:
             step(opt)
 
         monkeypatch.setattr(Adam, "step", step)
-        fed.run_training_round(train_batches(ds)[0])
-        assert [e.component for e in fed.events] == stepped
+        ids = train_batches(ds)[0]
+        fed.run_training_round(ids)
+        fed_stepped, stepped[:] = stepped[:], []
+        events = ref.run(ids).events
+        assert [e.component for e in events] == stepped == fed_stepped
         fairness = ["cdisc/attr", "mapper/attr", "bdisc/attr", "mapper/attr"]
         assert stepped == ["task_head", *(fairness if mode == "fairvfl" else []),
                            "aggregator", "encoder/0", "encoder/1"]

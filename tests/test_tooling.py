@@ -1,6 +1,7 @@
 """Repository hygiene: the benchmark tracer's hooks (fvbench/spans.py) against
 this package, where every class and module it names exists and the names it
-cannot find are known; and no module imports a name it never reads."""
+cannot find are known; no module imports a name it never reads; and every
+function and class the package defines is named somewhere in it."""
 
 import ast
 import importlib.util
@@ -12,6 +13,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "fvbench" / "spans.py"
 #: the trees the unused-import scan covers; fvbench/ is the benchmark's own
 SCANNED = ("src", "tests", "benchmarks")
+#: definitions in src/ that no code in src/ names: fvbench and
+#: benchmarks/bench_audit.py build their audit policy with it
+UNNAMED_ALLOWED = {"AuditPolicy.from_federation"}
 
 # targets the tracer looks for and this package no longer defines: the
 # zero_grad methods (backward passes overwrite the gradient stores),
@@ -77,3 +81,46 @@ def test_no_unused_imports(tree):
     found = {str(path.relative_to(ROOT)): names for path in sorted((ROOT / tree).rglob("*.py"))
              if (names := unused_imports(path.read_text(encoding="utf-8")))}
     assert found == {}
+
+
+def unnamed_definitions(sources: list[str]) -> list[str]:
+    """The functions and classes defined in ``sources`` (qualified by the
+    definitions they sit in, e.g. ``Class.method``) whose name no other node
+    of them spells: no name, attribute or string constant (an ``__all__``
+    entry). Dunder methods are left out."""
+    trees = [ast.parse(source) for source in sources]
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                found.append((child.name, prefix + child.name))
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    named = set()
+    for tree in trees:
+        visit(tree, "")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+    return [qualified for name, qualified in found
+            if name not in named and not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_unnamed_definition_scan_finds_what_it_should():
+    sources = ["class A:\n    def __init__(self): pass\n    def used(self): pass\n"
+               "    def lonely(self):\n        def inner(): pass\n"
+               "def listed(): pass\ndef called(): pass\n",
+               "from a import A, called\n__all__ = ['listed']\nA().used()\ncalled()\n"]
+    assert unnamed_definitions(sources) == ["A.lonely", "A.lonely.inner"]
+
+
+def test_every_src_definition_is_named_in_src():
+    sources = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "src").rglob("*.py"))]
+    assert set(unnamed_definitions(sources)) == UNNAMED_ALLOWED
