@@ -127,6 +127,7 @@ def build_run_federation(cfg: ExperimentConfig, ds: VerticalDataset, pa,
     return Federation(cfg, ds, pa, payload_digests=payload_digests, checkpoint=checkpoint)
 
 
+# fvbench/run.py imports this and iterate_batches to drive its own loops
 def _epoch_batch_seed(seed: int, epoch: int) -> int:
     return int(np.random.SeedSequence([seed, 0xBA7C4, epoch]).generate_state(1)[0])
 
@@ -174,6 +175,19 @@ def _check_finite(bundle: ModelBundle, epoch: int) -> None:
             raise NumericError(f"non-finite weight in {key} after epoch {epoch}")
 
 
+def train_epoch(fed: Federation, cfg: ExperimentConfig, ds: VerticalDataset, epoch: int):
+    """Runs epoch ``epoch`` of a run: one training round per batch of the
+    run's (seed, epoch) shuffle of the train split. Yields each round's
+    ``RoundResult``, which holds the round's records, with the transcript
+    drained, so the transcript never holds more than one round. Once the
+    epoch is exhausted, checks every weight is finite."""
+    for ids in iterate_batches(ds, "train", cfg.batch_size, _epoch_batch_seed(cfg.seed, epoch)):
+        result = fed.run_training_round(ids)
+        fed.transcript.drain()
+        yield result
+    _check_finite(fed.bundle, epoch)
+
+
 @dataclass
 class RunResult:
     out_dir: Path
@@ -209,20 +223,15 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
     transcript_path = out / "transcript.ndjson"
     with open(transcript_path, "w", encoding="utf-8") as tfh:
         for epoch in range(cfg.epochs):
-            batches = iterate_batches(ds, "train", cfg.batch_size,
-                                      _epoch_batch_seed(cfg.seed, epoch))
             sums, counts = {}, 0
-            for ids in batches:
-                result = fed.run_training_round(ids)
+            for result in train_epoch(fed, cfg, ds, epoch):
                 for key, v in result.losses.flat().items():
                     sums[key] = sums.get(key, 0.0) + v
                 counts += 1
-                records = fed.transcript.drain()
-                write_records(tfh, records)
+                write_records(tfh, result.records)
                 comm["rounds"] += 1
-                comm["total_floats"] += sum(rec.float_count for rec in records)
-                comm["fairness_floats"] += fairness_comm_cost(records)
-            _check_finite(fed.bundle, epoch)
+                comm["total_floats"] += sum(rec.float_count for rec in result.records)
+                comm["fairness_floats"] += fairness_comm_cost(result.records)
             s_val, _ = representations(fed.bundle, feature_shards, val_ids, protected=False)
             val_pred = predict_classes(fed.bundle, s_val)
             val_acc = float(np.mean(val_pred == val_labels))
@@ -377,26 +386,23 @@ def run_train_and_attack(cfg: ExperimentConfig, out_dir: str | Path) -> MetricsR
     return report
 
 
-def _sweep_worker(cfg_dict: dict, axis: str, value: float, run_dir: str) -> dict:
-    cfg = apply_axis(ExperimentConfig.from_dict(cfg_dict), axis, value)
-    report = run_train_and_attack(cfg, run_dir)
-    row = {"axis": axis, "value": value, "out": run_dir, "error": ""}
-    row.update(report.flat_row())
-    return row
-
-
 def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list[float],
               out_dir: str | Path) -> list[dict]:
     """One full train+attack per axis value; per-run failures are recorded
     and the sweep continues. FAIRVFL_THREADS caps process parallelism."""
     cfg.validate()
+    run_values: dict[str, float] = {}  # run directory name -> its value
     for v in values:
         apply_axis(cfg, axis, v)  # fail fast on bad axis/values
+        name = f"{axis.replace(':', '_')}={v:g}"
+        if name in run_values:
+            raise ConfigError(f"sweep values {run_values[name]!r} and {v!r} would both "
+                              f"write the run directory {name!r}")
+        run_values[name] = v
     workers = _sweep_workers()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = [(cfg.to_dict(), axis, v, str(out / f"{axis.replace(':', '_')}={v:g}"))
-            for v in values]
+    jobs = [(cfg.to_dict(), axis, v, str(out / name)) for name, v in run_values.items()]
 
     rows: list[dict] = []
     if workers == 1:
@@ -426,12 +432,15 @@ def _sweep_workers() -> int:
 
 
 def _guarded_worker(job) -> dict:
+    """One sweep run's table row; a failed run's row carries its error."""
     cfg_dict, axis, value, run_dir = job
+    row = {"axis": axis, "value": value, "out": run_dir, "error": ""}
     try:
-        return _sweep_worker(cfg_dict, axis, value, run_dir)
+        cfg = apply_axis(ExperimentConfig.from_dict(cfg_dict), axis, value)
+        row.update(run_train_and_attack(cfg, run_dir).flat_row())
     except Exception as exc:  # per-run failures must not kill the sweep
-        return {"axis": axis, "value": value, "out": run_dir,
-                "error": f"{type(exc).__name__}: {exc}"}
+        row["error"] = f"{type(exc).__name__}: {exc}"
+    return row
 
 
 # -- small writers ----------------------------------------------------------

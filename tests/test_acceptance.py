@@ -44,13 +44,13 @@ from fairvfl.protocol import AuditPolicy, audit_transcript, fairness_comm_cost
 from fairvfl.protocol.audit import ViolationKind
 from fairvfl.protocol.messages import Role, TranscriptRecord
 from fairvfl.runner import (
-    _epoch_batch_seed,
     build_run_federation,
     cmd_attack,
     cmd_train,
     representations,
     predict_classes,
     run_train_and_attack,
+    train_epoch,
 )
 from oracles import (
     adversarial_grad_on_unified,
@@ -536,9 +536,8 @@ class TestSyntheticEndToEnd:
         def train(cfg, epochs):
             fed = build_run_federation(cfg, ds, pa)
             for epoch in range(epochs):
-                for ids in iterate_batches(ds, "train", 32,
-                                           _epoch_batch_seed(cfg.seed, epoch)):
-                    fed.run_training_round(ids)
+                for _ in train_epoch(fed, cfg, ds, epoch):
+                    pass
             return fed.bundle
 
         def probe(bundle):

@@ -20,7 +20,7 @@ from conftest import (
 from fairvfl import runner
 from fairvfl.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 from fairvfl.config import ExperimentConfig, preset, read_config_object
-from fairvfl.errors import ConfigError
+from fairvfl.errors import ConfigError, NumericError
 from fairvfl.runner import apply_axis, cmd_sweep
 
 
@@ -480,6 +480,37 @@ class TestCliCommands:
         assert "round 7" in capsys.readouterr().err
 
 
+class TestTrainEpoch:
+    """``runner.train_epoch``: the batch schedule of every training run."""
+
+    def test_rounds_carry_the_exported_transcript_and_drain_it(self, tmp_path):
+        cfg = preset("synthetic-smoke").with_overrides(epochs=2)
+        ds, pa = runner.make_dataset(cfg)
+        fed = runner.build_run_federation(cfg, ds, pa, payload_digests=True)
+        lines = []
+        for epoch in range(cfg.epochs):
+            for result in runner.train_epoch(fed, cfg, ds, epoch):
+                assert len(fed.transcript) == 0
+                lines += [rec.to_line() + "\n" for rec in result.records]
+        runner.cmd_train(cfg, tmp_path / "run")
+        assert lines
+        assert "".join(lines).encode() == (tmp_path / "run" / "transcript.ndjson").read_bytes()
+
+    def test_non_finite_weight_raises_when_the_epoch_is_exhausted(self):
+        cfg = preset("synthetic-smoke")
+        ds, pa = runner.make_dataset(cfg)
+        fed = runner.build_run_federation(cfg, ds, pa)
+        for _ in runner.train_epoch(fed, cfg, ds, 0):
+            pass
+        rounds = runner.train_epoch(fed, cfg, ds, 1)
+        n_rounds = len(runner.iterate_batches(ds, "train", cfg.batch_size, 0))
+        for _ in range(n_rounds):
+            next(rounds)
+        fed.bundle.task_head.opt.params[0] = np.nan  # the last round's step left it
+        with pytest.raises(NumericError, match="non-finite weight in task_head after epoch 1"):
+            next(rounds)
+
+
 class TestSweep:
     def test_axis_application(self):
         cfg = preset("synthetic-smoke")
@@ -507,14 +538,14 @@ class TestSweep:
         base.update(json.loads(cfg_path.read_text()))
         cfg = ExperimentConfig.from_dict(base)
 
-        real_worker = runner_mod._sweep_worker
+        real_run = runner_mod.run_train_and_attack
 
-        def flaky(cfg_dict, axis, value, run_dir):
-            if value == 0.25:
+        def flaky(run_cfg, out_dir):
+            if set(run_cfg.gamma.values()) == {0.25}:
                 raise RuntimeError("synthetic failure for the record")
-            return real_worker(cfg_dict, axis, value, run_dir)
+            return real_run(run_cfg, out_dir)
 
-        monkeypatch.setattr(runner_mod, "_sweep_worker", flaky)
+        monkeypatch.setattr(runner_mod, "run_train_and_attack", flaky)
         rows = cmd_sweep(cfg, "gamma_c", [0.0, 0.25], tmp_path / "sweep")
         assert len(rows) == 2
         assert rows[0]["error"] == ""
@@ -551,6 +582,22 @@ class TestSweep:
         rows = json.loads((tmp_path / "psw" / "sweep.json").read_text())
         assert [r["value"] for r in rows] == [0.0, 0.5]
         assert all(not r["error"] for r in rows)
+
+    @pytest.mark.parametrize("values", ["0.1,0.10000001", "1,1"])
+    def test_values_sharing_a_run_directory_are_validation_error(
+            self, tmp_path, monkeypatch, capsys, values):
+        """Two values whose run directory names agree (``{value:g}``) would
+        write one directory: the sweep fails before any run starts."""
+        runs = []
+        monkeypatch.setattr(runner, "_guarded_worker", runs.append)
+        rc = main(["sweep", "--preset", "synthetic-smoke", "--axis", "gamma_c",
+                   "--values", values, "--out", str(tmp_path / "sw")])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        first, second = (repr(float(v)) for v in values.split(","))
+        assert err.startswith("error:") and first in err and second in err
+        assert runs == []
+        assert not (tmp_path / "sw").exists()
 
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", ""])

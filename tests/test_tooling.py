@@ -1,7 +1,8 @@
 """Repository hygiene: the benchmark tracer's hooks (fvbench/spans.py) against
 this package, where every class and module it names exists and the names it
-cannot find are known; no module imports a name it never reads; and every
-function and class the package defines is named somewhere in it."""
+cannot find are known; no module imports a name it never reads; every
+function and class the package defines is named somewhere in it; and only
+the runner names the epoch batch seed."""
 
 import ast
 import importlib.util
@@ -11,7 +12,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "fvbench" / "spans.py"
-#: the trees the unused-import scan covers; fvbench/ is the benchmark's own
+#: the trees the unused-import and epoch-seed scans cover; fvbench/ is the
+#: benchmark's own
 SCANNED = ("src", "tests", "benchmarks")
 #: definitions in src/ that no code in src/ names: fvbench and
 #: benchmarks/bench_audit.py build their audit policy with it
@@ -124,3 +126,37 @@ def test_unnamed_definition_scan_finds_what_it_should():
 def test_every_src_definition_is_named_in_src():
     sources = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "src").rglob("*.py"))]
     assert set(unnamed_definitions(sources)) == UNNAMED_ALLOWED
+
+
+def code_names(source: str) -> set[str]:
+    """Every name ``source``'s code spells: names, attributes, imported names
+    and their aliases, and the functions and classes it defines. Comments and
+    string constants do not count."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found |= {node.name, node.asname} - {None}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+    return found
+
+
+def test_code_name_scan_finds_what_it_should():
+    sources = ["from fairvfl.runner import seed_of as s\n",
+               "import fairvfl.runner as r\nr.seed_of(1, 0)\n",
+               "def seed_of():\n    pass\n",
+               "x = 'seed_of'  # seed_of\n"]
+    assert [i for i, source in enumerate(sources) if "seed_of" in code_names(source)] == [0, 1, 2]
+
+
+def test_only_the_runner_names_the_epoch_batch_seed():
+    """Every epoch's batch order comes from ``runner.train_epoch``; fvbench/,
+    outside the scan, imports ``_epoch_batch_seed`` for loops of its own."""
+    found = [str(path.relative_to(ROOT)) for tree in SCANNED
+             for path in sorted((ROOT / tree).rglob("*.py"))
+             if "_epoch_batch_seed" in code_names(path.read_text(encoding="utf-8"))]
+    assert found == ["src/fairvfl/runner.py"]
