@@ -111,6 +111,9 @@ def _print_audit(report) -> None:
     for v in report.violations:
         counts[v.kind.value] = counts.get(v.kind.value, 0) + 1
     print(f"audit: {report.n_records} records, {len(report.violations)} violations")
+    if not report.n_records:
+        print("  no records: every training run exports at least one round, so the "
+              "file is truncated or not a transcript")
     for kind, n in sorted(counts.items()):
         print(f"  {kind}: {n}")
     for v in report.violations[:20]:

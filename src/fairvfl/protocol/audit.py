@@ -20,6 +20,13 @@ table keyed by kind string (records carry ``kind`` as a plain ``str``) are
 resolved once at import, so a record costs a few dict lookups and string
 comparisons, well under a microsecond, and no enum lookup.
 
+``audit_transcript``, what a live run and fvbench's round workloads call
+round after round, classifies each record signature (sender, receiver, kind,
+shape, LDP flag, phase: every field a rule reads) once per policy: the
+policy keeps each signature's verdict in a table as long as it lives, so a
+later record with that signature costs one dict lookup. The policy is frozen,
+so the table cannot outlive the fields it was filled under.
+
 ``audit_file``, what ``fairvfl audit`` runs, streams an exported transcript
 in ``Transcript.read``'s chunks of whole lines, matched by the same canonical
 pattern. An exported record's verdict depends only on its sender, receiver,
@@ -36,7 +43,7 @@ its report or ``ParseError`` is theirs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -68,13 +75,18 @@ class Violation:
     detail: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class AuditPolicy:
     roles: dict[str, Role]  # platform name -> role
     rep_width: int
     protected_widths: dict[str, int]  # sensitive platform name -> H_i
     require_ldp_serving: bool = False
     require_ldp_training: bool = False
+    # (sender, receiver, kind, shape, ldp_applied, phase) -> None or the
+    # (kind, detail) ``_classify`` gives it under these fields, which are
+    # frozen so it cannot go stale; ``dataclasses.replace`` starts it empty
+    _verdicts: dict[tuple, tuple[ViolationKind, str] | None] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def for_run(cls, n_platforms: int, widths, ldp) -> "AuditPolicy":
@@ -172,11 +184,17 @@ def _classify(rec: TranscriptRecord, policy: AuditPolicy) -> Violation | None:
 
 def audit_transcript(transcript: Transcript | list[TranscriptRecord],
                      policy: AuditPolicy) -> list[Violation]:
+    verdicts = policy._verdicts
     out = []
     for rec in transcript:
-        v = _classify(rec, policy)
-        if v is not None:
-            out.append(v)
+        sig = (rec.sender, rec.receiver, rec.kind, rec.shape, rec.ldp_applied, rec.phase)
+        try:
+            found = verdicts[sig]
+        except KeyError:  # the signature's first sighting under this policy
+            v = _classify(rec, policy)
+            found = verdicts[sig] = None if v is None else (v.kind, v.detail)
+        if found is not None:
+            out.append(Violation(found[0], rec, found[1]))
     return out
 
 

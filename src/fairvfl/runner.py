@@ -205,8 +205,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
     metrics of the selected checkpoint."""
     cfg.validate()
     t0 = time.perf_counter()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out_dir(out_dir)
     cfg.write(out / "config.json")
 
     ds, pa = make_dataset(cfg)
@@ -285,6 +284,8 @@ def cmd_attack(cfg: ExperimentConfig, checkpoint_path: str | Path,
         probe_test[fname] = col.values[test_ids]
 
     fed = build_run_federation(cfg, ds, pa, checkpoint=checkpoint_path)
+    # made once the inputs are checked (a bad one leaves no directory), before any probe
+    out = None if out_dir is None else _make_out_dir(out_dir)
     bundle = fed.bundle
     feature_shards = [p.shard for p in fed.insensitive]
 
@@ -316,9 +317,7 @@ def cmd_attack(cfg: ExperimentConfig, checkpoint_path: str | Path,
             [attack_f1(next(ensembles), prot_test[f], labels).mean_f1 for f in bundle.features]))
         report.baselines[f"privacy/{fname}"] = random_baselines(labels, int(labels.max()) + 1)
 
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         report.write(out / "metrics.json")
         _write_metrics_table(out / "metrics.tsv", [report])
     return report
@@ -332,8 +331,11 @@ class AuditReport:
 
     @property
     def ok(self) -> bool:
+        """No violation, the predicted fairness traffic in every round, and
+        at least one record: every training run exports a round, so a file
+        without one is truncated or not a transcript."""
         traffic_ok = all(r["actual"] == r["expected"] for r in self.traffic.values())
-        return not self.violations and traffic_ok
+        return self.n_records > 0 and not self.violations and traffic_ok
 
 
 def audit_policy_from_config(cfg: ExperimentConfig) -> AuditPolicy:
@@ -391,6 +393,8 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list[float],
     """One full train+attack per axis value; per-run failures are recorded
     and the sweep continues. FAIRVFL_THREADS caps process parallelism."""
     cfg.validate()
+    if not values:
+        raise ConfigError("a sweep needs at least one axis value")
     run_values: dict[str, float] = {}  # run directory name -> its value
     for v in values:
         apply_axis(cfg, axis, v)  # fail fast on bad axis/values
@@ -400,8 +404,7 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list[float],
                               f"write the run directory {name!r}")
         run_values[name] = v
     workers = _sweep_workers()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out_dir(out_dir)
     jobs = [(cfg.to_dict(), axis, v, str(out / name)) for name, v in run_values.items()]
 
     rows: list[dict] = []
@@ -444,6 +447,18 @@ def _guarded_worker(job) -> dict:
 
 
 # -- small writers ----------------------------------------------------------
+
+
+def _make_out_dir(out_dir: str | Path) -> Path:
+    """``out_dir``, made with its parents if missing; a path that cannot be
+    a directory (a file, or under one) is a ``ConfigError`` naming it."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {str(out)!r}: "
+                          f"{exc.strerror or exc}") from None
+    return out
 
 
 def _write_loss_curves(path: Path, rows: list[dict]) -> None:

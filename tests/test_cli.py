@@ -479,6 +479,48 @@ class TestCliCommands:
         assert rc == EXIT_NUMERIC
         assert "round 7" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_train_out_that_cannot_be_a_directory(self, tmp_path, capsys, under):
+        blocker = tmp_path / "F"
+        blocker.write_text("not a directory", encoding="utf-8")
+        out = blocker / "x" if under else blocker
+        rc = main(["train", "--preset", "synthetic-smoke", "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(str(out)) in err
+        assert blocker.read_text(encoding="utf-8") == "not a directory"
+
+    def test_attack_out_that_is_a_file_fails_before_any_probe_trains(
+            self, tmp_path, capsys, monkeypatch):
+        from fairvfl.evaluation import AttackerNet
+
+        cfg_path = _smoke_overrides(tmp_path)
+        out = tmp_path / "run"
+        assert main(["train", "--preset", "synthetic-smoke", "--config", str(cfg_path),
+                     "--out", str(out)]) == EXIT_OK
+        steps = []
+        real_step = AttackerNet.train_step
+        monkeypatch.setattr(AttackerNet, "train_step",
+                            lambda net, x, y: steps.append(1) or real_step(net, x, y))
+        capsys.readouterr()
+        blocker = out / "attack"
+        blocker.write_text("", encoding="utf-8")
+        rc = main(["attack", "--preset", "synthetic-smoke", "--config", str(cfg_path),
+                   "--checkpoint", str(out / "checkpoint.fvfl"), "--out", str(blocker)])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(str(blocker)) in err
+        assert steps == []
+
+    @pytest.mark.parametrize("content", [b"", b"\n\n  \n"], ids=["empty", "blank-lines"])
+    def test_audit_of_a_transcript_without_records_fails(self, tmp_path, capsys, content):
+        path = tmp_path / "transcript.ndjson"
+        path.write_bytes(content)
+        rc = main(["audit", "--preset", "synthetic-smoke", "--transcript", str(path)])
+        assert rc == EXIT_VALIDATION
+        out = capsys.readouterr().out
+        assert out.startswith("audit: 0 records, 0 violations") and "no records" in out
+
 
 class TestTrainEpoch:
     """``runner.train_epoch``: the batch schedule of every training run."""
@@ -599,6 +641,27 @@ class TestSweep:
         assert runs == []
         assert not (tmp_path / "sw").exists()
 
+    def test_no_values_is_validation_error(self, tmp_path, monkeypatch, capsys):
+        runs = []
+        monkeypatch.setattr(runner, "_guarded_worker", runs.append)
+        rc = main(["sweep", "--preset", "synthetic-smoke", "--axis", "gamma_c",
+                   "--values", ",", "--out", str(tmp_path / "sw")])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error:")
+        assert runs == []
+        assert not (tmp_path / "sw").exists()
+
+    def test_out_that_is_a_file_is_validation_error(self, tmp_path, monkeypatch, capsys):
+        runs = []
+        monkeypatch.setattr(runner, "_guarded_worker", runs.append)
+        blocker = tmp_path / "sw"
+        blocker.write_text("", encoding="utf-8")
+        rc = main(["sweep", "--preset", "synthetic-smoke", "--axis", "gamma_c",
+                   "--values", "0.0,0.5", "--out", str(blocker)])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(str(blocker)) in err
+        assert runs == []
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", ""])
     def test_bad_thread_count_is_validation_error(self, tmp_path, monkeypatch, capsys,

@@ -750,13 +750,15 @@ class TestClassifierMatchesReference:
         one), every kind and an unknown one, payload shapes of rep width,
         protected width, neither, rank 1 and rank 0, each LDP flag and phase:
         the classifier gives the reference's violation kind and detail, or
-        None for both."""
+        None for both; so does ``audit_transcript`` on every record, on a
+        first pass that fills the policy's verdict table and a second that
+        reads it."""
         policy = dataclasses.replace(
             TestAudit()._fixture_policy(), protected_widths={"sensitive/attr": protected_width},
             require_ldp_serving=serving, require_ldp_training=training)
         names = [*policy.roles, "stranger"]
         kinds = [k.value for k in Kind] + ["RawDump"]
-        seen = set()
+        seen, records, wanted = set(), [], []
         for sender, receiver, kind, shape, ldp_applied, phase in itertools.product(
                 names, names, kinds, [(4, 16), (4, 8), (4, 7), (4,), ()],
                 [None, True, False], ["train", "serve", None]):
@@ -767,9 +769,41 @@ class TestClassifierMatchesReference:
             if want is not None:
                 seen.add(want.kind)
                 assert (got.kind, got.detail, got.record) == (want.kind, want.detail, rec)
+                wanted.append(want)
+            records.append(rec)
+        for _ in range(2):
+            audited = audit_transcript(records, policy)
+            assert len(audited) == len(wanted)
+            for v, want in zip(audited, wanted):
+                assert (v.kind, v.detail) == (want.kind, want.detail)
+                assert v.record is want.record
         # every rule fires somewhere (LDP only when a flag requires it)
         assert seen == set(ViolationKind) - (set() if serving or training
                                              else {ViolationKind.UNPERTURBED_UNIFIED})
+
+
+class TestPolicyVerdictTable:
+    """``AuditPolicy`` keeps each record signature's verdict for as long as
+    the policy lives: its fields are frozen, and a policy derived with
+    ``dataclasses.replace`` starts with an empty table."""
+
+    def test_policy_fields_are_frozen(self):
+        policy = TestAudit()._fixture_policy()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            policy.rep_width = 8
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            policy.protected_widths = {"sensitive/attr": 16}
+
+    def test_a_replaced_policy_classifies_under_its_own_fields(self):
+        rec = TestAudit()._rec("server", "sensitive/attr", "ProtectedRepUpload", (4, 8))
+        policy = TestAudit()._fixture_policy()  # protected width 8: the upload is legal
+        assert audit_transcript([rec], policy) == []
+        wider = dataclasses.replace(policy, protected_widths={"sensitive/attr": 12})
+        violations = audit_transcript([rec], wider)
+        assert [(v.kind, v.detail, v.record) for v in violations] == [
+            (ViolationKind.UNIFIED_TO_SENSITIVE, "payload width 8 != declared 12", rec)]
+        assert audit_transcript([rec], policy) == []
+        assert policy == dataclasses.replace(policy) and wider != policy
 
 
 # JSON texts to put in place of a record's field: number literals json.dumps
